@@ -227,17 +227,17 @@ def render_config(
     """Canonical config document; parse_config(render_config(s)) round-trips."""
     lines = ["[fields]"]
     for key in _FIELD_KEYS[:-1]:
-        lines.append(f"{key} = {getattr(scenario, key)!r}")
+        lines.append(f"{key} = {float(getattr(scenario, key))!r}")
     lines.append(f"closure_target = {scenario.closure_target}")
     lines.append("")
     lines.append("[decays]")
     for key in _DECAY_KEYS:
-        lines.append(f"{key} = {getattr(scenario, key)!r}")
+        lines.append(f"{key} = {float(getattr(scenario, key))!r}")
     if spec is not None:
         lines.append("")
         lines.append("[sweep]")
-        lines.append(f"delta_min = {spec.delta_min!r}")
-        lines.append(f"delta_max = {spec.delta_max!r}")
+        lines.append(f"delta_min = {float(spec.delta_min)!r}")
+        lines.append(f"delta_max = {float(spec.delta_max)!r}")
         lines.append(f"points = {spec.points}")
         if output is not None:
             lines.append(f"observables = {', '.join(output.observables)}")
@@ -416,11 +416,11 @@ def _run_steady_command(args, scenario, spec, output) -> int:
 
 
 def _run_evolve_command(args, scenario, spec, output) -> int:
-    if args.dt <= 0.0:
-        raise _UsageError(f"--dt must be positive, got {args.dt}")
-    if args.t_final < 0.0:
-        raise _UsageError(f"--t-final must be non-negative, got {args.t_final}")
-    rho = evolve(closure_complete(scenario), ground_state(), t_final=args.t_final, dt=args.dt)
+    completed = closure_complete(scenario)
+    try:
+        rho = evolve(completed, ground_state(), t_final=args.t_final, dt=args.dt)
+    except ValueError as exc:
+        raise _UsageError(str(exc)) from exc
     _print_state(rho, output.observables)
     if args.out is not None:
         _write_state_csv(rho, args.out)

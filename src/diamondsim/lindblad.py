@@ -17,6 +17,8 @@ test suite enforces.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .algebra import SingularMatrixError, herm_eigen, matrix_inf_norm, solve_linear
@@ -25,6 +27,7 @@ from .errors import SimulationError
 
 __all__ = [
     "InvariantError",
+    "MAX_STEPS",
     "StabilityError",
     "SteadyStateError",
     "build_liouvillian",
@@ -43,8 +46,11 @@ _HERMITICITY_TOL = 1e-9
 _TRACE_TOL = 1e-9
 _POSITIVITY_FLOOR = -1e-8
 _STEADY_RESIDUAL_REL_TOL = 1e-10
+#: Largest step count evolve accepts: round(t_final / dt) above it is rejected.
+MAX_STEPS = 10**9
 # vec(rho) positions of the populations, row-major: (i, i) -> 5*i.
 _DIAGONAL_POSITIONS = (0, 5, 10, 15)
+_LATER_POPULATIONS = list(_DIAGONAL_POSITIONS[1:])
 
 
 class SteadyStateError(SimulationError):
@@ -260,37 +266,85 @@ def _rk4_step_matrix(liouv: np.ndarray, dt: float) -> np.ndarray:
     return np.eye(16, dtype=np.complex128) + hl + hl2 / 2.0 + hl3 / 6.0 + hl4 / 24.0
 
 
+def _from_trace_coordinates(state: np.ndarray) -> np.ndarray:
+    # Undo _propagate's change of coordinates, which adds the populations at
+    # 5, 10, 15 into position 0 so that it holds the trace.
+    rho = state.copy()
+    rho[0] -= rho[_LATER_POPULATIONS].sum()
+    return unvec(rho)
+
+
+def _power(squares: list[np.ndarray], n: int) -> np.ndarray:
+    # S^n for n >= 1 by binary powering; squares holds S, S^2, S^4, ... and
+    # grows on demand, so every power taken from it shares the squarings.
+    result = None
+    for bit in range(n.bit_length()):
+        if bit == len(squares):
+            squares.append(squares[-1] @ squares[-1])
+        if n >> bit & 1:
+            result = squares[bit] if result is None else result @ squares[bit]
+    return result
+
+
 def _propagate(
     liouv: np.ndarray,
     rho0: np.ndarray,
     t_final: float,
     dt: float,
-    sample_steps: tuple[int, ...],
+    samples: int = 0,
 ) -> tuple[np.ndarray, list[tuple[int, np.ndarray]]]:
-    if dt <= 0.0:
-        raise ValueError(f"dt must be positive, got {dt!r}")
-    if t_final < 0.0:
-        raise ValueError(f"t_final must be non-negative, got {t_final!r}")
+    # Runs round(t_final / dt) RK4 steps.  With samples > 0 the raw state is
+    # also recorded and checked at `samples` evenly spaced steps, the last
+    # one on the final step.  The state jumps from one checkpoint to the
+    # next by a power of the step matrix S: the same iterate as stepping one
+    # at a time, with the products taken in another order.
+    #
+    # S is built from the generator in trace coordinates, where position 0
+    # holds the trace.  A generator that keeps the trace has a zero first
+    # row there, so S has first row (1, 0, ..., 0) and every power of it
+    # keeps the trace to rounding.  Powers of S in the plain basis drift by
+    # about 2e-17 per step instead: each squaring doubles the rounding in
+    # S's unit eigenvalue.
+    if not (math.isfinite(dt) and dt > 0.0):
+        raise ValueError(f"dt must be finite and positive, got {dt!r}")
+    if not (math.isfinite(t_final) and t_final >= 0.0):
+        raise ValueError(f"t_final must be finite and non-negative, got {t_final!r}")
+    ratio = t_final / dt
+    if ratio > MAX_STEPS + 0.5:
+        raise ValueError(
+            f"t_final / dt = {ratio:.3e} steps exceeds the cap of {MAX_STEPS:.0e} steps"
+        )
+    n_steps = int(round(ratio))
+    if samples and n_steps < 1:
+        raise ValueError("t_final is too short for the requested dt")
     norm = matrix_inf_norm(liouv)
     if dt * norm >= 0.5:
         raise StabilityError(
             f"dt * ||L||_inf = {dt * norm:.3f} >= 0.5; reduce dt below {0.5 / norm:.3e}"
         )
     check_density_matrix(rho0, context="initial state")
-    n_steps = int(round(t_final / dt))
-    step_matrix = _rk4_step_matrix(liouv, dt)
+    marks = np.linspace(0, n_steps, samples + 1)[1:] if samples else []
+    targets = {int(round(m)) for m in marks}
+    generator = liouv.copy()
+    generator[0] = liouv[list(_DIAGONAL_POSITIONS)].sum(axis=0)
+    generator[:, _LATER_POPULATIONS] -= generator[:, :1]
+    squares = [_rk4_step_matrix(generator, dt)]
+    powers: dict[int, np.ndarray] = {}
     state = vec(rho0).copy()
-    samples: list[tuple[int, np.ndarray]] = []
-    targets = [k for k in sorted(set(sample_steps)) if 1 <= k <= n_steps]
-    cursor = 0
-    for step in range(1, n_steps + 1):
-        state = step_matrix @ state
-        if cursor < len(targets) and step == targets[cursor]:
-            rho = unvec(state).copy()
+    state[0] += state[_LATER_POPULATIONS].sum()
+    records: list[tuple[int, np.ndarray]] = []
+    reached = 0
+    for step in sorted((targets | {n_steps}) - {0}):
+        gap = step - reached
+        if gap not in powers:
+            powers[gap] = _power(squares, gap)
+        state = powers[gap] @ state
+        reached = step
+        if step in targets:
+            rho = _from_trace_coordinates(state)
             check_density_matrix(rho, context=f"state at step {step}")
-            samples.append((step, rho))
-            cursor += 1
-    return unvec(state).copy(), samples
+            records.append((step, rho))
+    return _from_trace_coordinates(state), records
 
 
 def evolve(
@@ -302,13 +356,16 @@ def evolve(
     """Integrate the master equation and return the final state.
 
     Classical fixed-step fourth-order Runge-Kutta on dvec(rho)/dt =
-    L vec(rho), running round(t_final / dt) steps.  The step must satisfy
-    the stability guard dt * ||L||_inf < 0.5.  The final state is
-    symmetrized and validated before being returned.  Expects a
-    closure-completed Scenario.
+    L vec(rho), running round(t_final / dt) steps.  One step multiplies by a
+    fixed matrix S, so the run is one power of S, formed by repeated
+    squaring.  dt must be finite and positive, t_final finite and
+    non-negative, and the step count at most MAX_STEPS (10^9); otherwise
+    ValueError.  The step must satisfy the stability guard
+    dt * ||L||_inf < 0.5.  The final state is symmetrized and validated
+    before being returned.  Expects a closure-completed Scenario.
     """
     liouv = build_liouvillian(s)
-    final, _ = _propagate(liouv, rho0, t_final, dt, sample_steps=())
+    final, _ = _propagate(liouv, rho0, t_final, dt)
     final = 0.5 * (final + final.conj().T)
     check_density_matrix(final, context="final state")
     return final
@@ -324,19 +381,16 @@ def evolve_trajectory(
     """Integrate as evolve does, recording evenly spaced raw samples.
 
     Returns (times, states) with states[k] the unsymmetrized state at
-    times[k]; the last sample falls on the final step.  Every sample is
-    checked against the density-matrix invariants and a violation raises
+    times[k] = step * dt; the steps are round(j * n / samples) for
+    j = 1..samples and n = round(t_final / dt), without repeats or step 0,
+    so the last sample falls on the final step.  Every sample is checked
+    against the density-matrix invariants and a violation raises
     InvariantError naming the step.
     """
     if samples < 1:
         raise ValueError(f"samples must be positive, got {samples!r}")
     liouv = build_liouvillian(s)
-    n_steps = int(round(t_final / dt))
-    if n_steps < 1:
-        raise ValueError("t_final is too short for the requested dt")
-    marks = np.linspace(0, n_steps, samples + 1)[1:]
-    targets = tuple(sorted({int(round(m)) for m in marks}))
-    _, pairs = _propagate(liouv, rho0, t_final, dt, sample_steps=targets)
+    _, pairs = _propagate(liouv, rho0, t_final, dt, samples=samples)
     times = np.array([step * dt for step, _ in pairs])
     states = np.array([state for _, state in pairs])
     return times, states

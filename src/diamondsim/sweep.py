@@ -245,7 +245,9 @@ def detect_windows(
     over the sweep.  Maximal below-threshold runs are merged across gaps of
     a single above-threshold sample; a run only counts as a window if it
     contains an interior local minimum, which drops monotone tails at the
-    scan edges.  Windows come back ordered by center.
+    scan edges.  Windows come back ordered by center.  A column that never
+    absorbs (maximum <= 0) has no windows: its threshold would lie above
+    every sample.
     """
     if not observable.startswith("im_"):
         raise ValueError(f"windows are defined on im_* columns, got {observable!r}")
@@ -253,7 +255,10 @@ def detect_windows(
     x = result.delta
     if len(y) < 3:
         raise ValueError("window detection needs at least 3 grid points")
-    threshold = threshold_fraction * float(np.max(y))
+    peak = float(np.max(y))
+    if peak <= 0.0:
+        return []
+    threshold = threshold_fraction * peak
     runs = _merge_runs(_below_runs(y, threshold))
     windows = []
     for start, end in runs:

@@ -1,10 +1,15 @@
 """Tests for config parsing, presets, CSV output, and the command line."""
 
 import io
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import diamondsim
 from diamondsim import (
     CSV_COLUMNS,
     ConfigError,
@@ -124,6 +129,21 @@ def test_render_round_trip():
     output = OutputOptions(observables=("pop_a", "cd"), out_path="x.csv")
     parsed = parse_config(render_config(scenario, spec, output))
     assert parsed == (scenario, spec, output)
+
+
+def test_render_round_trip_numpy_scalars():
+    scenario = Scenario(
+        omega_a2=np.float64(15.0),
+        omega_c1=np.float64(10.0),
+        omega_c2=np.float64(1.0),
+        delta_a2=np.float64(-0.1),
+        gamma4=np.float64(0.5),
+        closure_target="a1",
+    )
+    spec = SweepSpec(base=scenario, delta_min=np.float64(-2.0), delta_max=np.float64(2.0))
+    text = render_config(scenario, spec)
+    assert "np." not in text
+    assert parse_config(text)[:2] == (scenario, spec)
 
 
 def test_render_scenario_only():
@@ -272,6 +292,38 @@ def test_main_evolve(capsys, tmp_path):
     assert main(["evolve", "--preset", "fig5", "--t-final", "1", "--dt", "0.1"]) == 2
     err = capsys.readouterr().err
     assert "error:" in err and "parameters:" in err
+
+
+@pytest.mark.parametrize(
+    "flags,fragment",
+    [
+        (["--dt", "nan"], "dt must be finite and positive"),
+        (["--dt", "inf"], "dt must be finite and positive"),
+        (["--t-final", "nan"], "t_final must be finite and non-negative"),
+        (["--t-final", "inf"], "t_final must be finite and non-negative"),
+        (["--dt", "1e-300", "--t-final", "1"], "exceeds the cap"),
+        (["--dt", "1e-9", "--t-final", "1000"], "exceeds the cap"),
+    ],
+)
+def test_main_evolve_rejects_bad_steps(flags, fragment, capsys):
+    assert main(["evolve", "--preset", "fig5", *flags]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and fragment in err
+    assert "Traceback" not in err
+
+
+def test_python_dash_m_runs_the_cli():
+    src = Path(diamondsim.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")])
+    ))
+    done = subprocess.run(
+        [sys.executable, "-m", "diamondsim", "presets"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert "fig5" in done.stdout
+    assert done.stderr == ""
 
 
 def test_main_dressed(capsys, tmp_path):

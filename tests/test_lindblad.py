@@ -21,6 +21,7 @@ from diamondsim import (
     unvec,
     vec,
 )
+from diamondsim import lindblad
 
 
 def random_density_matrix(rng):
@@ -178,6 +179,34 @@ def test_step_validation():
         evolve(s, np.eye(4, dtype=complex), t_final=1.0, dt=1e-3)
 
 
+@pytest.mark.parametrize(
+    "t_final,dt,fragment",
+    [
+        (1.0, math.nan, "dt must be finite and positive"),
+        (1.0, math.inf, "dt must be finite and positive"),
+        (math.nan, 1e-3, "t_final must be finite and non-negative"),
+        (math.inf, 1e-3, "t_final must be finite and non-negative"),
+        (1.0, 1e-300, "exceeds the cap"),
+        (1.0, 5e-324, "exceeds the cap"),
+        (1.000001e6, 1e-3, "exceeds the cap"),
+    ],
+)
+def test_step_boundary(t_final, dt, fragment):
+    s = Scenario()
+    with pytest.raises(ValueError, match=fragment):
+        evolve(s, ground_state(), t_final=t_final, dt=dt)
+    with pytest.raises(ValueError, match=fragment):
+        evolve_trajectory(s, ground_state(), t_final=t_final, dt=dt)
+
+
+def test_step_cap_itself_is_accepted():
+    # The ground state is stationary without drives: 1e9 steps must leave it
+    # there and pass the final check.
+    t_final = lindblad.MAX_STEPS * 1e-3
+    final = evolve(Scenario(), ground_state(), t_final=t_final, dt=1e-3)
+    assert np.max(np.abs(final - ground_state())) < 1e-10
+
+
 def test_integrator_fourth_order():
     s, _ = preset("fig5")
     reference = evolve(s, ground_state(), t_final=1.0, dt=5e-4)
@@ -203,6 +232,59 @@ def test_trajectory_sampling():
     assert times[-1] == pytest.approx(1.0)
     for rho in states:
         assert abs(np.trace(rho) - 1.0) < 1e-9
+
+
+# evolve jumps between checkpoints by powers of the RK4 step matrix; the
+# reference below takes the same steps one mat-vec at a time.
+SEQUENTIAL_TOL = 1e-10
+
+
+def sequential_rk4(s, rho0, t_final, dt, samples):
+    """Raw states at evolve_trajectory's sample steps, and the final state."""
+    liouv = build_liouvillian(s)
+    basis = np.eye(16, dtype=complex)
+    k1 = liouv @ basis
+    k2 = liouv @ (basis + 0.5 * dt * k1)
+    k3 = liouv @ (basis + 0.5 * dt * k2)
+    k4 = liouv @ (basis + dt * k3)
+    step_matrix = basis + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    n_steps = round(t_final / dt)
+    wanted = {round(m) for m in np.linspace(0, n_steps, samples + 1)[1:]} - {0}
+    state = vec(rho0).copy()
+    steps, states = [], []
+    for step in range(1, n_steps + 1):
+        state = step_matrix @ state
+        if step in wanted:
+            steps.append(step)
+            states.append(unvec(state).copy())
+    return steps, np.array(states), unvec(state)
+
+
+ALL_FIELDS = Scenario(
+    omega_a1=2.0, omega_a2=3.0, omega_c1=4.0, omega_c2=1.5,
+    delta_a1=0.5, delta_a2=0.3, delta_c1=-1.0, delta_c2=-0.8,
+    gamma1=0.7, gamma2=1.2, gamma3=0.9, gamma4=1.1,
+)
+
+
+@pytest.mark.parametrize("s", [preset("fig5")[0], ALL_FIELDS], ids=["fig5", "all-fields"])
+def test_powers_match_sequential_stepping(s):
+    t_final, dt, samples = 20.0, 1e-3, 7  # 20000 steps: gaps of 2857 and 2858
+    steps, reference, last = sequential_rk4(s, ground_state(), t_final, dt, samples)
+    final = evolve(s, ground_state(), t_final=t_final, dt=dt)
+    assert np.max(np.abs(final - 0.5 * (last + last.conj().T))) < SEQUENTIAL_TOL
+    times, states = evolve_trajectory(s, ground_state(), t_final, dt, samples=samples)
+    assert times.tolist() == [step * dt for step in steps]
+    assert np.max(np.abs(states - reference)) < SEQUENTIAL_TOL
+
+
+def test_trajectory_names_the_failing_step(monkeypatch):
+    # A generator leaking population at rate 4e-9: the trace error passes
+    # 1e-9 between t = 0.2 and t = 0.3, so the third sample is the first bad one.
+    leaky = build_liouvillian(Scenario()) - 4e-9 * np.eye(16)
+    monkeypatch.setattr(lindblad, "build_liouvillian", lambda s: leaky)
+    with pytest.raises(InvariantError, match="state at step 300:"):
+        evolve_trajectory(Scenario(), ground_state(), t_final=1.0, dt=1e-3, samples=10)
 
 
 def test_trajectory_validation():

@@ -130,6 +130,17 @@ def test_edge_tail_is_not_a_window():
     assert detect_windows(synthetic_result(delta, y), "im_cd") == []
 
 
+def test_non_absorbing_column_has_no_window():
+    # Pure gain with a centre dip: 0.1 * max lies above every sample, which
+    # once made the whole scan one window.
+    delta = np.linspace(-5.0, 5.0, 101)
+    gain = -np.exp(-(delta**2)) * (1.0 - 0.5 * np.exp(-4.0 * delta**2))
+    assert detect_windows(synthetic_result(delta, gain), "im_cd") == []
+    touching_zero = gain.copy()
+    touching_zero[-1] = 0.0
+    assert detect_windows(synthetic_result(delta, touching_zero), "im_cd") == []
+
+
 def test_single_sample_gap_merges():
     delta = np.arange(31.0)
     y = np.ones(31)
