@@ -7,121 +7,12 @@ classification, Lindblad steady states, time evolution, and probe-detuning
 sweeps with transparency-window and gain detection.  All numerics are
 deterministic: the eigensolver and linear solver are fixed cyclic
 algorithms with no randomized or environment-dependent behavior.
+
+Names are imported from their submodules (diamondsim.sweep.run_sweep, ...).
+Importing the package loads the numeric core; the command line lives in
+diamondsim.cli and is loaded only when imported.
 """
 
-from .algebra import EigenDecomposition, SingularMatrixError, herm_eigen, solve_linear
-from .atom import (
-    CLOSURE_TARGETS,
-    LEVELS,
-    ClosureError,
-    DecayChannel,
-    Scenario,
-    build_hamiltonian,
-    closure_complete,
-    closure_defect,
-    decay_channels,
-    mirror_scenario,
-)
-from .cli import (
-    ConfigError,
-    OutputOptions,
-    PRESET_NAMES,
-    main,
-    parse_config,
-    preset,
-    render_config,
-    write_csv,
-)
-from .dressed import (
-    DarkReport,
-    DressedSpectrum,
-    DriveInvariants,
-    closed_form_eigenvalues,
-    dark_classification,
-    dressed_spectrum,
-    drive_invariants,
-)
-from .errors import SimulationError
-from .lindblad import (
-    InvariantError,
-    StabilityError,
-    SteadyStateError,
-    build_liouvillian,
-    check_density_matrix,
-    eom_rhs,
-    evolve,
-    evolve_trajectory,
-    ground_state,
-    steady_state,
-    unvec,
-    vec,
-)
-from .sweep import (
-    CSV_COLUMNS,
-    OBSERVABLE_KEYS,
-    EitWindow,
-    SweepError,
-    SweepResult,
-    SweepSpec,
-    detect_gain,
-    detect_windows,
-    extract_observable,
-    run_sweep,
-)
+from . import algebra, atom, dressed, errors, lindblad, sweep
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "CLOSURE_TARGETS",
-    "CSV_COLUMNS",
-    "ClosureError",
-    "ConfigError",
-    "DarkReport",
-    "DecayChannel",
-    "DressedSpectrum",
-    "DriveInvariants",
-    "EigenDecomposition",
-    "EitWindow",
-    "InvariantError",
-    "LEVELS",
-    "OBSERVABLE_KEYS",
-    "OutputOptions",
-    "PRESET_NAMES",
-    "Scenario",
-    "SimulationError",
-    "SingularMatrixError",
-    "StabilityError",
-    "SteadyStateError",
-    "SweepError",
-    "SweepResult",
-    "SweepSpec",
-    "build_hamiltonian",
-    "build_liouvillian",
-    "check_density_matrix",
-    "closed_form_eigenvalues",
-    "closure_complete",
-    "closure_defect",
-    "dark_classification",
-    "decay_channels",
-    "detect_gain",
-    "detect_windows",
-    "dressed_spectrum",
-    "drive_invariants",
-    "eom_rhs",
-    "evolve",
-    "evolve_trajectory",
-    "extract_observable",
-    "ground_state",
-    "herm_eigen",
-    "main",
-    "mirror_scenario",
-    "parse_config",
-    "preset",
-    "render_config",
-    "run_sweep",
-    "solve_linear",
-    "steady_state",
-    "unvec",
-    "vec",
-    "write_csv",
-]

@@ -356,11 +356,10 @@ def _build_parser() -> _Parser:
 
 def _load_inputs(args) -> tuple[Scenario, SweepSpec, OutputOptions]:
     if args.preset is not None:
-        if args.preset not in _PRESET_FIELDS:
-            raise _UsageError(
-                f"unknown preset {args.preset!r}; valid names: {', '.join(PRESET_NAMES)}"
-            )
-        scenario, spec = preset(args.preset)
+        try:
+            scenario, spec = preset(args.preset)
+        except ValueError as exc:
+            raise _UsageError(str(exc)) from exc
         return scenario, spec, OutputOptions()
     try:
         text = Path(args.config).read_text(encoding="utf-8")

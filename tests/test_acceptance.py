@@ -14,29 +14,26 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from diamondsim import (
+from diamondsim.atom import (
+    MIRROR_PERMUTATION,
     Scenario,
     build_hamiltonian,
-    build_liouvillian,
     closure_complete,
-    dark_classification,
-    detect_gain,
-    detect_windows,
-    dressed_spectrum,
-    eom_rhs,
+    mirror_scenario,
+)
+from diamondsim.cli import PRESET_NAMES, main, preset
+from diamondsim.dressed import dark_classification, dressed_spectrum
+from diamondsim.lindblad import (
+    build_liouvillian,
     evolve,
     evolve_trajectory,
     ground_state,
-    main,
-    mirror_scenario,
-    preset,
-    run_sweep,
     steady_state,
     vec,
 )
-from diamondsim import PRESET_NAMES
-from diamondsim.atom import MIRROR_PERMUTATION
+from diamondsim.sweep import detect_gain, detect_windows, run_sweep
 from diamondsim.errors import SimulationError
+from eom import eom_rhs
 
 SWEPT_PRESETS = (
     "fig5", "fig6a", "fig6b", "fig7", "fig8",

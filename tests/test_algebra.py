@@ -3,8 +3,13 @@
 import numpy as np
 import pytest
 
-from diamondsim import EigenDecomposition, SingularMatrixError, herm_eigen, solve_linear
-from diamondsim.algebra import matrix_inf_norm
+from diamondsim.algebra import (
+    EigenDecomposition,
+    SingularMatrixError,
+    herm_eigen,
+    matrix_inf_norm,
+    solve_linear,
+)
 from diamondsim.errors import SimulationError
 
 

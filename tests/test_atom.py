@@ -5,7 +5,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from diamondsim import (
+from diamondsim.atom import (
+    MIRROR_PERMUTATION,
     ClosureError,
     Scenario,
     build_hamiltonian,
@@ -14,7 +15,6 @@ from diamondsim import (
     decay_channels,
     mirror_scenario,
 )
-from diamondsim.atom import MIRROR_PERMUTATION
 
 
 def test_closure_defect_formula():

@@ -10,20 +10,18 @@ import numpy as np
 import pytest
 
 import diamondsim
-from diamondsim import (
-    CSV_COLUMNS,
+from diamondsim.atom import Scenario
+from diamondsim.cli import (
     ConfigError,
     OutputOptions,
     PRESET_NAMES,
-    Scenario,
-    SweepSpec,
     main,
     parse_config,
     preset,
     render_config,
-    run_sweep,
     write_csv,
 )
+from diamondsim.sweep import CSV_COLUMNS, SweepSpec, run_sweep
 
 FULL_DOC = """\
 # demo configuration
@@ -91,6 +89,7 @@ def test_defaults_from_empty_sections():
         ("[sweep]\npoints = 1\n", "at least 2"),
         ("[sweep]\ndelta_min = 5\ndelta_max = -5\n", "sweep range"),
         ("[fields]\ndelta_a1 = 1e999\n", "finite"),
+        ("[sweep]\ndelta_max = 1e999\n", "finite"),
         ("[sweep]\nobservables = pop_q\n", "unknown observable"),
     ],
 )
@@ -309,6 +308,29 @@ def test_main_evolve_rejects_bad_steps(flags, fragment, capsys):
     assert main(["evolve", "--preset", "fig5", *flags]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and fragment in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--min=-1e308", "--max=1e308"],
+        ["--max=inf"],
+    ],
+)
+def test_main_sweep_rejects_non_finite_grids(flags, capsys):
+    assert main(["sweep", "--preset", "fig5", "--points", "3", *flags]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "must be finite" in err
+    assert "Traceback" not in err
+
+
+def test_main_sweep_rejects_an_overflowing_config_edge(tmp_path, capsys):
+    cfg = tmp_path / "wide.cfg"
+    cfg.write_text("[sweep]\ndelta_max = 1e999\npoints = 3\n")
+    assert main(["sweep", "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "must be finite" in err
     assert "Traceback" not in err
 
 

@@ -5,11 +5,10 @@ import math
 import numpy as np
 import pytest
 
-from diamondsim import (
+from diamondsim.atom import Scenario, build_hamiltonian
+from diamondsim.dressed import (
     DarkReport,
     DressedSpectrum,
-    Scenario,
-    build_hamiltonian,
     closed_form_eigenvalues,
     dark_classification,
     dressed_spectrum,

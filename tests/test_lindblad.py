@@ -5,23 +5,23 @@ import math
 import numpy as np
 import pytest
 
-from diamondsim import (
+from diamondsim import lindblad
+from diamondsim.atom import Scenario
+from diamondsim.cli import preset
+from diamondsim.lindblad import (
     InvariantError,
-    Scenario,
     StabilityError,
     SteadyStateError,
     build_liouvillian,
     check_density_matrix,
-    eom_rhs,
     evolve,
     evolve_trajectory,
     ground_state,
-    preset,
     steady_state,
     unvec,
     vec,
 )
-from diamondsim import lindblad
+from eom import eom_rhs
 
 
 def random_density_matrix(rng):
@@ -158,6 +158,16 @@ def test_steady_state_without_decay_is_rejected():
         steady_state(build_liouvillian(s))
 
 
+def test_steady_state_rejects_a_generator_that_leaks_trace():
+    # The trace condition replaces the (a, a) row of L, so only the residual
+    # check sees a defect there; the solved state is a valid density matrix.
+    s, _ = preset("fig5")
+    liouv = build_liouvillian(s)
+    liouv[0, 0] -= 1e-3
+    with pytest.raises(SteadyStateError, match=r"residual \S+ exceeds"):
+        steady_state(liouv)
+
+
 def test_steady_state_shape_validation():
     with pytest.raises(ValueError):
         steady_state(np.eye(4))
@@ -285,6 +295,22 @@ def test_trajectory_names_the_failing_step(monkeypatch):
     monkeypatch.setattr(lindblad, "build_liouvillian", lambda s: leaky)
     with pytest.raises(InvariantError, match="state at step 300:"):
         evolve_trajectory(Scenario(), ground_state(), t_final=1.0, dt=1e-3, samples=10)
+
+
+@pytest.mark.parametrize("extra", [1, 7, 1000])
+def test_samples_beyond_the_step_count_give_every_step(extra):
+    s, _ = preset("fig5")
+    n_steps = 40
+    every = evolve_trajectory(s, ground_state(), n_steps * 1e-3, 1e-3, samples=n_steps)
+    more = evolve_trajectory(s, ground_state(), n_steps * 1e-3, 1e-3, samples=n_steps + extra)
+    assert every[0].tobytes() == more[0].tobytes()
+    assert every[1].tobytes() == more[1].tobytes()
+
+
+def test_one_step_with_a_million_samples_returns_one_sample():
+    times, states = evolve_trajectory(Scenario(), ground_state(), 1e-3, 1e-3, samples=10**6)
+    assert times.tolist() == [1e-3]
+    assert states.shape == (1, 4, 4)
 
 
 def test_trajectory_validation():

@@ -1,11 +1,14 @@
 """Tests for the detuning scan, window detection, and gain detection."""
 
+import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from diamondsim import (
+from diamondsim.atom import Scenario
+from diamondsim.cli import preset
+from diamondsim.sweep import (
     CSV_COLUMNS,
     OBSERVABLE_KEYS,
     SweepError,
@@ -14,10 +17,8 @@ from diamondsim import (
     detect_gain,
     detect_windows,
     extract_observable,
-    preset,
     run_sweep,
 )
-from diamondsim import Scenario
 
 
 def synthetic_result(delta, im_cd):
@@ -36,6 +37,9 @@ def test_spec_validation():
         SweepSpec(base=base, delta_min=2.0, delta_max=-2.0)
     with pytest.raises(ValueError):
         SweepSpec(base=base, points=1)
+    for low, high in ((-math.inf, 0.0), (0.0, math.inf), (math.nan, 1.0), (-1e308, 1e308)):
+        with pytest.raises(ValueError, match="must be finite"):
+            SweepSpec(base=base, delta_min=low, delta_max=high)
 
 
 def test_run_sweep_grid_and_shapes():
