@@ -3,9 +3,13 @@
 Hermitian eigendecomposition and linear solves for the small matrices this
 package works with (4x4 coupling matrices, 16x16 generators).  Both routines
 are written out explicitly instead of delegating to LAPACK so that results
-are bit-reproducible across environments and failure modes carry precise
-diagnostics (pivot index, convergence state).  Everything here is O(n^3),
-which is irrelevant at these sizes.
+are bit-reproducible across runs and thread counts on one machine and numpy
+build, and failure modes carry precise diagnostics (pivot index,
+convergence state).  Across machines or builds the last bits may differ:
+numpy may fuse the multiply and add of a complex product (FMA), Python's
+scalar arithmetic never does.  Everything here is O(n^3), which is
+irrelevant at these sizes: the cost is per-call overhead, which is why the
+Jacobi eigensolver runs on Python complex scalars instead of numpy slices.
 """
 
 from __future__ import annotations
@@ -93,52 +97,67 @@ def herm_eigen(a) -> EigenDecomposition:
     if matrix_inf_norm(mat - mat.conj().T) >= _HERMITICITY_REL_TOL * (1.0 + scale):
         raise ValueError("herm_eigen requires a Hermitian matrix")
 
-    values, vectors = _jacobi(mat.copy())
-    order = np.argsort(values, kind="stable")
-    values = values[order]
-    vectors = vectors[:, order]
-    for k in range(vectors.shape[1]):
-        col = vectors[:, k]
-        lead = int(np.argmax(np.abs(col)))
-        mag = abs(col[lead])
+    n = mat.shape[0]
+    values, columns = _jacobi(mat.tolist())
+    order = sorted(range(n), key=values.__getitem__)
+    pinned = []
+    for k in order:
+        col = columns[k]
+        lead = max(col, key=abs)
+        mag = abs(lead)
         if mag > 0.0:
-            vectors[:, k] = col * (col[lead].conjugate() / mag)
+            factor = lead.conjugate() / mag
+            col = [z * factor for z in col]
+        pinned.append(col)
+    values = np.array([values[k] for k in order])
+    vectors = np.array(pinned, dtype=np.complex128).T.copy()
 
     residual = np.max(np.abs(mat @ vectors - vectors * values[np.newaxis, :]))
     if residual >= _RESIDUAL_REL_TOL * (1.0 + scale):
         raise RuntimeError(f"eigendecomposition residual {residual:.3e} out of tolerance")
-    gram = vectors.conj().T @ vectors - np.eye(mat.shape[0])
+    gram = vectors.conj().T @ vectors - np.eye(n)
     if np.max(np.abs(gram)) >= _ORTHONORMALITY_TOL:
         raise RuntimeError("eigenvector columns lost orthonormality")
     return EigenDecomposition(eigenvalues=values, eigenvectors=vectors)
 
 
-def _jacobi(work: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    n = work.shape[0]
-    vectors = np.eye(n, dtype=np.complex128)
-    total = float(np.linalg.norm(work))
+def _jacobi(work: list[list[complex]]) -> tuple[list[float], list[list[complex]]]:
+    # work holds the rows of the matrix as lists of Python complex numbers;
+    # the eigenvectors come back as a list of columns.
+    n = len(work)
+    columns = [[1.0 + 0j if i == j else 0j for i in range(n)] for j in range(n)]
+    total = math.sqrt(sum(z.real * z.real + z.imag * z.imag for row in work for z in row))
     if total == 0.0:
-        return np.zeros(n, dtype=np.float64), vectors
+        return [0.0] * n, columns
     for _ in range(_JACOBI_MAX_SWEEPS):
-        off = float(np.linalg.norm(work - np.diag(np.diagonal(work))))
+        off = math.sqrt(
+            sum(
+                z.real * z.real + z.imag * z.imag
+                for i, row in enumerate(work)
+                for j, z in enumerate(row)
+                if i != j
+            )
+        )
         if off < _JACOBI_REL_TOL * total:
             break
         for p in range(n - 1):
             for q in range(p + 1, n):
-                _rotate(work, vectors, p, q)
+                _rotate(work, columns, p, q)
     else:
         raise RuntimeError("Jacobi iteration did not converge within 100 sweeps")
-    return np.diagonal(work).real.copy(), vectors
+    return [work[k][k].real for k in range(n)], columns
 
 
-def _rotate(work: np.ndarray, vectors: np.ndarray, p: int, q: int) -> None:
-    apq = work[p, q]
+def _rotate(work: list[list[complex]], columns: list[list[complex]], p: int, q: int) -> None:
+    row_p = work[p]
+    row_q = work[q]
+    apq = row_p[q]
     babs = abs(apq)
     if babs == 0.0:
         return
     phase = apq / babs
-    app = work[p, p].real
-    aqq = work[q, q].real
+    app = row_p[p].real
+    aqq = row_q[q].real
     tau = (aqq - app) / (2.0 * babs)
     # Smaller root of t^2 + 2*tau*t - 1 = 0, for the rotation angle <= pi/4.
     if tau >= 0.0:
@@ -149,25 +168,37 @@ def _rotate(work: np.ndarray, vectors: np.ndarray, p: int, q: int) -> None:
     s = t * c
 
     # Unitary J: J[p,p] = c*phase, J[p,q] = s*phase, J[q,p] = -s, J[q,q] = c;
-    # work <- J^H work J zeroes the (p, q) element.
-    col_p = work[:, p].copy()
-    col_q = work[:, q].copy()
-    work[:, p] = c * phase * col_p - s * col_q
-    work[:, q] = s * phase * col_p + c * col_q
-    row_p = work[p, :].copy()
-    row_q = work[q, :].copy()
-    pc = phase.conjugate()
-    work[p, :] = c * pc * row_p - s * row_q
-    work[q, :] = s * pc * row_p + c * row_q
-    work[p, p] = app - t * babs
-    work[q, q] = aqq + t * babs
-    work[p, q] = 0.0
-    work[q, p] = 0.0
+    # work <- J^H work J zeroes the (p, q) element.  Columns p and q are
+    # rotated, then rows p and q; the four entries where they cross are set
+    # from the closed form afterwards, so the loops skip them.
+    c_phase = c * phase
+    s_phase = s * phase
+    c_conj = c * phase.conjugate()
+    s_conj = s * phase.conjugate()
+    for k in range(len(work)):
+        if k == p or k == q:
+            continue
+        row = work[k]
+        x = row[p]
+        y = row[q]
+        row[p] = c_phase * x - s * y
+        row[q] = s_phase * x + c * y
+        x = row_p[k]
+        y = row_q[k]
+        row_p[k] = c_conj * x - s * y
+        row_q[k] = s_conj * x + c * y
+    row_p[p] = app - t * babs
+    row_q[q] = aqq + t * babs
+    row_p[q] = 0j
+    row_q[p] = 0j
 
-    vcol_p = vectors[:, p].copy()
-    vcol_q = vectors[:, q].copy()
-    vectors[:, p] = c * phase * vcol_p - s * vcol_q
-    vectors[:, q] = s * phase * vcol_p + c * vcol_q
+    vec_p = columns[p]
+    vec_q = columns[q]
+    for i in range(len(vec_p)):
+        x = vec_p[i]
+        y = vec_q[i]
+        vec_p[i] = c_phase * x - s * y
+        vec_q[i] = s_phase * x + c * y
 
 
 def solve_linear(a, b) -> np.ndarray:
@@ -187,24 +218,25 @@ def solve_linear(a, b) -> np.ndarray:
 
     norm_a = matrix_inf_norm(a0)
     threshold = _PIVOT_REL_TOL * norm_a
-    work = a0.copy()
-    rhs = rhs0.copy()
+    # Eliminate on [a | b]: the right-hand side rides along as column n.
+    work = np.empty((n, n + 1), dtype=np.complex128)
+    work[:, :n] = a0
+    work[:, n] = rhs0
     for k in range(n):
-        lead = int(np.argmax(np.abs(work[k:, k]))) + k
-        pivot = abs(work[lead, k])
-        if pivot <= threshold:
-            raise SingularMatrixError(k, pivot, threshold)
-        if lead != k:
-            work[[k, lead]] = work[[lead, k]]
-            rhs[[k, lead]] = rhs[[lead, k]]
-        factors = work[k + 1 :, k] / work[k, k]
-        work[k + 1 :, k + 1 :] -= np.outer(factors, work[k, k + 1 :])
-        work[k + 1 :, k] = 0.0
-        rhs[k + 1 :] -= factors * rhs[k]
+        magnitudes = np.abs(work[k:, k])
+        offset = int(magnitudes.argmax())  # the pivot row is k + offset
+        if magnitudes[offset] <= threshold:
+            raise SingularMatrixError(k, float(magnitudes[offset]), threshold)
+        if offset:
+            row = work[k].copy()
+            work[k] = work[k + offset]
+            work[k + offset] = row
+        # Multipliers as a column times the pivot row: their outer product.
+        work[k + 1 :, k + 1 :] -= work[k + 1 :, k : k + 1] / work[k, k] * work[k, k + 1 :]
 
     x = np.zeros(n, dtype=np.complex128)
     for k in range(n - 1, -1, -1):
-        x[k] = (rhs[k] - work[k, k + 1 :] @ x[k + 1 :]) / work[k, k]
+        x[k] = (work[k, n] - work[k, k + 1 : n] @ x[k + 1 :]) / work[k, k]
 
     residual = float(np.max(np.abs(a0 @ x - rhs0)))
     bound = _RESIDUAL_REL_TOL * (1.0 + norm_a * float(np.max(np.abs(x), initial=0.0)))

@@ -8,10 +8,11 @@ Configuration files are flat INI-style text with four sections:
     [sweep]    delta_min delta_max points observables
     [output]   out_path
 
-'#' starts a comment, keys default as in Scenario (decay rates 1, all else
-0), the sweep grid defaults to [-25, 25] with 1001 points.  Unknown keys or
-sections, duplicates, and malformed numbers are reported with their line
-number.  When closure_target is not given it defaults to the first inactive
+'#' and ';' start a comment, keys default as in Scenario (decay rates 1,
+all else 0), the sweep grid defaults to [-25, 25] with 1001 points and
+takes at most sweep.MAX_POINTS points.  Unknown keys or sections,
+duplicates, and malformed or out-of-range values are reported with their
+line number.  When closure_target is not given it defaults to the first inactive
 field in the order a1, c1, a2, c2, or "none" when all four fields drive.
 
 Exit status: 0 on success, 1 for usage and configuration errors, 2 when a
@@ -34,6 +35,7 @@ from .errors import SimulationError
 from .lindblad import build_liouvillian, evolve, ground_state, steady_state
 from .sweep import (
     CSV_COLUMNS,
+    MAX_POINTS,
     OBSERVABLE_KEYS,
     SweepResult,
     SweepSpec,
@@ -55,6 +57,7 @@ __all__ = [
 
 _NUMBER_RE = re.compile(r"[+-]?(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
 _INT_RE = re.compile(r"[+-]?\d+$")
+_COMMENT_RE = re.compile(r"[#;]")
 
 _FIELD_KEYS = (
     "omega_a1",
@@ -117,7 +120,7 @@ def parse_config(text: str) -> tuple[Scenario, SweepSpec, OutputOptions]:
     entries: dict[str, tuple[str, int]] = {}
     section = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
+        line = _COMMENT_RE.split(raw, maxsplit=1)[0].strip()
         if not line:
             continue
         if line.startswith("["):
@@ -183,6 +186,8 @@ def parse_config(text: str) -> tuple[Scenario, SweepSpec, OutputOptions]:
         points = int(value)
         if points < 2:
             raise ConfigError(f"line {lineno}: points must be at least 2, got {points}")
+        if points > MAX_POINTS:
+            raise ConfigError(f"line {lineno}: points must be at most {MAX_POINTS}, got {points}")
     delta_min = numbers.get("delta_min", -25.0)
     delta_max = numbers.get("delta_max", 25.0)
     if not delta_min < delta_max:

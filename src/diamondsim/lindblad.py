@@ -98,14 +98,22 @@ def check_density_matrix(rho: np.ndarray, context: str = "density matrix") -> No
         raise InvariantError(f"{context}: minimum eigenvalue {lowest:.3e} < -1e-8")
 
 
-def _jump_operators(s: Scenario) -> list[tuple[float, np.ndarray]]:
-    index = {name: k for k, name in enumerate(LEVELS)}
-    ops = []
-    for channel in decay_channels(s):
-        op = np.zeros((4, 4), dtype=np.complex128)
-        op[index[channel.to_level], index[channel.from_level]] = 1.0
-        ops.append((channel.rate, op))
-    return ops
+_EYE = np.eye(4, dtype=np.complex128)
+
+
+def _dissipator(from_level: str, to_level: str) -> np.ndarray:
+    # 2 A (x) A* - A^H A (x) I - I (x) (A^H A)^T for the jump A = |to><from|:
+    # the channel's dissipative superoperator at rate 2, independent of s.
+    op = np.zeros((4, 4), dtype=np.complex128)
+    op[LEVELS.index(to_level), LEVELS.index(from_level)] = 1.0
+    backflow = op.conj().T @ op
+    return 2.0 * np.kron(op, op.conj()) - np.kron(backflow, _EYE) - np.kron(_EYE, backflow.T)
+
+
+# One dissipator per decay channel, in decay_channels order.
+_DISSIPATORS = tuple(
+    _dissipator(channel.from_level, channel.to_level) for channel in decay_channels(Scenario())
+)
 
 
 def build_liouvillian(s: Scenario) -> np.ndarray:
@@ -115,13 +123,9 @@ def build_liouvillian(s: Scenario) -> np.ndarray:
     positions sum to the zero row exactly, so L conserves the trace.
     """
     coupling = build_hamiltonian(s).astype(np.complex128)
-    eye = np.eye(4, dtype=np.complex128)
-    liouv = 1j * (np.kron(coupling, eye) - np.kron(eye, coupling.T))
-    for rate, op in _jump_operators(s):
-        backflow = op.conj().T @ op
-        liouv += 0.5 * rate * (
-            2.0 * np.kron(op, op.conj()) - np.kron(backflow, eye) - np.kron(eye, backflow.T)
-        )
+    liouv = 1j * (np.kron(coupling, _EYE) - np.kron(_EYE, coupling.T))
+    for channel, dissipator in zip(decay_channels(s), _DISSIPATORS):
+        liouv += 0.5 * channel.rate * dissipator
     return liouv
 
 

@@ -30,6 +30,7 @@ from .lindblad import build_liouvillian, steady_state
 __all__ = [
     "CSV_COLUMNS",
     "EitWindow",
+    "MAX_POINTS",
     "OBSERVABLE_KEYS",
     "SweepError",
     "SweepResult",
@@ -71,6 +72,9 @@ CSV_COLUMNS = (
     "im_bd",
 )
 
+#: Largest grid SweepSpec accepts.  At the cap, run_sweep's states take 256 MB.
+MAX_POINTS = 10**6
+
 _GAIN_THRESHOLD = -1e-9
 # Below-threshold runs separated by fewer than this many above-threshold
 # samples merge into one window.
@@ -87,8 +91,8 @@ class SweepSpec:
 
     The swept parameter is always the probe detuning delta_c2; base supplies
     every other parameter and the closure target.  The edges and the span
-    between them must be finite, delta_min < delta_max, and points >= 2;
-    otherwise ValueError.
+    between them must be finite, delta_min < delta_max, and
+    2 <= points <= MAX_POINTS (10^6); otherwise ValueError.
     """
 
     base: Scenario
@@ -111,6 +115,8 @@ class SweepSpec:
             )
         if self.points < 2:
             raise ValueError(f"points must be at least 2, got {self.points}")
+        if self.points > MAX_POINTS:
+            raise ValueError(f"points must be at most {MAX_POINTS}, got {self.points}")
 
 
 @dataclass(frozen=True)

@@ -21,7 +21,7 @@ from diamondsim.cli import (
     render_config,
     write_csv,
 )
-from diamondsim.sweep import CSV_COLUMNS, SweepSpec, run_sweep
+from diamondsim.sweep import CSV_COLUMNS, MAX_POINTS, SweepSpec, run_sweep
 
 FULL_DOC = """\
 # demo configuration
@@ -87,6 +87,7 @@ def test_defaults_from_empty_sections():
         ("[fields]\nclosure_target = q9\n", "closure_target must be one of"),
         ("[sweep]\npoints = 3.5\n", "must be an integer"),
         ("[sweep]\npoints = 1\n", "at least 2"),
+        ("[sweep]\n\npoints = 1000001\n", f"line 3: points must be at most {MAX_POINTS}"),
         ("[sweep]\ndelta_min = 5\ndelta_max = -5\n", "sweep range"),
         ("[fields]\ndelta_a1 = 1e999\n", "finite"),
         ("[sweep]\ndelta_max = 1e999\n", "finite"),
@@ -97,6 +98,19 @@ def test_parse_errors(doc, fragment):
     with pytest.raises(ConfigError) as info:
         parse_config(doc)
     assert fragment in str(info.value)
+
+
+def test_readme_config_example_parses(tmp_path, capsys):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    text = readme.split("### Config format", 1)[1].split("```", 2)[1].lstrip("\n")
+    scenario, spec, output = parse_config(text)
+    assert scenario == preset("fig5")[0]
+    assert (spec.delta_min, spec.delta_max, spec.points) == (-25.0, 25.0, 1001)
+    assert output == OutputOptions(observables=("cd", "ca", "db"), out_path="spectrum.csv")
+    cfg = tmp_path / "readme.cfg"
+    cfg.write_text(text)
+    assert main(["steady", "--config", str(cfg)]) == 0
+    assert capsys.readouterr().out.startswith("cd     = ")
 
 
 def test_auto_closure_target_order():
@@ -323,6 +337,12 @@ def test_main_sweep_rejects_non_finite_grids(flags, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "must be finite" in err
     assert "Traceback" not in err
+
+
+def test_main_sweep_rejects_a_grid_over_the_cap(capsys):
+    assert main(["sweep", "--preset", "fig5", "--points", "1000000000000"]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: points must be at most {MAX_POINTS}, got 1000000000000\n"
 
 
 def test_main_sweep_rejects_an_overflowing_config_edge(tmp_path, capsys):

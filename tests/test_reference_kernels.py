@@ -1,0 +1,82 @@
+"""The fast per-point kernels against the numpy references in reference_kernels.
+
+Stated tolerances:
+- build_liouvillian: bit-identical to the np.kron assembly (tolerance 0);
+- run_sweep: the same states, bit for bit, as a sweep whose generator,
+  linear solve and positivity eigensolve all come from the references;
+- herm_eigen: eigenvalues within 1e-13 * (1 + ||A||_inf) of the numpy-slice
+  Jacobi, and the eigenvector residual inside herm_eigen's own bound,
+  1e-10 * (1 + ||A||_inf).  The two differ in the last bits only because
+  numpy may fuse the multiply and add of a complex product and Python's
+  scalar product does not.
+"""
+
+from dataclasses import replace
+
+import numpy as np
+import pytest
+
+import reference_kernels as ref
+from diamondsim import lindblad, sweep
+from diamondsim.algebra import herm_eigen, matrix_inf_norm
+from diamondsim.atom import Scenario, closure_complete
+from diamondsim.cli import PRESET_NAMES, preset
+from diamondsim.lindblad import build_liouvillian
+from diamondsim.sweep import SweepSpec, run_sweep
+
+
+def random_scenarios(rng, count):
+    for _ in range(count):
+        omegas = rng.uniform(0.0, 20.0, 4)
+        deltas = rng.uniform(-10.0, 10.0, 4)
+        gammas = rng.uniform(0.0, 3.0, 4)
+        yield Scenario(*omegas, *deltas, *gammas, closure_target="c2")
+
+
+def test_liouvillian_is_bit_identical_to_the_kron_reference():
+    scenarios = [
+        closure_complete(replace(preset(name)[0], delta_c2=float(delta)))
+        for name in PRESET_NAMES
+        for delta in np.linspace(-25.0, 25.0, 51)
+    ]
+    scenarios += [closure_complete(s) for s in random_scenarios(np.random.default_rng(5), 200)]
+    for s in scenarios:
+        assert build_liouvillian(s).tobytes() == ref.build_liouvillian(s).tobytes(), s
+
+
+@pytest.mark.parametrize("name", PRESET_NAMES)
+def test_sweep_states_are_bit_identical_to_the_reference_kernels(name, monkeypatch):
+    spec = SweepSpec(base=preset(name)[0], points=201)
+    fast = run_sweep(spec)
+    monkeypatch.setattr(lindblad, "build_liouvillian", ref.build_liouvillian)
+    monkeypatch.setattr(sweep, "build_liouvillian", ref.build_liouvillian)
+    monkeypatch.setattr(lindblad, "solve_linear", ref.solve_linear)
+    monkeypatch.setattr(lindblad, "herm_eigen", ref.herm_eigen)
+    slow = run_sweep(spec)
+    assert fast.delta.tobytes() == slow.delta.tobytes()
+    assert fast.states.tobytes() == slow.states.tobytes()
+
+
+def hermitian_cases(rng):
+    for n in (2, 3, 4):
+        for _ in range(300):
+            raw = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+            yield 0.5 * (raw + raw.conj().T)
+        q, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+        yield q @ np.diag([2.0] * (n - 1) + [7.0]) @ q.conj().T
+        yield np.diag(rng.standard_normal(n)).astype(np.complex128)
+        yield np.zeros((n, n), dtype=np.complex128)
+    for name in ("fig5", "fig9-left", "fig10-right"):
+        for rho in run_sweep(SweepSpec(base=preset(name)[0], points=21)).states:
+            yield rho
+
+
+def test_herm_eigen_agrees_with_the_numpy_slice_jacobi():
+    for a in hermitian_cases(np.random.default_rng(17)):
+        scale = matrix_inf_norm(a)
+        fast = herm_eigen(a)
+        slow = ref.herm_eigen(a)
+        gap = np.max(np.abs(fast.eigenvalues - slow.eigenvalues))
+        assert gap <= 1e-13 * (1.0 + scale)
+        residual = np.max(np.abs(a @ fast.eigenvectors - fast.eigenvectors * fast.eigenvalues))
+        assert residual < 1e-10 * (1.0 + scale)

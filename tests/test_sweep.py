@@ -10,6 +10,7 @@ from diamondsim.atom import Scenario
 from diamondsim.cli import preset
 from diamondsim.sweep import (
     CSV_COLUMNS,
+    MAX_POINTS,
     OBSERVABLE_KEYS,
     SweepError,
     SweepResult,
@@ -37,6 +38,10 @@ def test_spec_validation():
         SweepSpec(base=base, delta_min=2.0, delta_max=-2.0)
     with pytest.raises(ValueError):
         SweepSpec(base=base, points=1)
+    assert SweepSpec(base=base, points=MAX_POINTS).points == MAX_POINTS
+    for points in (MAX_POINTS + 1, 10**12):
+        with pytest.raises(ValueError, match=f"points must be at most {MAX_POINTS}"):
+            SweepSpec(base=base, points=points)
     for low, high in ((-math.inf, 0.0), (0.0, math.inf), (math.nan, 1.0), (-1e308, 1e308)):
         with pytest.raises(ValueError, match="must be finite"):
             SweepSpec(base=base, delta_min=low, delta_max=high)
