@@ -9,7 +9,8 @@ convergence state).  Across machines or builds the last bits may differ:
 numpy may fuse the multiply and add of a complex product (FMA), Python's
 scalar arithmetic never does.  Everything here is O(n^3), which is
 irrelevant at these sizes: the cost is per-call overhead, which is why the
-Jacobi eigensolver runs on Python complex scalars instead of numpy slices.
+Jacobi eigensolver runs on Python complex scalars instead of numpy slices,
+and why solve_linear eliminates a whole stack of systems in one pass.
 """
 
 from __future__ import annotations
@@ -49,11 +50,14 @@ class SingularMatrixError(SimulationError):
         pivot_index: elimination column whose pivot fell under the threshold.
     """
 
-    def __init__(self, pivot_index: int, pivot_magnitude: float, threshold: float):
+    def __init__(
+        self, pivot_index: int, pivot_magnitude: float, threshold: float, index: int | None = None
+    ):
         self.pivot_index = pivot_index
         super().__init__(
             f"matrix is numerically singular at pivot {pivot_index} "
-            f"(|pivot| = {pivot_magnitude:.3e}, threshold = {threshold:.3e})"
+            f"(|pivot| = {pivot_magnitude:.3e}, threshold = {threshold:.3e})",
+            index=index,
         )
 
 
@@ -65,17 +69,11 @@ class EigenDecomposition:
     eigenvectors: np.ndarray
 
 
-def matrix_inf_norm(a: np.ndarray) -> float:
-    """Induced infinity norm (maximum absolute row sum)."""
+def matrix_inf_norm(a: np.ndarray):
+    """Induced infinity norm (maximum absolute row sum); an array of them for a stack."""
     a = np.asarray(a)
-    if a.size == 0:
-        return 0.0
-    return float(np.max(np.sum(np.abs(a), axis=1)))
-
-
-def _require_square(a: np.ndarray, where: str) -> None:
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"{where} requires a square matrix, got shape {a.shape}")
+    norms = np.max(np.sum(np.abs(a), axis=-1), axis=-1, initial=0.0)
+    return float(norms) if a.ndim == 2 else norms
 
 
 def herm_eigen(a) -> EigenDecomposition:
@@ -92,7 +90,8 @@ def herm_eigen(a) -> EigenDecomposition:
     if the decomposition fails its own residual checks.
     """
     mat = np.asarray(a, dtype=np.complex128)
-    _require_square(mat, "herm_eigen")
+    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
+        raise ValueError(f"herm_eigen requires a square matrix, got shape {mat.shape}")
     scale = matrix_inf_norm(mat)
     if matrix_inf_norm(mat - mat.conj().T) >= _HERMITICITY_REL_TOL * (1.0 + scale):
         raise ValueError("herm_eigen requires a Hermitian matrix")
@@ -202,46 +201,80 @@ def _rotate(work: list[list[complex]], columns: list[list[complex]], p: int, q: 
 
 
 def solve_linear(a, b) -> np.ndarray:
-    """Solve the dense complex system a @ x = b.
+    """Solve the dense complex system a @ x = b, or a stack of such systems.
 
-    Gaussian elimination with partial pivoting.  A pivot whose magnitude
-    falls below 1e-14 * ||a||_inf raises SingularMatrixError carrying the
-    pivot index; the computed solution is verified against the residual
-    bound ||a x - b||_inf < 1e-10 * (1 + ||a||_inf * ||x||_inf).
+    a is (n, n) with b of shape (n,), or a stack (m, n, n) with b of shape
+    (m, n); x has the shape of b.  Gaussian elimination with partial
+    pivoting runs once over the whole stack, on the augmented [a | b].  A
+    pivot whose magnitude falls below 1e-14 * ||a||_inf raises
+    SingularMatrixError carrying the pivot index; the computed solution is
+    verified against the residual bound
+    ||a x - b||_inf < 1e-10 * (1 + ||a||_inf * ||x||_inf).  A system whose
+    pivot fails is carried on with a pivot of 1.0, so it cannot disturb the
+    others; on a stack the error raised is that of the lowest-index failing
+    system, with its position as `index`.  No system's arithmetic depends on
+    the rest of the stack, so a stacked solve equals one-system solves bit
+    for bit.
     """
     a0 = np.asarray(a, dtype=np.complex128)
-    _require_square(a0, "solve_linear")
     rhs0 = np.asarray(b, dtype=np.complex128)
-    n = a0.shape[0]
-    if rhs0.shape != (n,):
-        raise ValueError(f"solve_linear needs a right-hand side of shape ({n},), got {rhs0.shape}")
+    if a0.ndim not in (2, 3) or a0.shape[-1] != a0.shape[-2]:
+        raise ValueError(
+            f"solve_linear requires a square matrix or a stack of them, got shape {a0.shape}"
+        )
+    if rhs0.shape != a0.shape[:-1]:
+        raise ValueError(
+            f"solve_linear needs a right-hand side of shape {a0.shape[:-1]}, got {rhs0.shape}"
+        )
+    stacked = a0.ndim == 3
+    if not stacked:
+        a0 = a0[np.newaxis]
+        rhs0 = rhs0[np.newaxis]
+    m, n = rhs0.shape
 
     norm_a = matrix_inf_norm(a0)
     threshold = _PIVOT_REL_TOL * norm_a
     # Eliminate on [a | b]: the right-hand side rides along as column n.
-    work = np.empty((n, n + 1), dtype=np.complex128)
-    work[:, :n] = a0
-    work[:, n] = rhs0
+    work = np.empty((m, n, n + 1), dtype=np.complex128)
+    work[:, :, :n] = a0
+    work[:, :, n] = rhs0
+    rows = np.arange(m)
+    # pivots[k, i]: |pivot| of system i at column k, after its row swap.
+    pivots = np.empty((n, m))
     for k in range(n):
-        magnitudes = np.abs(work[k:, k])
-        offset = int(magnitudes.argmax())  # the pivot row is k + offset
-        if magnitudes[offset] <= threshold:
-            raise SingularMatrixError(k, float(magnitudes[offset]), threshold)
-        if offset:
-            row = work[k].copy()
-            work[k] = work[k + offset]
-            work[k + offset] = row
+        lead = k + np.abs(work[:, k:, k]).argmax(axis=1)
+        # Swap rows k and lead of every system; where lead == k it is a no-op.
+        upper = work[rows, lead]
+        work[rows, lead] = work[:, k]
+        work[:, k] = upper
+        diagonal = work[:, k, k]
+        np.abs(diagonal, out=pivots[k])
+        np.copyto(diagonal, 1.0, where=pivots[k] <= threshold)
         # Multipliers as a column times the pivot row: their outer product.
-        work[k + 1 :, k + 1 :] -= work[k + 1 :, k : k + 1] / work[k, k] * work[k, k + 1 :]
-
-    x = np.zeros(n, dtype=np.complex128)
-    for k in range(n - 1, -1, -1):
-        x[k] = (work[k, n] - work[k, k + 1 : n] @ x[k + 1 :]) / work[k, k]
-
-    residual = float(np.max(np.abs(a0 @ x - rhs0)))
-    bound = _RESIDUAL_REL_TOL * (1.0 + norm_a * float(np.max(np.abs(x), initial=0.0)))
-    if residual >= bound:
-        raise SimulationError(
-            f"linear solve residual {residual:.3e} exceeds bound {bound:.3e}; system is ill-conditioned"
+        work[:, k + 1 :, k + 1 :] -= (
+            work[:, k + 1 :, k : k + 1] / work[:, k : k + 1, k : k + 1] * work[:, k : k + 1, k + 1 :]
         )
-    return x
+
+    # x as (m, n, 1) columns: each row dot below is a (1, r) @ (r, 1) matmul.
+    x = np.zeros((m, n, 1), dtype=np.complex128)
+    for k in range(n - 1, -1, -1):
+        dot = work[:, k : k + 1, k + 1 : n] @ x[:, k + 1 :]
+        x[:, k, 0] = (work[:, k, n] - dot[:, 0, 0]) / work[:, k, k]
+
+    residual = np.max(np.abs(a0 @ x - rhs0[:, :, np.newaxis]), axis=(1, 2), initial=0.0)
+    bound = _RESIDUAL_REL_TOL * (1.0 + norm_a * np.max(np.abs(x), axis=(1, 2), initial=0.0))
+    small = pivots <= threshold
+    pivot_failed = small.any(axis=0)
+    failing = np.flatnonzero(pivot_failed | (residual >= bound))
+    if failing.size:
+        j = int(failing[0])
+        index = j if stacked else None
+        if pivot_failed[j]:
+            k = int(small[:, j].argmax())
+            raise SingularMatrixError(k, float(pivots[k, j]), float(threshold[j]), index)
+        raise SimulationError(
+            f"linear solve residual {residual[j]:.3e} exceeds bound {bound[j]:.3e}; "
+            "system is ill-conditioned",
+            index=index,
+        )
+    return x[:, :, 0] if stacked else x[0, :, 0]

@@ -13,6 +13,7 @@ with jump operators |a><c|, |d><c|, |b><a|, |b><d| at rates gamma1..gamma4.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 
 import numpy as np
 
@@ -76,26 +77,47 @@ def ground_state() -> np.ndarray:
     return rho
 
 
-def check_density_matrix(rho: np.ndarray, context: str = "density matrix") -> None:
+def check_density_matrix(
+    rho: np.ndarray, context: str | Sequence[str] = "density matrix"
+) -> None:
     """Enforce Hermiticity, unit trace, and positivity within tolerances.
 
-    Raises InvariantError when the Hermiticity defect or trace error reaches
-    1e-9, or the smallest eigenvalue of the symmetrized matrix drops below
-    -1e-8.
+    rho is one 4x4 matrix or a stack of shape (m, 4, 4).  Raises
+    InvariantError when the Hermiticity defect or trace error reaches 1e-9,
+    or the smallest eigenvalue of the symmetrized matrix drops below -1e-8.
+    The message starts with context; for a stack, context may also be one
+    label per matrix.  On a stack the error is that of the lowest-index
+    failing matrix, with its position as `index`; matrices after it are
+    not eigensolved.
     """
     rho = np.asarray(rho)
-    if rho.shape != (4, 4):
-        raise ValueError(f"expected a 4x4 density matrix, got shape {rho.shape}")
-    defect = matrix_inf_norm(rho - rho.conj().T)
-    if defect >= _HERMITICITY_TOL:
-        raise InvariantError(f"{context}: Hermiticity defect {defect:.3e} >= 1e-9")
-    trace_err = abs(complex(np.trace(rho)) - 1.0)
-    if trace_err >= _TRACE_TOL:
-        raise InvariantError(f"{context}: |trace - 1| = {trace_err:.3e} >= 1e-9")
-    symmetric = 0.5 * (rho + rho.conj().T)
-    lowest = float(herm_eigen(symmetric).eigenvalues[0])
-    if lowest < _POSITIVITY_FLOOR:
-        raise InvariantError(f"{context}: minimum eigenvalue {lowest:.3e} < -1e-8")
+    if rho.ndim not in (2, 3) or rho.shape[-2:] != (4, 4):
+        raise ValueError(f"expected a 4x4 density matrix or a stack of them, got shape {rho.shape}")
+    stacked = rho.ndim == 3
+    stack = rho.reshape(-1, 4, 4)
+    labels = [context] * len(stack) if isinstance(context, str) else list(context)
+    if len(labels) != len(stack):
+        raise ValueError(f"expected {len(stack)} context labels, got {len(labels)}")
+    adjoint = stack.conj().transpose(0, 2, 1)
+    defect = matrix_inf_norm(stack - adjoint)
+    trace_err = np.abs(np.trace(stack, axis1=1, axis2=2) - 1.0)
+    broken = np.flatnonzero((defect >= _HERMITICITY_TOL) | (trace_err >= _TRACE_TOL))
+    # Only the matrices before the first Hermiticity or trace failure are
+    # eigensolved, in order, so the first failure found is the lowest.
+    end = int(broken[0]) if broken.size else len(stack)
+    for k, symmetric in enumerate(0.5 * (stack[:end] + adjoint[:end])):
+        lowest = float(herm_eigen(symmetric).eigenvalues[0])
+        if lowest < _POSITIVITY_FLOOR:
+            raise InvariantError(
+                f"{labels[k]}: minimum eigenvalue {lowest:.3e} < -1e-8",
+                index=k if stacked else None,
+            )
+    if broken.size:
+        if defect[end] >= _HERMITICITY_TOL:
+            message = f"Hermiticity defect {defect[end]:.3e} >= 1e-9"
+        else:
+            message = f"|trace - 1| = {trace_err[end]:.3e} >= 1e-9"
+        raise InvariantError(f"{labels[end]}: {message}", index=end if stacked else None)
 
 
 _EYE = np.eye(4, dtype=np.complex128)
@@ -132,39 +154,59 @@ def build_liouvillian(s: Scenario) -> np.ndarray:
 def steady_state(liouv: np.ndarray) -> np.ndarray:
     """Unique steady state of the generator, as a valid density matrix.
 
-    The row of L at the (a, a) population position is replaced by the trace
-    condition and the resulting system solved.  The solution must satisfy
+    liouv is one 16x16 generator or a stack of shape (m, 16, 16); the
+    states come back as (4, 4) or (m, 4, 4).  The row of L at the (a, a)
+    population position is replaced by the trace condition and the
+    resulting system solved.  The solution must satisfy
     ||L vec(rho)||_inf < 1e-10 * (1 + ||L||_inf) including the replaced row;
     it is then symmetrized and checked against the density-matrix
     invariants.  Any failure raises SteadyStateError ("non-unique or absent
-    steady state"), e.g. when every decay rate vanishes.
+    steady state"), e.g. when every decay rate vanishes.  A stack is solved
+    in one elimination; its error is the one the lowest-index failing
+    generator raises alone, with that position as `index`.
     """
     liouv = np.asarray(liouv, dtype=np.complex128)
-    if liouv.shape != (16, 16):
-        raise ValueError(f"expected a 16x16 generator, got shape {liouv.shape}")
-    modified = liouv.copy()
-    modified[0, :] = 0.0
-    modified[0, list(_DIAGONAL_POSITIONS)] = 1.0
-    rhs = np.zeros(16, dtype=np.complex128)
-    rhs[0] = 1.0
+    if liouv.ndim not in (2, 3) or liouv.shape[-2:] != (16, 16):
+        raise ValueError(f"expected a 16x16 generator or a stack of them, got shape {liouv.shape}")
+    stacked = liouv.ndim == 3
+    stack = liouv.reshape(-1, 16, 16)
+    # Each stage checks only the generators before the lowest failure so far.
+    count = len(stack)
+    failure = None
+    modified = stack.copy()
+    modified[:, 0, :] = 0.0
+    modified[:, 0, list(_DIAGONAL_POSITIONS)] = 1.0
+    rhs = np.zeros((count, 16), dtype=np.complex128)
+    rhs[:, 0] = 1.0
     try:
         solution = solve_linear(modified, rhs)
     except SimulationError as exc:
-        raise SteadyStateError(f"non-unique or absent steady state: {exc}") from exc
+        # Every system is eliminated on its own, so the ones before the
+        # failing one solve alone to the same bits.
+        count, failure = exc.index, exc
+        solution = solve_linear(modified[:count], rhs[:count]) if count else rhs[:0]
 
-    residual = float(np.max(np.abs(liouv @ solution)))
-    bound = _STEADY_RESIDUAL_REL_TOL * (1.0 + matrix_inf_norm(liouv))
-    if residual >= bound:
-        raise SteadyStateError(
-            f"non-unique or absent steady state: residual {residual:.3e} exceeds {bound:.3e}"
+    stack = stack[:count]
+    residual = np.max(np.abs(stack @ solution[:, :, np.newaxis]), axis=(1, 2))
+    bound = _STEADY_RESIDUAL_REL_TOL * (1.0 + matrix_inf_norm(stack))
+    over = np.flatnonzero(residual >= bound)
+    if over.size:
+        count = int(over[0])
+        failure = SimulationError(
+            f"residual {residual[count]:.3e} exceeds {bound[count]:.3e}", index=count
         )
-    rho = unvec(solution)
-    rho = 0.5 * (rho + rho.conj().T)
+    rho = solution[:count].reshape(count, 4, 4)
+    rho = 0.5 * (rho + rho.conj().transpose(0, 2, 1))
     try:
         check_density_matrix(rho, context="steady state")
     except InvariantError as exc:
-        raise SteadyStateError(f"non-unique or absent steady state: {exc}") from exc
-    return rho
+        failure = exc
+    if failure is not None:
+        raise SteadyStateError(
+            f"non-unique or absent steady state: {failure}",
+            index=failure.index if stacked else None,
+        ) from failure
+    return rho if stacked else rho[0]
 
 
 def _rk4_step_matrix(liouv: np.ndarray, dt: float) -> np.ndarray:
@@ -205,10 +247,10 @@ def _propagate(
     samples: int = 0,
 ) -> tuple[np.ndarray, list[tuple[int, np.ndarray]]]:
     # Runs round(t_final / dt) RK4 steps.  With samples > 0 the raw state is
-    # also recorded and checked at `samples` evenly spaced steps, the last
-    # one on the final step.  The state jumps from one checkpoint to the
-    # next by a power of the step matrix S: the same iterate as stepping one
-    # at a time, with the products taken in another order.
+    # also recorded at `samples` evenly spaced steps, the last one on the
+    # final step.  The state jumps from one checkpoint to the next by a
+    # power of the step matrix S: the same iterate as stepping one at a
+    # time, with the products taken in another order.
     #
     # S is built from the generator in trace coordinates, where position 0
     # holds the trace.  A generator that keeps the trace has a zero first
@@ -254,9 +296,7 @@ def _propagate(
         state = powers[gap] @ state
         reached = step
         if step in targets:
-            rho = _from_trace_coordinates(state)
-            check_density_matrix(rho, context=f"state at step {step}")
-            records.append((step, rho))
+            records.append((step, _from_trace_coordinates(state)))
     return _from_trace_coordinates(state), records
 
 
@@ -296,14 +336,15 @@ def evolve_trajectory(
     Returns (times, states) with states[k] the unsymmetrized state at
     times[k] = step * dt; the steps are round(j * n / samples) for
     j = 1..samples and n = round(t_final / dt), without repeats or step 0,
-    so the last sample falls on the final step.  Every sample is checked
-    against the density-matrix invariants and a violation raises
-    InvariantError naming the step.
+    so the last sample falls on the final step.  The samples are checked
+    against the density-matrix invariants in one stack after stepping; a
+    violation raises InvariantError naming the first failing step.
     """
     if samples < 1:
         raise ValueError(f"samples must be positive, got {samples!r}")
     liouv = build_liouvillian(s)
     _, pairs = _propagate(liouv, rho0, t_final, dt, samples=samples)
-    times = np.array([step * dt for step, _ in pairs])
     states = np.array([state for _, state in pairs])
+    check_density_matrix(states, context=[f"state at step {step}" for step, _ in pairs])
+    times = np.array([step * dt for step, _ in pairs])
     return times, states

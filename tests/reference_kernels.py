@@ -2,19 +2,22 @@
 
 build_liouvillian, herm_eigen and solve_linear in the package are written
 for speed: cached dissipators, a Jacobi eigensolver on Python scalars, and
-elimination on the augmented matrix [a | b].  The versions here are the
-plain ones: each term built by np.kron, rotations on numpy slices, and the
-right-hand side carried separately.  test_reference_kernels holds the
-two routes together: L and the sweep states bit for bit, the eigenvalues to
-1e-13 * (1 + ||A||_inf).  Test-only code; the package never imports it.
+one elimination over a stack of augmented systems [a | b].  The versions
+here are the plain ones: each term built by np.kron, rotations on numpy
+slices, one system at a time with the right-hand side carried separately,
+and a sweep that solves its grid one point at a time.  test_reference_kernels
+holds the two routes together: L and the sweep states bit for bit, the
+eigenvalues to 1e-13 * (1 + ||A||_inf).  Test-only code; the package never
+imports it.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 
 from diamondsim.algebra import EigenDecomposition
-from diamondsim.atom import LEVELS, Scenario, build_hamiltonian, decay_channels
+from diamondsim.atom import LEVELS, Scenario, build_hamiltonian, closure_complete, decay_channels
 
 
 def build_liouvillian(s: Scenario) -> np.ndarray:
@@ -121,3 +124,26 @@ def solve_linear(a, b) -> np.ndarray:
     for k in range(n - 1, -1, -1):
         x[k] = (rhs[k] - work[k, k + 1 :] @ x[k + 1 :]) / work[k, k]
     return x
+
+
+def steady_state(liouv: np.ndarray) -> np.ndarray:
+    """Trace-row replacement solve, symmetrized, with the -1e-8 positivity floor."""
+    modified = liouv.copy()
+    modified[0, :] = 0.0
+    modified[0, [0, 5, 10, 15]] = 1.0
+    rhs = np.zeros(16, dtype=np.complex128)
+    rhs[0] = 1.0
+    rho = solve_linear(modified, rhs).reshape(4, 4)
+    rho = 0.5 * (rho + rho.conj().T)
+    lowest = herm_eigen(rho).eigenvalues[0]
+    if lowest < -1e-8:
+        raise ValueError(f"minimum eigenvalue {lowest:.3e} < -1e-8")
+    return rho
+
+
+def sweep_states(base: Scenario, grid: np.ndarray) -> np.ndarray:
+    """Steady states over the probe grid, one point at a time."""
+    return np.array([
+        steady_state(build_liouvillian(closure_complete(replace(base, delta_c2=float(delta)))))
+        for delta in grid
+    ])

@@ -1,5 +1,7 @@
 """Tests for the dense linear-algebra kernel against numpy references."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -121,7 +123,52 @@ def test_solve_shape_validation():
         solve_linear(np.eye(3), np.zeros(4))
 
 
+def systems_that_swap_rows(rng, m, n):
+    """m random systems whose small diagonals make partial pivoting swap rows."""
+    a = rng.standard_normal((m, n, n)) + 1j * rng.standard_normal((m, n, n))
+    a[:, np.arange(n), np.arange(n)] *= 1e-3
+    b = rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n))
+    return a, b
+
+
+def test_stacked_solve_equals_one_system_solves_bit_for_bit():
+    rng = np.random.default_rng(29)
+    for n in (2, 5, 16):
+        a, b = systems_that_swap_rows(rng, 40, n)
+        x = solve_linear(a, b)
+        assert x.shape == (40, n)
+        for k in range(40):
+            assert x[k].tobytes() == solve_linear(a[k], b[k]).tobytes()
+
+
+def test_stacked_solve_reports_the_lowest_failing_system_without_warnings():
+    rng = np.random.default_rng(31)
+    a, b = systems_that_swap_rows(rng, 5, 4)
+    a[1] = [[1.0, 2.0, 0.0, 0.0], [2.0, 4.0, 0.0, 0.0], [0.0, 0.0, 1.0, 0.0], [0.0, 0.0, 0.0, 1.0]]
+    a[3] = 0.0
+    with pytest.raises(SingularMatrixError) as alone:
+        solve_linear(a[1], b[1])
+    assert alone.value.index is None
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # the failing pivots must not divide by zero
+        with pytest.raises(SingularMatrixError) as stacked:
+            solve_linear(a, b)
+    assert str(stacked.value) == str(alone.value)
+    assert (stacked.value.index, stacked.value.pivot_index) == (1, alone.value.pivot_index)
+
+
+def test_stacked_solve_shape_validation():
+    with pytest.raises(ValueError):
+        solve_linear(np.zeros((3, 2, 2)), np.zeros(2))
+    with pytest.raises(ValueError):
+        solve_linear(np.zeros((3, 2, 2)), np.zeros((2, 2)))
+    with pytest.raises(ValueError):
+        solve_linear(np.zeros((3, 2, 3)), np.zeros((3, 2)))
+
+
 def test_matrix_inf_norm():
     a = np.array([[1.0, -2.0], [3.0, 4.0]])
     assert matrix_inf_norm(a) == np.linalg.norm(a, np.inf)
     assert matrix_inf_norm(np.zeros((0, 0))) == 0.0
+    stack = np.array([a, 2.0 * a, np.zeros((2, 2))])
+    assert matrix_inf_norm(stack).tolist() == [7.0, 14.0, 0.0]

@@ -21,7 +21,7 @@ from diamondsim.cli import (
     render_config,
     write_csv,
 )
-from diamondsim.sweep import CSV_COLUMNS, MAX_POINTS, SweepSpec, run_sweep
+from diamondsim.sweep import CSV_COLUMNS, MAX_POINTS, SweepResult, SweepSpec, run_sweep
 
 FULL_DOC = """\
 # demo configuration
@@ -226,6 +226,20 @@ def test_csv_format(small_result):
     # numbers carry enough digits to round-trip exactly
     first_row = [float(item) for item in lines[1].split(",")]
     assert first_row[0] == small_result.delta[0]
+
+
+def test_csv_values_match_per_value_formatting():
+    # Edge values: signed zero, the smallest subnormal and normal, huge
+    # magnitudes, and values whose 17th digit needs correct rounding.
+    edges = [-0.0, 5e-324, -2.2250738585072014e-308, 1e300, -1e300, 0.1, 1.0 / 3.0, -2.5e-17]
+    rng = np.random.default_rng(43)
+    states = rng.choice(edges, (6, 4, 4)) + 1j * rng.choice(edges, (6, 4, 4))
+    result = SweepResult(delta=np.array(edges[:6]), states=states)
+    stream = io.BytesIO()
+    write_csv(result, stream)
+    rows = zip(*(result.column(key) for key in CSV_COLUMNS))
+    expected = [",".join(CSV_COLUMNS)] + [",".join(format(v, ".16e") for v in row) for row in rows]
+    assert stream.getvalue().decode("ascii") == "\n".join(expected) + "\n"
 
 
 def test_write_csv_destinations(tmp_path, small_result, capsysbinary):

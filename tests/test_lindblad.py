@@ -71,6 +71,26 @@ def test_check_density_matrix_rejections():
         check_density_matrix(np.diag([1.5, -0.5, 0.0, 0.0]).astype(complex))
 
 
+def test_stacked_check_names_the_lowest_failing_matrix():
+    rng = np.random.default_rng(5)
+    good = [random_density_matrix(rng) for _ in range(3)]
+    negative = np.diag([1.5, -0.5, 0.0, 0.0]).astype(complex)
+    stack = np.array([good[0], good[1], negative, good[2], 2.0 * good[0]])
+    labels = [f"matrix {k}" for k in range(5)]
+    check_density_matrix(np.array(good))
+    with pytest.raises(InvariantError) as alone:
+        check_density_matrix(negative, context="matrix 2")
+    with pytest.raises(InvariantError) as stacked:
+        check_density_matrix(stack, context=labels)
+    assert (str(stacked.value), stacked.value.index) == (str(alone.value), 2)
+    stack[1] = 2.0 * good[1]  # a trace error before the negative eigenvalue
+    with pytest.raises(InvariantError, match=r"^matrix 1: \|trace - 1\|") as stacked:
+        check_density_matrix(stack, context=labels)
+    assert stacked.value.index == 1
+    with pytest.raises(ValueError):
+        check_density_matrix(np.zeros((2, 3, 3)))
+
+
 def test_liouvillian_shape_and_trace_preservation():
     s = Scenario(omega_a1=1.0, omega_a2=2.0, omega_c1=3.0, omega_c2=4.0, delta_a1=0.5)
     liouv = build_liouvillian(s)
@@ -168,9 +188,33 @@ def test_steady_state_rejects_a_generator_that_leaks_trace():
         steady_state(liouv)
 
 
+def test_stacked_steady_state_raises_what_the_lowest_failing_generator_raises_alone():
+    fig5 = build_liouvillian(preset("fig5")[0])
+    leaky = fig5.copy()
+    leaky[0, 0] -= 1e-3
+    dead = build_liouvillian(
+        Scenario(omega_a1=1.0, gamma1=0.0, gamma2=0.0, gamma3=0.0, gamma4=0.0)
+    )
+    good = [fig5] + [build_liouvillian(preset(name)[0]) for name in ("fig6b", "fig9-left")]
+    stack = np.array([good[0], good[1], leaky, good[2], dead])
+    for failing, index in ((stack, 2), (stack[[0, 1, 3, 4]], 3)):
+        with pytest.raises(SteadyStateError) as alone:
+            steady_state(failing[index])
+        assert alone.value.index is None
+        with pytest.raises(SteadyStateError) as stacked:
+            steady_state(failing)
+        assert (str(stacked.value), stacked.value.index) == (str(alone.value), index)
+    states = steady_state(np.array(good))
+    assert states.shape == (3, 4, 4)
+    for rho, liouv in zip(states, good):
+        assert rho.tobytes() == steady_state(liouv).tobytes()
+
+
 def test_steady_state_shape_validation():
     with pytest.raises(ValueError):
         steady_state(np.eye(4))
+    with pytest.raises(ValueError):
+        steady_state(np.zeros((2, 16, 4)))
 
 
 def test_stability_guard():

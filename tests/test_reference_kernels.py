@@ -2,8 +2,11 @@
 
 Stated tolerances:
 - build_liouvillian: bit-identical to the np.kron assembly (tolerance 0);
-- run_sweep: the same states, bit for bit, as a sweep whose generator,
-  linear solve and positivity eigensolve all come from the references;
+- solve_linear on one system: bit-identical to the elimination that keeps
+  the right-hand side apart;
+- run_sweep: the same states, bit for bit, as a per-point loop whose
+  generator, linear solve and positivity eigensolve all come from the
+  references, for every preset under each of the five closure targets;
 - herm_eigen: eigenvalues within 1e-13 * (1 + ||A||_inf) of the numpy-slice
   Jacobi, and the eigenvector residual inside herm_eigen's own bound,
   1e-10 * (1 + ||A||_inf).  The two differ in the last bits only because
@@ -17,9 +20,8 @@ import numpy as np
 import pytest
 
 import reference_kernels as ref
-from diamondsim import lindblad, sweep
-from diamondsim.algebra import herm_eigen, matrix_inf_norm
-from diamondsim.atom import Scenario, closure_complete
+from diamondsim.algebra import herm_eigen, matrix_inf_norm, solve_linear
+from diamondsim.atom import CLOSURE_TARGETS, Scenario, closure_complete
 from diamondsim.cli import PRESET_NAMES, preset
 from diamondsim.lindblad import build_liouvillian
 from diamondsim.sweep import SweepSpec, run_sweep
@@ -44,17 +46,24 @@ def test_liouvillian_is_bit_identical_to_the_kron_reference():
         assert build_liouvillian(s).tobytes() == ref.build_liouvillian(s).tobytes(), s
 
 
+def test_one_system_solve_is_bit_identical_to_the_reference():
+    rng = np.random.default_rng(37)
+    for n in (2, 5, 16):
+        for _ in range(50):
+            a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+            a[np.arange(n), np.arange(n)] *= 1e-3  # partial pivoting must swap rows
+            b = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+            assert solve_linear(a, b).tobytes() == ref.solve_linear(a, b).tobytes()
+
+
 @pytest.mark.parametrize("name", PRESET_NAMES)
-def test_sweep_states_are_bit_identical_to_the_reference_kernels(name, monkeypatch):
-    spec = SweepSpec(base=preset(name)[0], points=201)
-    fast = run_sweep(spec)
-    monkeypatch.setattr(lindblad, "build_liouvillian", ref.build_liouvillian)
-    monkeypatch.setattr(sweep, "build_liouvillian", ref.build_liouvillian)
-    monkeypatch.setattr(lindblad, "solve_linear", ref.solve_linear)
-    monkeypatch.setattr(lindblad, "herm_eigen", ref.herm_eigen)
-    slow = run_sweep(spec)
-    assert fast.delta.tobytes() == slow.delta.tobytes()
-    assert fast.states.tobytes() == slow.states.tobytes()
+def test_sweep_states_are_bit_identical_to_the_reference_kernels(name):
+    # 67 points: one full block of stacked solves and one partial block.
+    for target in CLOSURE_TARGETS:
+        base = replace(preset(name)[0], closure_target=target)
+        fast = run_sweep(SweepSpec(base=base, points=67))
+        assert fast.delta.tobytes() == np.linspace(-25.0, 25.0, 67).tobytes()
+        assert fast.states.tobytes() == ref.sweep_states(base, fast.delta).tobytes(), target
 
 
 def hermitian_cases(rng):

@@ -6,7 +6,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from diamondsim.atom import Scenario
+from diamondsim import lindblad, sweep
+from diamondsim.atom import Scenario, closure_complete
 from diamondsim.cli import preset
 from diamondsim.sweep import (
     CSV_COLUMNS,
@@ -71,6 +72,70 @@ def test_run_sweep_reports_failing_detuning():
     spec = SweepSpec(base=dead, delta_min=-1.0, delta_max=1.0, points=3)
     with pytest.raises(SweepError, match="probe detuning"):
         run_sweep(spec)
+
+
+# All four fields driven with closure_target "none": delta_a1 + delta_c1 -
+# delta_a2 = -25, so the loop closes at the first grid point only.
+_OPEN_LOOP = Scenario(
+    omega_a1=2.0, omega_a2=3.0, omega_c1=4.0, omega_c2=1.5,
+    delta_a1=-20.0, delta_a2=3.0, delta_c1=-2.0, closure_target="none",
+)
+
+
+# The messages a point-by-point sweep gives for these bases.
+@pytest.mark.parametrize(
+    "base,message",
+    [
+        (
+            _OPEN_LOOP,
+            "sweep aborted at probe detuning -24.95: time-dependent Hamiltonian unsupported: "
+            "all four fields are active and delta_a1 + delta_c1 - delta_a2 - delta_c2 = -5.000e-02",
+        ),
+        (
+            replace(_OPEN_LOOP, gamma1=0.0, gamma2=0.0, gamma3=0.0, gamma4=0.0),
+            "sweep aborted at probe detuning -25.0: non-unique or absent steady state: matrix is "
+            "numerically singular at pivot 13 (|pivot| = 3.656e-16, threshold = 3.500e-13)",
+        ),
+        (
+            replace(_OPEN_LOOP, delta_a1=-19.0),
+            "sweep aborted at probe detuning -25.0: time-dependent Hamiltonian unsupported: "
+            "all four fields are active and delta_a1 + delta_c1 - delta_a2 - delta_c2 = 1.000e+00",
+        ),
+    ],
+    ids=["closure", "steady-before-closure", "closure-first"],
+)
+def test_open_loop_sweep_names_the_first_failing_detuning(base, message):
+    with pytest.raises(SweepError) as info:
+        run_sweep(SweepSpec(base=base, points=1001))
+    assert str(info.value) == message
+
+
+def test_sweep_names_the_lowest_failing_point_past_the_first_block(monkeypatch):
+    s, _ = preset("fig5")
+    grid = np.linspace(-25.0, 25.0, 201).tolist()
+    leaky = lindblad.build_liouvillian(closure_complete(replace(s, delta_c2=grid[130])))
+    leaky[0, 0] -= 1e-3
+    dead = lindblad.build_liouvillian(
+        Scenario(omega_a1=1.0, gamma1=0.0, gamma2=0.0, gamma3=0.0, gamma4=0.0)
+    )
+    broken = {grid[130]: leaky, grid[140]: dead}
+
+    def build(scenario):
+        return broken.get(scenario.delta_c2, lindblad.build_liouvillian(scenario))
+
+    monkeypatch.setattr(sweep, "build_liouvillian", build)
+    with pytest.raises(SweepError) as info:
+        run_sweep(SweepSpec(base=s, points=201))
+    assert str(info.value).startswith(
+        f"sweep aborted at probe detuning {grid[130]!r}: non-unique or absent steady state: residual"
+    )
+    del broken[grid[130]]
+    with pytest.raises(SweepError) as info:
+        run_sweep(SweepSpec(base=s, points=201))
+    assert str(info.value).startswith(
+        f"sweep aborted at probe detuning {grid[140]!r}: non-unique or absent steady state: "
+        "matrix is numerically singular"
+    )
 
 
 def test_probe_target_pins_the_scan_flat():
