@@ -8,13 +8,16 @@ build, and failure modes carry precise diagnostics (pivot index,
 convergence state).  Across machines or builds the last bits may differ:
 numpy may fuse the multiply and add of a complex product (FMA), Python's
 scalar arithmetic never does.  Everything here is O(n^3), which is
-irrelevant at these sizes: the cost is per-call overhead, which is why the
-Jacobi eigensolver runs on Python complex scalars instead of numpy slices,
-and why solve_linear eliminates a whole stack of systems in one pass.
+irrelevant at these sizes: the cost is per-call overhead.  So the Jacobi
+eigensolver runs on Python complex scalars instead of numpy slices, from a
+rotation plan built once per matrix size, with explicit left-to-right sums
+for its stopping test; and solve_linear eliminates a whole stack of
+systems in one pass.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -72,7 +75,7 @@ class EigenDecomposition:
 def matrix_inf_norm(a: np.ndarray):
     """Induced infinity norm (maximum absolute row sum); an array of them for a stack."""
     a = np.asarray(a)
-    norms = np.max(np.sum(np.abs(a), axis=-1), axis=-1, initial=0.0)
+    norms = np.abs(a).sum(axis=-1).max(axis=-1, initial=0.0)
     return float(norms) if a.ndim == 2 else norms
 
 
@@ -96,9 +99,9 @@ def herm_eigen(a) -> EigenDecomposition:
     if matrix_inf_norm(mat - mat.conj().T) >= _HERMITICITY_REL_TOL * (1.0 + scale):
         raise ValueError("herm_eigen requires a Hermitian matrix")
 
-    n = mat.shape[0]
-    values, columns = _jacobi(mat.tolist())
-    order = sorted(range(n), key=values.__getitem__)
+    pairs, off_diagonal, eye = _rotation_plan(mat.shape[0])
+    values, columns = _jacobi(mat.tolist(), pairs, off_diagonal)
+    order = sorted(range(len(values)), key=values.__getitem__)
     pinned = []
     for k in order:
         col = columns[k]
@@ -111,93 +114,104 @@ def herm_eigen(a) -> EigenDecomposition:
     values = np.array([values[k] for k in order])
     vectors = np.array(pinned, dtype=np.complex128).T.copy()
 
-    residual = np.max(np.abs(mat @ vectors - vectors * values[np.newaxis, :]))
+    residual = np.abs(mat @ vectors - vectors * values).max()
     if residual >= _RESIDUAL_REL_TOL * (1.0 + scale):
         raise RuntimeError(f"eigendecomposition residual {residual:.3e} out of tolerance")
-    gram = vectors.conj().T @ vectors - np.eye(n)
-    if np.max(np.abs(gram)) >= _ORTHONORMALITY_TOL:
+    if np.abs(vectors.conj().T @ vectors - eye).max() >= _ORTHONORMALITY_TOL:
         raise RuntimeError("eigenvector columns lost orthonormality")
     return EigenDecomposition(eigenvalues=values, eigenvectors=vectors)
 
 
-def _jacobi(work: list[list[complex]]) -> tuple[list[float], list[list[complex]]]:
+@functools.cache
+def _rotation_plan(n: int) -> tuple:
+    # Built once per size: (p, q, the other indices) for each rotation in
+    # sweep order, the off-diagonal positions row by row, and the identity.
+    indices = range(n)
+    pairs = tuple(
+        (p, q, tuple(k for k in indices if k != p and k != q))
+        for p in indices
+        for q in range(p + 1, n)
+    )
+    off_diagonal = tuple((i, j) for i in indices for j in indices if i != j)
+    eye = np.eye(n)
+    eye.flags.writeable = False
+    return pairs, off_diagonal, eye
+
+
+def _jacobi(
+    work: list[list[complex]], pairs: tuple, off_diagonal: tuple
+) -> tuple[list[float], list[list[complex]]]:
     # work holds the rows of the matrix as lists of Python complex numbers;
-    # the eigenvectors come back as a list of columns.
+    # the eigenvectors come back as a list of columns.  The sums run left to
+    # right, so they do not depend on how a Python version's sum() adds.
     n = len(work)
     columns = [[1.0 + 0j if i == j else 0j for i in range(n)] for j in range(n)]
-    total = math.sqrt(sum(z.real * z.real + z.imag * z.imag for row in work for z in row))
+    total = 0.0
+    for row in work:
+        for z in row:
+            total += z.real * z.real + z.imag * z.imag
     if total == 0.0:
         return [0.0] * n, columns
+    threshold = _JACOBI_REL_TOL * math.sqrt(total)
     for _ in range(_JACOBI_MAX_SWEEPS):
-        off = math.sqrt(
-            sum(
-                z.real * z.real + z.imag * z.imag
-                for i, row in enumerate(work)
-                for j, z in enumerate(row)
-                if i != j
-            )
-        )
-        if off < _JACOBI_REL_TOL * total:
+        off = 0.0
+        for i, j in off_diagonal:
+            z = work[i][j]
+            off += z.real * z.real + z.imag * z.imag
+        if math.sqrt(off) < threshold:
             break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                _rotate(work, columns, p, q)
+        for p, q, others in pairs:
+            row_p = work[p]
+            row_q = work[q]
+            apq = row_p[q]
+            babs = abs(apq)
+            if babs == 0.0:
+                continue
+            phase = apq / babs
+            app = row_p[p].real
+            aqq = row_q[q].real
+            tau = (aqq - app) / (2.0 * babs)
+            # Smaller root of t^2 + 2*tau*t - 1 = 0, for the rotation angle <= pi/4.
+            if tau >= 0.0:
+                t = 1.0 / (tau + math.sqrt(1.0 + tau * tau))
+            else:
+                t = -1.0 / (-tau + math.sqrt(1.0 + tau * tau))
+            c = 1.0 / math.sqrt(1.0 + t * t)
+            s = t * c
+
+            # Unitary J: J[p,p] = c*phase, J[p,q] = s*phase, J[q,p] = -s,
+            # J[q,q] = c; work <- J^H work J zeroes the (p, q) element.
+            # Columns p and q are rotated, then rows p and q, at the other
+            # indices; the four entries where they cross come from the
+            # closed form.
+            c_phase = c * phase
+            s_phase = s * phase
+            c_conj = c * phase.conjugate()
+            s_conj = s * phase.conjugate()
+            for k in others:
+                row = work[k]
+                x = row[p]
+                y = row[q]
+                row[p] = c_phase * x - s * y
+                row[q] = s_phase * x + c * y
+                x = row_p[k]
+                y = row_q[k]
+                row_p[k] = c_conj * x - s * y
+                row_q[k] = s_conj * x + c * y
+            row_p[p] = app - t * babs
+            row_q[q] = aqq + t * babs
+            row_p[q] = 0j
+            row_q[p] = 0j
+
+            vec_p = columns[p]
+            vec_q = columns[q]
+            for i, x in enumerate(vec_p):
+                y = vec_q[i]
+                vec_p[i] = c_phase * x - s * y
+                vec_q[i] = s_phase * x + c * y
     else:
         raise RuntimeError("Jacobi iteration did not converge within 100 sweeps")
-    return [work[k][k].real for k in range(n)], columns
-
-
-def _rotate(work: list[list[complex]], columns: list[list[complex]], p: int, q: int) -> None:
-    row_p = work[p]
-    row_q = work[q]
-    apq = row_p[q]
-    babs = abs(apq)
-    if babs == 0.0:
-        return
-    phase = apq / babs
-    app = row_p[p].real
-    aqq = row_q[q].real
-    tau = (aqq - app) / (2.0 * babs)
-    # Smaller root of t^2 + 2*tau*t - 1 = 0, for the rotation angle <= pi/4.
-    if tau >= 0.0:
-        t = 1.0 / (tau + math.sqrt(1.0 + tau * tau))
-    else:
-        t = -1.0 / (-tau + math.sqrt(1.0 + tau * tau))
-    c = 1.0 / math.sqrt(1.0 + t * t)
-    s = t * c
-
-    # Unitary J: J[p,p] = c*phase, J[p,q] = s*phase, J[q,p] = -s, J[q,q] = c;
-    # work <- J^H work J zeroes the (p, q) element.  Columns p and q are
-    # rotated, then rows p and q; the four entries where they cross are set
-    # from the closed form afterwards, so the loops skip them.
-    c_phase = c * phase
-    s_phase = s * phase
-    c_conj = c * phase.conjugate()
-    s_conj = s * phase.conjugate()
-    for k in range(len(work)):
-        if k == p or k == q:
-            continue
-        row = work[k]
-        x = row[p]
-        y = row[q]
-        row[p] = c_phase * x - s * y
-        row[q] = s_phase * x + c * y
-        x = row_p[k]
-        y = row_q[k]
-        row_p[k] = c_conj * x - s * y
-        row_q[k] = s_conj * x + c * y
-    row_p[p] = app - t * babs
-    row_q[q] = aqq + t * babs
-    row_p[q] = 0j
-    row_q[p] = 0j
-
-    vec_p = columns[p]
-    vec_q = columns[q]
-    for i in range(len(vec_p)):
-        x = vec_p[i]
-        y = vec_q[i]
-        vec_p[i] = c_phase * x - s * y
-        vec_q[i] = s_phase * x + c * y
+    return [row[k].real for k, row in enumerate(work)], columns
 
 
 def solve_linear(a, b) -> np.ndarray:

@@ -121,6 +121,9 @@ def check_density_matrix(
 
 
 _EYE = np.eye(4, dtype=np.complex128)
+# np.kron(x, y) of 4x4 matrices is x[:, None, :, None] * y[None, :, None, :]
+# reshaped to 16x16; these are the identity's two broadcast forms.
+_EYE_RIGHT, _EYE_LEFT = _EYE[None, :, None, :], _EYE[:, None, :, None]
 
 
 def _dissipator(from_level: str, to_level: str) -> np.ndarray:
@@ -145,7 +148,9 @@ def build_liouvillian(s: Scenario) -> np.ndarray:
     positions sum to the zero row exactly, so L conserves the trace.
     """
     coupling = build_hamiltonian(s).astype(np.complex128)
-    liouv = 1j * (np.kron(coupling, _EYE) - np.kron(_EYE, coupling.T))
+    # B (x) I - I (x) B^T, multiplied out as np.kron does it.
+    commutator = coupling[:, None, :, None] * _EYE_RIGHT - _EYE_LEFT * coupling.T[None, :, None, :]
+    liouv = (1j * commutator).reshape(16, 16)
     for channel, dissipator in zip(decay_channels(s), _DISSIPATORS):
         liouv += 0.5 * channel.rate * dissipator
     return liouv

@@ -5,10 +5,13 @@ for speed: cached dissipators, a Jacobi eigensolver on Python scalars, and
 one elimination over a stack of augmented systems [a | b].  The versions
 here are the plain ones: each term built by np.kron, rotations on numpy
 slices, one system at a time with the right-hand side carried separately,
-and a sweep that solves its grid one point at a time.  test_reference_kernels
-holds the two routes together: L and the sweep states bit for bit, the
-eigenvalues to 1e-13 * (1 + ||A||_inf).  Test-only code; the package never
-imports it.
+and a sweep that solves its grid one point at a time.  scalar_herm_eigen is
+the package's Jacobi on Python scalars before its per-size rotation plan:
+one call per rotation, a skip test per index, sum() for the stopping mass.
+test_reference_kernels holds the routes together: L, the sweep states and
+the scalar Jacobi's eigenvalues and eigenvectors bit for bit, the
+numpy-slice eigenvalues to 1e-13 * (1 + ||A||_inf).  Test-only code; the
+package never imports it.
 """
 
 import math
@@ -16,7 +19,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from diamondsim.algebra import EigenDecomposition
+from diamondsim.algebra import EigenDecomposition, matrix_inf_norm
 from diamondsim.atom import LEVELS, Scenario, build_hamiltonian, closure_complete, decay_channels
 
 
@@ -147,3 +150,137 @@ def sweep_states(base: Scenario, grid: np.ndarray) -> np.ndarray:
         steady_state(build_liouvillian(closure_complete(replace(base, delta_c2=float(delta)))))
         for delta in grid
     ])
+
+
+# The Jacobi on Python complex scalars as it stood before its rotation plan
+# was cached per size and its rotation inlined into the sweep; the package's
+# herm_eigen must match it bit for bit.
+_JACOBI_REL_TOL = 1e-14
+_JACOBI_MAX_SWEEPS = 100
+_HERMITICITY_REL_TOL = 1e-12
+_RESIDUAL_REL_TOL = 1e-10
+_ORTHONORMALITY_TOL = 1e-12
+
+
+def scalar_herm_eigen(a) -> EigenDecomposition:
+    """Eigendecomposition of a Hermitian matrix by cyclic complex Jacobi rotations.
+
+    Rotations run in a fixed (p, q) order until the off-diagonal Frobenius
+    mass falls below 1e-14 of the total, capped at 100 sweeps.  Eigenvalues
+    come back ascending; eigenvector column k pairs with eigenvalue k.  The
+    phase of each eigenvector is pinned by making its largest-magnitude
+    component real and positive (ties broken at the lowest index), so
+    identical inputs give bit-identical output.
+
+    Raises ValueError for non-square or non-Hermitian input and RuntimeError
+    if the decomposition fails its own residual checks.
+    """
+    mat = np.asarray(a, dtype=np.complex128)
+    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
+        raise ValueError(f"herm_eigen requires a square matrix, got shape {mat.shape}")
+    scale = matrix_inf_norm(mat)
+    if matrix_inf_norm(mat - mat.conj().T) >= _HERMITICITY_REL_TOL * (1.0 + scale):
+        raise ValueError("herm_eigen requires a Hermitian matrix")
+
+    n = mat.shape[0]
+    values, columns = _scalar_jacobi(mat.tolist())
+    order = sorted(range(n), key=values.__getitem__)
+    pinned = []
+    for k in order:
+        col = columns[k]
+        lead = max(col, key=abs)
+        mag = abs(lead)
+        if mag > 0.0:
+            factor = lead.conjugate() / mag
+            col = [z * factor for z in col]
+        pinned.append(col)
+    values = np.array([values[k] for k in order])
+    vectors = np.array(pinned, dtype=np.complex128).T.copy()
+
+    residual = np.max(np.abs(mat @ vectors - vectors * values[np.newaxis, :]))
+    if residual >= _RESIDUAL_REL_TOL * (1.0 + scale):
+        raise RuntimeError(f"eigendecomposition residual {residual:.3e} out of tolerance")
+    gram = vectors.conj().T @ vectors - np.eye(n)
+    if np.max(np.abs(gram)) >= _ORTHONORMALITY_TOL:
+        raise RuntimeError("eigenvector columns lost orthonormality")
+    return EigenDecomposition(eigenvalues=values, eigenvectors=vectors)
+
+
+def _scalar_jacobi(work: list[list[complex]]) -> tuple[list[float], list[list[complex]]]:
+    # work holds the rows of the matrix as lists of Python complex numbers;
+    # the eigenvectors come back as a list of columns.
+    n = len(work)
+    columns = [[1.0 + 0j if i == j else 0j for i in range(n)] for j in range(n)]
+    total = math.sqrt(sum(z.real * z.real + z.imag * z.imag for row in work for z in row))
+    if total == 0.0:
+        return [0.0] * n, columns
+    for _ in range(_JACOBI_MAX_SWEEPS):
+        off = math.sqrt(
+            sum(
+                z.real * z.real + z.imag * z.imag
+                for i, row in enumerate(work)
+                for j, z in enumerate(row)
+                if i != j
+            )
+        )
+        if off < _JACOBI_REL_TOL * total:
+            break
+        for p in range(n - 1):
+            for q in range(p + 1, n):
+                _scalar_rotate(work, columns, p, q)
+    else:
+        raise RuntimeError("Jacobi iteration did not converge within 100 sweeps")
+    return [work[k][k].real for k in range(n)], columns
+
+
+def _scalar_rotate(work: list[list[complex]], columns: list[list[complex]], p: int, q: int) -> None:
+    row_p = work[p]
+    row_q = work[q]
+    apq = row_p[q]
+    babs = abs(apq)
+    if babs == 0.0:
+        return
+    phase = apq / babs
+    app = row_p[p].real
+    aqq = row_q[q].real
+    tau = (aqq - app) / (2.0 * babs)
+    # Smaller root of t^2 + 2*tau*t - 1 = 0, for the rotation angle <= pi/4.
+    if tau >= 0.0:
+        t = 1.0 / (tau + math.sqrt(1.0 + tau * tau))
+    else:
+        t = -1.0 / (-tau + math.sqrt(1.0 + tau * tau))
+    c = 1.0 / math.sqrt(1.0 + t * t)
+    s = t * c
+
+    # Unitary J: J[p,p] = c*phase, J[p,q] = s*phase, J[q,p] = -s, J[q,q] = c;
+    # work <- J^H work J zeroes the (p, q) element.  Columns p and q are
+    # rotated, then rows p and q; the four entries where they cross are set
+    # from the closed form afterwards, so the loops skip them.
+    c_phase = c * phase
+    s_phase = s * phase
+    c_conj = c * phase.conjugate()
+    s_conj = s * phase.conjugate()
+    for k in range(len(work)):
+        if k == p or k == q:
+            continue
+        row = work[k]
+        x = row[p]
+        y = row[q]
+        row[p] = c_phase * x - s * y
+        row[q] = s_phase * x + c * y
+        x = row_p[k]
+        y = row_q[k]
+        row_p[k] = c_conj * x - s * y
+        row_q[k] = s_conj * x + c * y
+    row_p[p] = app - t * babs
+    row_q[q] = aqq + t * babs
+    row_p[q] = 0j
+    row_q[p] = 0j
+
+    vec_p = columns[p]
+    vec_q = columns[q]
+    for i in range(len(vec_p)):
+        x = vec_p[i]
+        y = vec_q[i]
+        vec_p[i] = c_phase * x - s * y
+        vec_q[i] = s_phase * x + c * y

@@ -7,6 +7,10 @@ Stated tolerances:
 - run_sweep: the same states, bit for bit, as a per-point loop whose
   generator, linear solve and positivity eigensolve all come from the
   references, for every preset under each of the five closure targets;
+- herm_eigen: eigenvalues and eigenvectors bit-identical to the scalar
+  Jacobi without a rotation plan (tolerance 0), on the Hermitian cases below
+  and on 500 drive matrices with a fifth of their Rabi frequencies zero,
+  whose eigenvectors tie in magnitude and so expose the phase pin;
 - herm_eigen: eigenvalues within 1e-13 * (1 + ||A||_inf) of the numpy-slice
   Jacobi, and the eigenvector residual inside herm_eigen's own bound,
   1e-10 * (1 + ||A||_inf).  The two differ in the last bits only because
@@ -21,7 +25,7 @@ import pytest
 
 import reference_kernels as ref
 from diamondsim.algebra import herm_eigen, matrix_inf_norm, solve_linear
-from diamondsim.atom import CLOSURE_TARGETS, Scenario, closure_complete
+from diamondsim.atom import CLOSURE_TARGETS, Scenario, build_hamiltonian, closure_complete
 from diamondsim.cli import PRESET_NAMES, preset
 from diamondsim.lindblad import build_liouvillian
 from diamondsim.sweep import SweepSpec, run_sweep
@@ -89,3 +93,23 @@ def test_herm_eigen_agrees_with_the_numpy_slice_jacobi():
         assert gap <= 1e-13 * (1.0 + scale)
         residual = np.max(np.abs(a @ fast.eigenvectors - fast.eigenvectors * fast.eigenvalues))
         assert residual < 1e-10 * (1.0 + scale)
+
+
+def drive_matrices(rng, count):
+    # Drive-only couplings as dressed_spectrum builds them; a zero Rabi
+    # frequency gives eigenvectors (|x> +- |y>)/sqrt(2), whose two largest
+    # components tie in magnitude.
+    for _ in range(count):
+        omegas = rng.uniform(0.0, 20.0, 3)
+        omegas[rng.random(3) < 0.2] = 0.0
+        s = Scenario(omega_a1=omegas[0], omega_c1=omegas[1], omega_a2=omegas[2], omega_c2=1.0)
+        yield build_hamiltonian(s, exclude_probe=True)
+
+
+def test_herm_eigen_is_bit_identical_to_the_scalar_jacobi():
+    rng = np.random.default_rng(17)
+    for a in [*hermitian_cases(rng), *drive_matrices(rng, 500)]:
+        fast = herm_eigen(a)
+        slow = ref.scalar_herm_eigen(a)
+        assert fast.eigenvalues.tobytes() == slow.eigenvalues.tobytes(), a
+        assert fast.eigenvectors.tobytes() == slow.eigenvectors.tobytes(), a
