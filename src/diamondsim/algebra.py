@@ -89,15 +89,17 @@ def herm_eigen(a) -> EigenDecomposition:
     component real and positive (ties broken at the lowest index), so
     identical inputs give bit-identical output.
 
-    Raises ValueError for non-square or non-Hermitian input and RuntimeError
-    if the decomposition fails its own residual checks.
+    Raises ValueError for empty, non-square, non-Hermitian or non-finite
+    input and RuntimeError if the decomposition fails its own residual
+    checks.
     """
     mat = np.asarray(a, dtype=np.complex128)
-    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-        raise ValueError(f"herm_eigen requires a square matrix, got shape {mat.shape}")
+    if mat.ndim != 2 or mat.shape[0] != mat.shape[1] or not mat.size:
+        raise ValueError(f"herm_eigen requires a non-empty square matrix, got shape {mat.shape}")
     scale = matrix_inf_norm(mat)
-    if matrix_inf_norm(mat - mat.conj().T) >= _HERMITICITY_REL_TOL * (1.0 + scale):
-        raise ValueError("herm_eigen requires a Hermitian matrix")
+    # Written so that a NaN defect or scale fails too.
+    if not matrix_inf_norm(mat - mat.conj().T) < _HERMITICITY_REL_TOL * (1.0 + scale):
+        raise ValueError("herm_eigen requires a finite Hermitian matrix")
 
     pairs, off_diagonal, eye = _rotation_plan(mat.shape[0])
     values, columns = _jacobi(mat.tolist(), pairs, off_diagonal)

@@ -22,6 +22,7 @@ computation fails (no steady state, broken closure, unstable step, ...).
 from __future__ import annotations
 
 import argparse
+import math
 import re
 import sys
 from dataclasses import dataclass, replace
@@ -105,6 +106,8 @@ def _parse_number(key: str, text: str, lineno: int) -> float:
     if not _NUMBER_RE.fullmatch(text):
         raise ConfigError(f"line {lineno}: malformed number for {key}: {text!r}")
     value = float(text)
+    if not math.isfinite(value):
+        raise ConfigError(f"line {lineno}: {key} must be finite, got {text}")
     if key in _NONNEGATIVE_KEYS and value < 0.0:
         raise ConfigError(f"line {lineno}: {key} must be non-negative, got {text}")
     return value

@@ -11,6 +11,8 @@ whose eigenvalues have a closed form.  With
     Z = S^2 - 4 omega_a2^2 omega_c1^2
 
 the four eigenvalues are +-sqrt((S - sqrt(Z))/2) and +-sqrt((S + sqrt(Z))/2).
+Their magnitudes multiply to omega_a2 * omega_c1, which is how the smaller
+one is computed: S - sqrt(Z) cancels when the pairs are far apart.
 Z factors as (omega_a1^2 + (omega_c1 - omega_a2)^2) *
 (omega_a1^2 + (omega_c1 + omega_a2)^2), so Z >= 0 always and Z = 0 (a doubly
 degenerate +- pair) occurs exactly when omega_a1 = 0 and omega_c1 = omega_a2.
@@ -49,7 +51,8 @@ _C_INDEX = 2
 _DEGENERACY_REL_TOL = 1e-9
 #: A group's c-amplitude row below this norm counts as rank zero.
 _C_RANK_TOL = 1e-10
-_CLOSED_FORM_TOL = 1e-10
+#: Numerical and closed-form eigenvalues agree within 1e-10 * (1 + max|eigenvalue|).
+_CLOSED_FORM_REL_TOL = 1e-10
 
 
 class DriveInvariants(NamedTuple):
@@ -127,8 +130,8 @@ def closed_form_eigenvalues(s: Scenario) -> np.ndarray:
             f"negative spectral discriminant {inv.discriminant:.3e}; this is a bug"
         )
     root = np.sqrt(max(inv.discriminant, 0.0))
-    low = np.sqrt(max((inv.total - root) / 2.0, 0.0))
     high = np.sqrt((inv.total + root) / 2.0)
+    low = s.omega_a2 * s.omega_c1 / high if high > 0.0 else 0.0
     return np.array([-high, -low, low, high])
 
 
@@ -137,14 +140,14 @@ def dressed_spectrum(s: Scenario) -> DressedSpectrum:
 
     Requires zero detunings; the probe coupling omega_c2 is excluded.  The
     numerical eigenvalues are cross-checked against closed_form_eigenvalues
-    to 1e-10 before returning.
+    to 1e-10 * (1 + max|eigenvalue|) before returning.
     """
     _require_zero_detunings(s, "dressed_spectrum")
     drive = build_hamiltonian(s, exclude_probe=True)
     eig = herm_eigen(drive)
     reference = closed_form_eigenvalues(s)
     mismatch = float(np.max(np.abs(eig.eigenvalues - reference)))
-    if mismatch > _CLOSED_FORM_TOL:
+    if mismatch > _CLOSED_FORM_REL_TOL * (1.0 + float(np.max(np.abs(eig.eigenvalues)))):
         raise RuntimeError(
             f"numerical eigenvalues deviate {mismatch:.3e} from the closed form; this is a bug"
         )

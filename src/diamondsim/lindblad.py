@@ -83,17 +83,18 @@ def check_density_matrix(
     """Enforce Hermiticity, unit trace, and positivity within tolerances.
 
     rho is one 4x4 matrix or a stack of shape (m, 4, 4).  Raises
-    InvariantError when the Hermiticity defect or trace error reaches 1e-9,
-    or the smallest eigenvalue of the symmetrized matrix drops below -1e-8.
-    The message starts with context; for a stack, context may also be one
-    label per matrix.  On a stack the error is that of the lowest-index
-    failing matrix, with its position as `index`; matrices after it are
-    not eigensolved.
+    InvariantError when the Hermiticity defect or trace error is not below
+    1e-9 (so a NaN entry fails), or the smallest eigenvalue of the
+    symmetrized matrix drops below -1e-8.  The message starts with context;
+    for a stack, context may also be one label per matrix.  The matrices
+    are checked in order, each for Hermiticity, then trace, then
+    positivity, so a stack raises what its first failing matrix raises
+    alone, with its position as `index`; matrices after it are not
+    eigensolved.
     """
     rho = np.asarray(rho)
     if rho.ndim not in (2, 3) or rho.shape[-2:] != (4, 4):
         raise ValueError(f"expected a 4x4 density matrix or a stack of them, got shape {rho.shape}")
-    stacked = rho.ndim == 3
     stack = rho.reshape(-1, 4, 4)
     labels = [context] * len(stack) if isinstance(context, str) else list(context)
     if len(labels) != len(stack):
@@ -101,23 +102,17 @@ def check_density_matrix(
     adjoint = stack.conj().transpose(0, 2, 1)
     defect = matrix_inf_norm(stack - adjoint)
     trace_err = np.abs(np.trace(stack, axis1=1, axis2=2) - 1.0)
-    broken = np.flatnonzero((defect >= _HERMITICITY_TOL) | (trace_err >= _TRACE_TOL))
-    # Only the matrices before the first Hermiticity or trace failure are
-    # eigensolved, in order, so the first failure found is the lowest.
-    end = int(broken[0]) if broken.size else len(stack)
-    for k, symmetric in enumerate(0.5 * (stack[:end] + adjoint[:end])):
-        lowest = float(herm_eigen(symmetric).eigenvalues[0])
-        if lowest < _POSITIVITY_FLOOR:
-            raise InvariantError(
-                f"{labels[k]}: minimum eigenvalue {lowest:.3e} < -1e-8",
-                index=k if stacked else None,
-            )
-    if broken.size:
-        if defect[end] >= _HERMITICITY_TOL:
-            message = f"Hermiticity defect {defect[end]:.3e} >= 1e-9"
+    for k, symmetric in enumerate(0.5 * (stack + adjoint)):
+        if not defect[k] < _HERMITICITY_TOL:
+            message = f"Hermiticity defect {defect[k]:.3e} >= 1e-9"
+        elif not trace_err[k] < _TRACE_TOL:
+            message = f"|trace - 1| = {trace_err[k]:.3e} >= 1e-9"
         else:
-            message = f"|trace - 1| = {trace_err[end]:.3e} >= 1e-9"
-        raise InvariantError(f"{labels[end]}: {message}", index=end if stacked else None)
+            lowest = float(herm_eigen(symmetric).eigenvalues[0])
+            if lowest >= _POSITIVITY_FLOOR:
+                continue
+            message = f"minimum eigenvalue {lowest:.3e} < -1e-8"
+        raise InvariantError(f"{labels[k]}: {message}", index=k if rho.ndim == 3 else None)
 
 
 _EYE = np.eye(4, dtype=np.complex128)
@@ -166,52 +161,41 @@ def steady_state(liouv: np.ndarray) -> np.ndarray:
     ||L vec(rho)||_inf < 1e-10 * (1 + ||L||_inf) including the replaced row;
     it is then symmetrized and checked against the density-matrix
     invariants.  Any failure raises SteadyStateError ("non-unique or absent
-    steady state"), e.g. when every decay rate vanishes.  A stack is solved
-    in one elimination; its error is the one the lowest-index failing
-    generator raises alone, with that position as `index`.
+    steady state"), e.g. when every decay rate vanishes.  A stack runs each
+    step on all its generators at once; if any step fails, the generators
+    are solved again one at a time, in order, and the first one that fails
+    alone raises its own error, with its position as `index`.
     """
     liouv = np.asarray(liouv, dtype=np.complex128)
     if liouv.ndim not in (2, 3) or liouv.shape[-2:] != (16, 16):
         raise ValueError(f"expected a 16x16 generator or a stack of them, got shape {liouv.shape}")
-    stacked = liouv.ndim == 3
     stack = liouv.reshape(-1, 16, 16)
-    # Each stage checks only the generators before the lowest failure so far.
-    count = len(stack)
-    failure = None
     modified = stack.copy()
     modified[:, 0, :] = 0.0
     modified[:, 0, list(_DIAGONAL_POSITIONS)] = 1.0
-    rhs = np.zeros((count, 16), dtype=np.complex128)
+    rhs = np.zeros((len(stack), 16), dtype=np.complex128)
     rhs[:, 0] = 1.0
     try:
         solution = solve_linear(modified, rhs)
-    except SimulationError as exc:
-        # Every system is eliminated on its own, so the ones before the
-        # failing one solve alone to the same bits.
-        count, failure = exc.index, exc
-        solution = solve_linear(modified[:count], rhs[:count]) if count else rhs[:0]
-
-    stack = stack[:count]
-    residual = np.max(np.abs(stack @ solution[:, :, np.newaxis]), axis=(1, 2))
-    bound = _STEADY_RESIDUAL_REL_TOL * (1.0 + matrix_inf_norm(stack))
-    over = np.flatnonzero(residual >= bound)
-    if over.size:
-        count = int(over[0])
-        failure = SimulationError(
-            f"residual {residual[count]:.3e} exceeds {bound[count]:.3e}", index=count
-        )
-    rho = solution[:count].reshape(count, 4, 4)
-    rho = 0.5 * (rho + rho.conj().transpose(0, 2, 1))
-    try:
+        residual = np.max(np.abs(stack @ solution[:, :, np.newaxis]), axis=(1, 2))
+        bound = _STEADY_RESIDUAL_REL_TOL * (1.0 + matrix_inf_norm(stack))
+        over = residual >= bound
+        if over.any():
+            k = over.argmax()
+            raise SimulationError(f"residual {residual[k]:.3e} exceeds {bound[k]:.3e}")
+        rho = solution.reshape(-1, 4, 4)
+        rho = 0.5 * (rho + rho.conj().transpose(0, 2, 1))
         check_density_matrix(rho, context="steady state")
-    except InvariantError as exc:
-        failure = exc
-    if failure is not None:
-        raise SteadyStateError(
-            f"non-unique or absent steady state: {failure}",
-            index=failure.index if stacked else None,
-        ) from failure
-    return rho if stacked else rho[0]
+    except SimulationError as exc:
+        if liouv.ndim == 3:
+            for k, generator in enumerate(liouv):
+                try:
+                    steady_state(generator)
+                except SteadyStateError as alone:
+                    alone.index = k
+                    raise
+        raise SteadyStateError(f"non-unique or absent steady state: {exc}") from exc
+    return rho if liouv.ndim == 3 else rho[0]
 
 
 def _rk4_step_matrix(liouv: np.ndarray, dt: float) -> np.ndarray:

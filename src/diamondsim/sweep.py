@@ -26,7 +26,7 @@ import numpy as np
 
 from .atom import Scenario, closure_complete
 from .errors import SimulationError
-from .lindblad import SteadyStateError, build_liouvillian, steady_state
+from .lindblad import build_liouvillian, steady_state
 
 __all__ = [
     "CSV_COLUMNS",
@@ -187,35 +187,36 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
 
     Each grid point sets delta_c2, closure-completes with the configured
     target, and builds its generator; the steady states are then solved a
-    block of points at a time.  Any per-point failure aborts the sweep,
-    naming the lowest failing detuning.  Note that closure_target "c2" pins
-    the probe detuning right back, making the scan flat; targets naming an
-    inactive field give the intended probe spectroscopy.  Output is
-    deterministic: identical specs produce bit-identical results, equal to
-    solving each point on its own.
+    block of points at a time.  Any per-point failure aborts the sweep: the
+    failing block is run again point by point, and the error names the
+    first detuning that fails on its own.  Note that closure_target "c2"
+    pins the probe detuning right back, making the scan flat; targets
+    naming an inactive field give the intended probe spectroscopy.  Output
+    is deterministic: identical specs produce bit-identical results, equal
+    to solving each point on its own.
     """
+
+    def generator(delta) -> np.ndarray:
+        return build_liouvillian(closure_complete(replace(spec.base, delta_c2=float(delta))))
+
     grid = np.linspace(spec.delta_min, spec.delta_max, spec.points)
     states = np.empty((spec.points, 4, 4), dtype=np.complex128)
     liouv = np.empty((min(_BLOCK, spec.points), 16, 16), dtype=np.complex128)
     for start in range(0, spec.points, _BLOCK):
         block = grid[start : start + _BLOCK]
-        built, failure = 0, None
-        for delta in block:
-            try:
-                scenario = closure_complete(replace(spec.base, delta_c2=float(delta)))
-                liouv[built] = build_liouvillian(scenario)
-            except SimulationError as exc:
-                failure = exc
-                break
-            built += 1
-        if built:
-            try:
-                states[start : start + built] = steady_state(liouv[:built])
-            except SteadyStateError as exc:
-                built, failure = exc.index, exc
-        if failure is not None:
-            delta = float(block[built])
-            raise SweepError(f"sweep aborted at probe detuning {delta!r}: {failure}") from failure
+        try:
+            for k, delta in enumerate(block):
+                liouv[k] = generator(delta)
+            states[start : start + len(block)] = steady_state(liouv[: len(block)])
+        except SimulationError:
+            for delta in block:
+                try:
+                    steady_state(generator(delta))
+                except SimulationError as exc:
+                    raise SweepError(
+                        f"sweep aborted at probe detuning {float(delta)!r}: {exc}"
+                    ) from exc
+            raise
     return SweepResult(delta=grid, states=states)
 
 

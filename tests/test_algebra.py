@@ -86,6 +86,16 @@ def test_eigen_rejects_non_hermitian():
         herm_eigen(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
+def test_eigen_rejects_nan_and_empty_input():
+    pair = np.eye(4, dtype=complex)
+    pair[0, 1] = pair[1, 0] = np.nan
+    for bad in (pair, np.full((4, 4), np.nan)):
+        with pytest.raises(ValueError, match="requires a finite Hermitian matrix"):
+            herm_eigen(bad)
+    with pytest.raises(ValueError, match=r"non-empty square matrix, got shape \(0, 0\)"):
+        herm_eigen(np.zeros((0, 0)))
+
+
 def test_eigen_result_type():
     eig = herm_eigen(np.eye(2))
     assert isinstance(eig, EigenDecomposition)

@@ -92,6 +92,7 @@ def test_defaults_from_empty_sections():
         ("[fields]\ndelta_a1 = 1e999\n", "finite"),
         ("[sweep]\ndelta_max = 1e999\n", "finite"),
         ("[sweep]\nobservables = pop_q\n", "unknown observable"),
+        ("[fields]\nomega_a1 = 1e999\n", "line 2: omega_a1 must be finite, got 1e999"),
     ],
 )
 def test_parse_errors(doc, fragment):
@@ -402,6 +403,13 @@ def test_main_dressed(capsys, tmp_path):
     cfg = tmp_path / "detuned.cfg"
     cfg.write_text("[fields]\nomega_a2 = 1.0\ndelta_a1 = 0.5\n")
     assert main(["dressed", "--config", str(cfg)]) == 2
+
+
+def test_main_dressed_at_widely_split_drives(capsys, tmp_path):
+    cfg = tmp_path / "strong.cfg"
+    cfg.write_text("[fields]\nomega_a1 = 1e5\nomega_a2 = 1.3\nomega_c1 = 0.7\n")
+    assert main(["dressed", "--config", str(cfg)]) == 0
+    assert "[3]  100000" in capsys.readouterr().out
 
 
 def test_main_presets_listing(capsys):

@@ -29,6 +29,23 @@ def test_closed_form_matches_numpy_eigvalsh():
         assert np.max(np.abs(closed_form_eigenvalues(s) - reference)) < 1e-10
 
 
+def test_closed_form_check_holds_from_weak_to_strong_drives():
+    # The small pair once came from (S - sqrt(Z)) / 2, which cancels at
+    # large drives, and the cross-check was absolute; both raised on valid
+    # drives such as this one.
+    dressed_spectrum(Scenario(omega_a1=793.90666874, omega_a2=1.35717288, omega_c1=79.22734692))
+    rng = np.random.default_rng(2718)
+    for scale in 10.0 ** np.arange(-3, 8):
+        for _ in range(100):
+            drives = scale * rng.uniform(0.0, 1.0, 3) * (rng.uniform(size=3) > 0.2)
+            s = drive_scenario(*drives)
+            values = dressed_spectrum(s).eigenvalues
+            reference = np.linalg.eigvalsh(build_hamiltonian(s, exclude_probe=True))
+            bound = 1e-14 * (1.0 + np.max(np.abs(reference)))
+            assert np.max(np.abs(closed_form_eigenvalues(s) - reference)) < bound
+            assert np.max(np.abs(values - reference)) < bound
+
+
 def test_closed_form_block_spectrum():
     # omega_a1 = 0 splits the chain into two 2x2 blocks
     s = drive_scenario(0.0, 10.0, 15.0)

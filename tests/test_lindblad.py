@@ -1,13 +1,14 @@
 """Tests for the generator assembly, steady states, and the integrator."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from diamondsim import lindblad
 from diamondsim.atom import Scenario
-from diamondsim.cli import preset
+from diamondsim.cli import PRESET_NAMES, preset
 from diamondsim.lindblad import (
     InvariantError,
     StabilityError,
@@ -89,6 +90,52 @@ def test_stacked_check_names_the_lowest_failing_matrix():
     assert stacked.value.index == 1
     with pytest.raises(ValueError):
         check_density_matrix(np.zeros((2, 3, 3)))
+
+
+def nan_pair_state():
+    rho = ground_state()
+    rho[0, 1] = rho[1, 0] = np.nan
+    return rho
+
+
+def test_check_density_matrix_fails_closed_on_nan():
+    # NaN compares false against every tolerance, so each check is written
+    # to fail unless the defect is below it.
+    for rho in (nan_pair_state(), np.full((4, 4), np.nan, dtype=complex)):
+        with pytest.raises(InvariantError, match=r"^density matrix: Hermiticity defect nan"):
+            check_density_matrix(rho)
+    stack = np.array([ground_state(), ground_state(), nan_pair_state(), ground_state()])
+    with pytest.raises(InvariantError, match="Hermiticity defect nan") as info:
+        check_density_matrix(stack)
+    assert info.value.index == 2
+
+
+def test_random_check_stacks_raise_what_their_first_failing_matrix_raises_alone():
+    rng = np.random.default_rng(808)
+    not_hermitian = ground_state()
+    not_hermitian[0, 1] = 1e-6
+    negative = np.diag([1.5, -0.5, 0.0, 0.0]).astype(complex)
+    failing = [not_hermitian, 2.0 * ground_state(), negative, nan_pair_state()]
+    raised = 0
+    for _ in range(50):
+        size = int(rng.integers(2, 10))
+        stack = np.array([random_density_matrix(rng) for _ in range(size)])
+        # A negative kind puts a failing matrix in the slot: a quarter of them.
+        kinds = rng.integers(-len(failing), 3 * len(failing), size)
+        for k in np.flatnonzero(kinds < 0):
+            stack[k] = failing[kinds[k]]
+        labels = [f"matrix {k}" for k in range(size)]
+        first = next((k for k in range(size) if kinds[k] < 0), None)
+        if first is None:
+            check_density_matrix(stack, context=labels)
+            continue
+        with pytest.raises(InvariantError) as alone:
+            check_density_matrix(stack[first], context=labels[first])
+        with pytest.raises(InvariantError) as stacked:
+            check_density_matrix(stack, context=labels)
+        assert (str(stacked.value), stacked.value.index) == (str(alone.value), first)
+        raised += 1
+    assert raised >= 25
 
 
 def test_liouvillian_shape_and_trace_preservation():
@@ -208,6 +255,49 @@ def test_stacked_steady_state_raises_what_the_lowest_failing_generator_raises_al
     assert states.shape == (3, 4, 4)
     for rho, liouv in zip(states, good):
         assert rho.tobytes() == steady_state(liouv).tobytes()
+
+
+def test_random_stacks_raise_what_their_first_failing_generator_raises_alone():
+    # Good preset generators mixed with one generator that fails each step
+    # of steady_state: the solve, the residual on L, and positivity.
+    fig5 = preset("fig5")[0]
+    dead = build_liouvillian(
+        Scenario(omega_a1=1.0, gamma1=0.0, gamma2=0.0, gamma3=0.0, gamma4=0.0)
+    )
+    leaky = build_liouvillian(fig5)
+    leaky[0, 0] -= 1e-3
+    # A negative rate on the c -> d channel: the state solves, but a
+    # population goes negative.
+    negative = build_liouvillian(replace(fig5, gamma3=0.0)) + 0.5 * -1.5 * lindblad._DISSIPATORS[2]
+    failing = [dead, leaky, negative]
+    alone = []
+    for liouv, fragment in zip(failing, ("singular", "residual", "minimum eigenvalue -3.351e-02")):
+        with pytest.raises(SteadyStateError, match=fragment) as info:
+            steady_state(liouv)
+        alone.append(str(info.value))
+    good = [build_liouvillian(preset(name)[0]) for name in PRESET_NAMES]
+    rng = np.random.default_rng(2008)
+    positivity_before_solve = 0
+    for _ in range(50):
+        size = int(rng.integers(2, 10))
+        # A negative kind picks a failing generator: a third of the slots.
+        kinds = rng.integers(-len(failing), 2 * len(failing), size)
+        picks = rng.integers(0, len(good), size)
+        stack = np.array([failing[k] if k < 0 else good[p] for k, p in zip(kinds, picks)])
+        bad = [k for k in range(size) if kinds[k] < 0]
+        if not bad:
+            states = steady_state(stack)
+            for rho, liouv in zip(states, stack):
+                assert rho.tobytes() == steady_state(liouv).tobytes()
+            continue
+        with pytest.raises(SteadyStateError) as stacked:
+            steady_state(stack)
+        first = bad[0]
+        assert (str(stacked.value), stacked.value.index) == (alone[kinds[first]], first)
+        positivity_before_solve += failing[kinds[first]] is negative and any(
+            failing[kinds[k]] is dead for k in bad
+        )
+    assert positivity_before_solve >= 1
 
 
 def test_steady_state_shape_validation():
