@@ -35,13 +35,14 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import SimulationError
+from .errors import InputError, SimulationError
 
 __all__ = [
     "CLOSURE_TARGETS",
     "ClosureError",
     "DecayChannel",
     "LEVELS",
+    "MAX_RABI",
     "MIRROR_PERMUTATION",
     "Scenario",
     "build_hamiltonian",
@@ -55,6 +56,13 @@ LEVELS = ("a", "b", "c", "d")
 CLOSURE_TARGETS = ("a1", "a2", "c1", "c2", "none")
 
 _CLOSURE_TOL = 1e-9
+
+#: Largest Rabi frequency Scenario accepts.  The dressed-state closed form
+#: squares products of two drives: at 1e76 dressed.dressed_spectrum succeeds
+#: on all 64 drive patterns with each of omega_a1, omega_a2, omega_c1 in
+#: {0, 1, w/2, w}, while at 1e77 eight of them overflow.  Detunings have no
+#: cap: closure_complete derives one from the other three mid-sweep.
+MAX_RABI = 1e76
 
 #: Permutation exchanging levels a and d; conjugating by it mirrors the loop.
 MIRROR_PERMUTATION = np.array(
@@ -79,10 +87,11 @@ class ClosureError(SimulationError):
 class Scenario:
     """Complete dimensionless parameter set for one run.
 
-    Rabi frequencies and decay rates must be finite and non-negative;
-    detunings finite.  closure_target names the detuning closure_complete is
-    allowed to overwrite ("none" forbids rewriting and instead demands that
-    fully driven loops already satisfy closure).
+    Rabi frequencies and decay rates must be finite and non-negative, Rabi
+    frequencies at most MAX_RABI, detunings finite; a rejected value raises
+    errors.InputError naming its field.  closure_target names the detuning
+    closure_complete is allowed to overwrite ("none" forbids rewriting and
+    instead demands that fully driven loops already satisfy closure).
     """
 
     omega_a1: float = 0.0
@@ -103,16 +112,20 @@ class Scenario:
         for name in _OMEGA_FIELDS + _RATE_FIELDS:
             value = getattr(self, name)
             if not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value!r}")
+                raise InputError(f"{name} must be finite, got {value!r}", (name,))
             if value < 0.0:
-                raise ValueError(f"{name} must be non-negative, got {value!r}")
+                raise InputError(f"{name} must be non-negative, got {value!r}", (name,))
+            if value > MAX_RABI and name in _OMEGA_FIELDS:
+                raise InputError(f"{name} must be at most {MAX_RABI:g}, got {value!r}", (name,))
         for name in _DELTA_FIELDS:
             value = getattr(self, name)
             if not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value!r}")
+                raise InputError(f"{name} must be finite, got {value!r}", (name,))
         if self.closure_target not in CLOSURE_TARGETS:
-            raise ValueError(
-                f"closure_target must be one of {CLOSURE_TARGETS}, got {self.closure_target!r}"
+            raise InputError(
+                f"closure_target must be one of {', '.join(CLOSURE_TARGETS)}, "
+                f"got {self.closure_target!r}",
+                ("closure_target",),
             )
 
 

@@ -8,12 +8,16 @@ Configuration files are flat INI-style text with four sections:
     [sweep]    delta_min delta_max points observables
     [output]   out_path
 
-'#' and ';' start a comment, keys default as in Scenario (decay rates 1,
-all else 0), the sweep grid defaults to [-25, 25] with 1001 points and
-takes at most sweep.MAX_POINTS points.  Unknown keys or sections,
-duplicates, and malformed or out-of-range values are reported with their
-line number.  When closure_target is not given it defaults to the first inactive
-field in the order a1, c1, a2, c2, or "none" when all four fields drive.
+'#' and ';' start a comment.  Keys default as in Scenario (decay rates 1,
+all else 0) and SweepSpec (the grid [-25, 25] with 1001 points).  The
+parser checks the text: sections, keys, duplicates, empty values, number
+and integer syntax, numbers that overflow to infinity, and observable
+names.  Range rules (signs, atom.MAX_RABI, sweep.MAX_POINTS, the closure
+targets, the grid order) belong to Scenario and SweepSpec; the parser
+reports the errors.InputError they raise with the lowest line among the
+keys the rule involves, so every rejected value carries its line number.
+When closure_target is not given it defaults to the first inactive field in
+the order a1, c1, a2, c2, or "none" when all four fields drive.
 
 Exit status: 0 on success, 1 for usage and configuration errors, 2 when a
 computation fails (no steady state, broken closure, unstable step, ...).
@@ -30,13 +34,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .atom import CLOSURE_TARGETS, Scenario, closure_complete
+from .atom import Scenario, closure_complete
 from .dressed import dark_classification, dressed_spectrum
-from .errors import SimulationError
+from .errors import InputError, SimulationError
 from .lindblad import build_liouvillian, evolve, ground_state, steady_state
 from .sweep import (
     CSV_COLUMNS,
-    MAX_POINTS,
     OBSERVABLE_KEYS,
     SweepResult,
     SweepSpec,
@@ -81,10 +84,6 @@ _SECTIONS = {
     "output": _OUTPUT_KEYS,
 }
 
-_NONNEGATIVE_KEYS = frozenset(
-    ("omega_a1", "omega_a2", "omega_c1", "omega_c2") + _DECAY_KEYS
-)
-
 
 class ConfigError(ValueError):
     """A configuration document could not be accepted."""
@@ -108,8 +107,6 @@ def _parse_number(key: str, text: str, lineno: int) -> float:
     value = float(text)
     if not math.isfinite(value):
         raise ConfigError(f"line {lineno}: {key} must be finite, got {text}")
-    if key in _NONNEGATIVE_KEYS and value < 0.0:
-        raise ConfigError(f"line {lineno}: {key} must be non-negative, got {text}")
     return value
 
 
@@ -118,7 +115,7 @@ def parse_config(text: str) -> tuple[Scenario, SweepSpec, OutputOptions]:
 
     Returns the Scenario, the sweep grid, and the output options.  Raises
     ConfigError with a line number for unknown sections or keys, duplicate
-    keys, malformed or out-of-range values.
+    keys, malformed values, and values that Scenario or SweepSpec reject.
     """
     entries: dict[str, tuple[str, int]] = {}
     section = None
@@ -161,49 +158,12 @@ def parse_config(text: str) -> tuple[Scenario, SweepSpec, OutputOptions]:
     for key in _FIELD_KEYS[:-1] + _DECAY_KEYS + ("delta_min", "delta_max"):
         if key in entries:
             numbers[key] = _parse_number(key, *entries[key])
-
-    if "closure_target" in entries:
-        value, lineno = entries["closure_target"]
-        if value not in CLOSURE_TARGETS:
-            raise ConfigError(
-                f"line {lineno}: closure_target must be one of {', '.join(CLOSURE_TARGETS)}, "
-                f"got {value!r}"
-            )
-        target = value
-    else:
-        target = _auto_closure_target(numbers)
-
-    try:
-        scenario = Scenario(
-            **{k: v for k, v in numbers.items() if k not in ("delta_min", "delta_max")},
-            closure_target=target,
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-
-    points = 1001
+    grid = {key: numbers.pop(key) for key in ("delta_min", "delta_max") if key in numbers}
     if "points" in entries:
         value, lineno = entries["points"]
         if not _INT_RE.fullmatch(value):
             raise ConfigError(f"line {lineno}: points must be an integer, got {value!r}")
-        points = int(value)
-        if points < 2:
-            raise ConfigError(f"line {lineno}: points must be at least 2, got {points}")
-        if points > MAX_POINTS:
-            raise ConfigError(f"line {lineno}: points must be at most {MAX_POINTS}, got {points}")
-    delta_min = numbers.get("delta_min", -25.0)
-    delta_max = numbers.get("delta_max", 25.0)
-    if not delta_min < delta_max:
-        lineno = entries.get("delta_min", entries.get("delta_max", ("", 0)))[1]
-        raise ConfigError(
-            f"line {lineno}: sweep range [{delta_min}, {delta_max}] is empty"
-        )
-    try:
-        spec = SweepSpec(
-            base=scenario, delta_min=delta_min, delta_max=delta_max, points=points
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+        grid["points"] = int(value)
 
     observables: tuple[str, ...] = OBSERVABLE_KEYS
     if "observables" in entries:
@@ -217,6 +177,17 @@ def parse_config(text: str) -> tuple[Scenario, SweepSpec, OutputOptions]:
                 )
         observables = chosen
     out_path = entries["out_path"][0] if "out_path" in entries else None
+
+    if "closure_target" in entries:
+        target = entries["closure_target"][0]
+    else:
+        target = _auto_closure_target(numbers)
+    try:
+        scenario = Scenario(**numbers, closure_target=target)
+        spec = SweepSpec(base=scenario, **grid)
+    except InputError as exc:
+        lineno = min(entries[key][1] for key in exc.fields if key in entries)
+        raise ConfigError(f"line {lineno}: {exc}") from exc
     return scenario, spec, OutputOptions(observables=observables, out_path=out_path)
 
 
@@ -409,7 +380,7 @@ def _run_sweep_command(args, scenario, spec, output) -> int:
     if overrides:
         try:
             spec = replace(spec, **overrides)
-        except ValueError as exc:
+        except InputError as exc:
             raise _UsageError(str(exc)) from exc
     result = run_sweep(spec)
     write_csv(result, args.out if args.out is not None else output.out_path)

@@ -56,19 +56,12 @@ _CLOSED_FORM_REL_TOL = 1e-10
 
 
 class DriveInvariants(NamedTuple):
-    """Quadratic drive combinations that control the dressed spectrum.
+    """Quadratic drive combinations that fix the dressed eigenvalues.
 
-    total and discriminant fix the eigenvalues; the two asymmetries are
-    exposed for diagnostics only.
-
-        asym_plus    = omega_a2^2 - omega_c1^2 + omega_a1^2
-        asym_minus   = omega_a2^2 - omega_c1^2 - omega_a1^2
         total        = omega_a2^2 + omega_c1^2 + omega_a1^2
         discriminant = total^2 - 4 omega_a2^2 omega_c1^2
     """
 
-    asym_plus: float
-    asym_minus: float
     total: float
     discriminant: float
 
@@ -110,8 +103,6 @@ def drive_invariants(s: Scenario) -> DriveInvariants:
         oa1_sq + (s.omega_c1 + s.omega_a2) ** 2
     )
     return DriveInvariants(
-        asym_plus=oa2_sq - oc1_sq + oa1_sq,
-        asym_minus=oa2_sq - oc1_sq - oa1_sq,
         total=oa2_sq + oc1_sq + oa1_sq,
         discriminant=discriminant,
     )

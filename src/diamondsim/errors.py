@@ -1,4 +1,21 @@
-"""Shared exception type for failures of the physics computations."""
+"""Shared exception types: rejected inputs and failed physics computations."""
+
+
+class InputError(ValueError):
+    """A constructor rejected an input value.
+
+    Scenario and SweepSpec own every range rule on their fields and raise
+    this type.  The config parser reports it with the lowest line among the
+    fields involved; the command line exits 1 for it.
+
+    Attributes:
+        fields: names of the inputs the violated rule involves, in the
+            spelling of the constructor's parameters.
+    """
+
+    def __init__(self, message: str, fields: tuple[str, ...]):
+        super().__init__(message)
+        self.fields = fields
 
 
 class SimulationError(Exception):

@@ -13,6 +13,7 @@ with jump operators |a><c|, |d><c|, |b><a|, |b><d| at rates gamma1..gamma4.
 from __future__ import annotations
 
 import math
+import numbers
 from collections.abc import Sequence
 
 import numpy as np
@@ -328,7 +329,10 @@ def evolve_trajectory(
     so the last sample falls on the final step.  The samples are checked
     against the density-matrix invariants in one stack after stepping; a
     violation raises InvariantError naming the first failing step.
+    samples must be a positive integer; otherwise ValueError.
     """
+    if not isinstance(samples, numbers.Integral):
+        raise ValueError(f"samples must be an integer, got {samples!r}")
     if samples < 1:
         raise ValueError(f"samples must be positive, got {samples!r}")
     liouv = build_liouvillian(s)

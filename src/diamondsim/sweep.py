@@ -20,12 +20,13 @@ count as windows.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .atom import Scenario, closure_complete
-from .errors import SimulationError
+from .atom import LEVELS, Scenario, closure_complete
+from .errors import InputError, SimulationError
 from .lindblad import build_liouvillian, steady_state
 
 __all__ = [
@@ -42,7 +43,7 @@ __all__ = [
     "run_sweep",
 ]
 
-_LEVEL_INDEX = {"a": 0, "b": 1, "c": 2, "d": 3}
+_LEVEL_INDEX = {level: k for k, level in enumerate(LEVELS)}
 
 #: Coherence keys, named upper-level-first for the transitions they probe.
 _COHERENCE_KEYS = ("cd", "ca", "db", "cb", "ab", "ad", "bd")
@@ -50,27 +51,12 @@ _COHERENCE_KEYS = ("cd", "ca", "db", "cb", "ab", "ad", "bd")
 #: Keys accepted by extract_observable.
 OBSERVABLE_KEYS = ("pop_a", "pop_b", "pop_c", "pop_d") + _COHERENCE_KEYS
 
-#: Column order of the CSV output and of SweepResult.column.
+#: Column order of the CSV output and of SweepResult.column: the detuning,
+#: the populations, then the real and imaginary part of each coherence.
 CSV_COLUMNS = (
-    "delta",
-    "rho_aa",
-    "rho_bb",
-    "rho_cc",
-    "rho_dd",
-    "re_cd",
-    "im_cd",
-    "re_ca",
-    "im_ca",
-    "re_db",
-    "im_db",
-    "re_cb",
-    "im_cb",
-    "re_ab",
-    "im_ab",
-    "re_ad",
-    "im_ad",
-    "re_bd",
-    "im_bd",
+    ("delta",)
+    + tuple(f"rho_{level}{level}" for level in LEVELS)
+    + tuple(f"{part}_{key}" for key in _COHERENCE_KEYS for part in ("re", "im"))
 )
 
 #: Largest grid SweepSpec accepts.  At the cap, run_sweep's states take 256 MB.
@@ -97,8 +83,9 @@ class SweepSpec:
 
     The swept parameter is always the probe detuning delta_c2; base supplies
     every other parameter and the closure target.  The edges and the span
-    between them must be finite, delta_min < delta_max, and
-    2 <= points <= MAX_POINTS (10^6); otherwise ValueError.
+    between them must be finite, delta_min < delta_max, and points an
+    integer with 2 <= points <= MAX_POINTS (10^6); otherwise
+    errors.InputError naming the fields involved.
     """
 
     base: Scenario
@@ -106,23 +93,27 @@ class SweepSpec:
     delta_max: float = 25.0
     points: int = 1001
 
-    SWEPT_PARAMETER = "delta_c2"
-
     def __post_init__(self):
+        edges = ("delta_min", "delta_max")
         # The span is finite only when both edges are too.
         if not math.isfinite(self.delta_max - self.delta_min):
-            raise ValueError(
+            raise InputError(
                 "delta_min, delta_max and delta_max - delta_min must be finite, "
-                f"got [{self.delta_min}, {self.delta_max}]"
+                f"got [{self.delta_min}, {self.delta_max}]",
+                edges,
             )
         if not self.delta_min < self.delta_max:
-            raise ValueError(
-                f"delta_min must be below delta_max, got [{self.delta_min}, {self.delta_max}]"
+            raise InputError(
+                f"sweep range [{self.delta_min}, {self.delta_max}] is empty: "
+                "delta_min must be below delta_max",
+                edges,
             )
+        if not isinstance(self.points, numbers.Integral):
+            raise InputError(f"points must be an integer, got {self.points!r}", ("points",))
         if self.points < 2:
-            raise ValueError(f"points must be at least 2, got {self.points}")
+            raise InputError(f"points must be at least 2, got {self.points}", ("points",))
         if self.points > MAX_POINTS:
-            raise ValueError(f"points must be at most {MAX_POINTS}, got {self.points}")
+            raise InputError(f"points must be at most {MAX_POINTS}, got {self.points}", ("points",))
 
 
 @dataclass(frozen=True)
@@ -137,19 +128,12 @@ class SweepResult:
     states: np.ndarray
 
     def column(self, key: str) -> np.ndarray:
+        if key not in CSV_COLUMNS:
+            raise ValueError(f"unknown column {key!r}; valid columns: {', '.join(CSV_COLUMNS)}")
         if key == "delta":
             return self.delta
-        if key.startswith("rho_") and len(key) == 6 and key[4] == key[5]:
-            level = key[4]
-            if level in _LEVEL_INDEX:
-                k = _LEVEL_INDEX[level]
-                return self.states[:, k, k].real
-        if (key.startswith("re_") or key.startswith("im_")) and key[3:] in _COHERENCE_KEYS:
-            i = _LEVEL_INDEX[key[3]]
-            j = _LEVEL_INDEX[key[4]]
-            entries = self.states[:, i, j]
-            return entries.real if key.startswith("re_") else entries.imag
-        raise ValueError(f"unknown column {key!r}; valid columns: {', '.join(CSV_COLUMNS)}")
+        entries = self.states[:, _LEVEL_INDEX[key[-2]], _LEVEL_INDEX[key[-1]]]
+        return entries.imag if key.startswith("im_") else entries.real
 
 
 @dataclass(frozen=True)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from diamondsim.atom import (
+    MAX_RABI,
     MIRROR_PERMUTATION,
     ClosureError,
     Scenario,
@@ -15,6 +16,7 @@ from diamondsim.atom import (
     decay_channels,
     mirror_scenario,
 )
+from diamondsim.errors import InputError
 
 
 def test_closure_defect_formula():
@@ -190,3 +192,33 @@ def test_scenario_validation():
         Scenario(omega_c2=float("inf"))
     with pytest.raises(ValueError):
         Scenario(closure_target="b7")
+
+
+@pytest.mark.parametrize(
+    "kwargs,field,fragment",
+    [
+        (dict(omega_a1=-1.0), "omega_a1", "omega_a1 must be non-negative, got -1.0"),
+        (dict(gamma2=-0.5), "gamma2", "gamma2 must be non-negative"),
+        (dict(delta_a1=float("nan")), "delta_a1", "delta_a1 must be finite"),
+        (dict(omega_c2=float("inf")), "omega_c2", "omega_c2 must be finite"),
+        (dict(gamma4=float("-inf")), "gamma4", "gamma4 must be finite"),
+        (dict(omega_a2=10 * MAX_RABI), "omega_a2", "omega_a2 must be at most 1e+76"),
+        (dict(omega_c1=1e300), "omega_c1", "must be at most"),
+        (
+            dict(closure_target="b7"),
+            "closure_target",
+            "closure_target must be one of a1, a2, c1, c2, none, got 'b7'",
+        ),
+    ],
+)
+def test_scenario_rejections_name_their_field(kwargs, field, fragment):
+    with pytest.raises(InputError) as info:
+        Scenario(**kwargs)
+    assert info.value.fields == (field,)
+    assert fragment in str(info.value)
+
+
+def test_rabi_cap_itself_is_accepted_and_detunings_have_none():
+    s = Scenario(omega_a1=MAX_RABI, omega_a2=MAX_RABI, omega_c1=MAX_RABI, omega_c2=MAX_RABI)
+    assert s.omega_c2 == MAX_RABI
+    assert Scenario(delta_a1=1e300, delta_c2=-1e300, gamma1=1e300).delta_a1 == 1e300

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import diamondsim
-from diamondsim.atom import Scenario
+from diamondsim.atom import MAX_RABI, Scenario
 from diamondsim.cli import (
     ConfigError,
     OutputOptions,
@@ -93,6 +93,12 @@ def test_defaults_from_empty_sections():
         ("[sweep]\ndelta_max = 1e999\n", "finite"),
         ("[sweep]\nobservables = pop_q\n", "unknown observable"),
         ("[fields]\nomega_a1 = 1e999\n", "line 2: omega_a1 must be finite, got 1e999"),
+        ("[sweep]\ndelta_min = -1e308\ndelta_max = 1e308\n", "line 2: delta_min, delta_max"),
+        ("[sweep]\ndelta_max = -30\n", "line 2: sweep range"),
+        ("[sweep]\npoints = 5\n\ndelta_max = 1\ndelta_min = 1\n", "line 4: sweep range [1.0, 1.0]"),
+        ("[fields]\nomega_a2 = 1.3\nomega_c1 = 1e77\n", "line 3: omega_c1 must be at most 1e+76"),
+        ("[fields]\nomega_a1 = 1e78\nomega_a2 = 1.3\n", "line 2: omega_a1 must be at most"),
+        ("[decays]\ngamma1 = 1\n[fields]\nclosure_target = b\n", "line 4: closure_target"),
     ],
 )
 def test_parse_errors(doc, fragment):
@@ -461,3 +467,47 @@ def test_main_unwritable_output(tmp_path, capsys):
     missing = tmp_path / "no" / "dir" / "x.csv"
     assert main(sweep_args("--out", str(missing))) == 1
     assert "cannot write output" in capsys.readouterr().err
+
+
+# Every numeric config key at the edges of the float range, through every
+# command that reads a config.  Each call must end in an exit status, never
+# in an exception: out-of-range inputs exit 1, failed computations exit 2.
+_SCAN_KEYS = {
+    "fields": (
+        "omega_a1", "omega_a2", "omega_c1", "omega_c2",
+        "delta_a1", "delta_a2", "delta_c1", "delta_c2",
+    ),
+    "decays": ("gamma1", "gamma2", "gamma3", "gamma4"),
+    "sweep": ("delta_min", "delta_max"),
+}
+_SCAN_VALUES = (0.0, 5e-324, 1e-300, 1e20, MAX_RABI, 10 * MAX_RABI, 1e300, -1e300)
+
+
+def test_boundary_scan_of_every_numeric_key_ends_in_an_exit_status(tmp_path, capsys):
+    cfg = tmp_path / "edge.cfg"
+    out = tmp_path / "edge.csv"
+    commands = (
+        ["steady"],
+        ["sweep", "--points", "3", "--out", str(out)],
+        ["evolve", "--t-final", "0.01"],
+        ["dressed"],
+    )
+    statuses = {}
+    for section, keys in _SCAN_KEYS.items():
+        for key in keys:
+            for value in _SCAN_VALUES:
+                doc = {"fields": {"omega_a2": 1.3, "omega_c1": 0.7, "omega_c2": 1.0}}
+                doc.setdefault(section, {})[key] = value
+                cfg.write_text("".join(
+                    f"[{name}]\n" + "".join(f"{k} = {v!r}\n" for k, v in entries.items())
+                    for name, entries in doc.items()
+                ))
+                for command in commands:
+                    status = main([command[0], "--config", str(cfg), *command[1:]])
+                    err = capsys.readouterr().err
+                    assert status in (0, 1, 2), (key, value, command)
+                    if status == 1 and value == 10 * MAX_RABI and key.startswith("omega"):
+                        assert err.startswith("error: line ") and "at most" in err
+                    statuses[status] = statuses.get(status, 0) + 1
+    # Each outcome occurs, so the scan reaches both rejection paths.
+    assert set(statuses) == {0, 1, 2}

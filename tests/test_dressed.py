@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from diamondsim.atom import Scenario, build_hamiltonian
+from diamondsim.atom import MAX_RABI, Scenario, build_hamiltonian
 from diamondsim.dressed import (
     DarkReport,
     DressedSpectrum,
@@ -155,3 +155,20 @@ def test_census_invariant_under_degenerate_remixing():
         eigenvalues=spectrum.eigenvalues, eigenvectors=vectors, groups=spectrum.groups
     )
     assert dark_classification(remixed) == before
+
+
+def test_dressed_spectrum_holds_up_to_the_rabi_cap():
+    # Every drive pattern with each Rabi frequency in {0, 1, w/2, w}: the
+    # closed-form cross-check must pass at w = MAX_RABI, the cap Scenario
+    # enforces; at 10 * MAX_RABI some patterns overflow.
+    levels = (0.0, 1.0, MAX_RABI / 2, MAX_RABI)
+    for oa1 in levels:
+        for oa2 in levels:
+            for oc1 in levels:
+                s = Scenario(omega_a1=oa1, omega_a2=oa2, omega_c1=oc1)
+                spectrum = dressed_spectrum(s)
+                top = np.max(np.abs(spectrum.eigenvalues))
+                assert math.isfinite(top)
+                assert np.max(np.abs(spectrum.eigenvalues - closed_form_eigenvalues(s))) <= (
+                    1e-10 * (1.0 + top)
+                )

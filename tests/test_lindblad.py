@@ -453,3 +453,13 @@ def test_trajectory_validation():
         evolve_trajectory(s, ground_state(), t_final=1.0, dt=1e-3, samples=0)
     with pytest.raises(ValueError):
         evolve_trajectory(s, ground_state(), t_final=1e-6, dt=1e-3)
+
+
+def test_trajectory_samples_must_be_an_integer():
+    s = Scenario(omega_a1=1.0)
+    with pytest.raises(ValueError, match="samples must be an integer, got 2.5"):
+        evolve_trajectory(s, ground_state(), t_final=0.01, dt=1e-3, samples=2.5)
+    with pytest.raises(ValueError, match="samples must be an integer"):
+        evolve_trajectory(s, ground_state(), t_final=0.01, dt=1e-3, samples=2.0)
+    times, _ = evolve_trajectory(s, ground_state(), t_final=0.01, dt=1e-3, samples=np.int64(2))
+    assert len(times) == 2

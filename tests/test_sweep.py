@@ -2,6 +2,7 @@
 
 import math
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ import pytest
 from diamondsim import lindblad, sweep
 from diamondsim.atom import Scenario, closure_complete
 from diamondsim.cli import preset
+from diamondsim.errors import InputError
 from diamondsim.sweep import (
     CSV_COLUMNS,
     MAX_POINTS,
@@ -145,6 +147,44 @@ def test_probe_target_pins_the_scan_flat():
     result = run_sweep(spec)
     for k in range(1, 5):
         assert np.array_equal(result.states[k], result.states[0])
+
+
+@pytest.mark.parametrize(
+    "kwargs,fields,fragment",
+    [
+        (dict(delta_min=-1e308, delta_max=1e308), ("delta_min", "delta_max"), "must be finite"),
+        (dict(delta_max=math.inf), ("delta_min", "delta_max"), "must be finite"),
+        (
+            dict(delta_min=5.0, delta_max=-5.0),
+            ("delta_min", "delta_max"),
+            "sweep range [5.0, -5.0] is empty: delta_min must be below delta_max",
+        ),
+        (dict(points=1), ("points",), "points must be at least 2, got 1"),
+        (dict(points=MAX_POINTS + 1), ("points",), f"points must be at most {MAX_POINTS}"),
+        (dict(points=10.0), ("points",), "points must be an integer, got 10.0"),
+        (dict(points="5"), ("points",), "points must be an integer, got '5'"),
+    ],
+)
+def test_spec_rejections_name_their_fields(kwargs, fields, fragment):
+    with pytest.raises(InputError) as info:
+        SweepSpec(base=Scenario(), **kwargs)
+    assert info.value.fields == fields
+    assert fragment in str(info.value)
+
+
+def test_spec_points_accept_numpy_integers():
+    spec = SweepSpec(base=preset("fig5")[0], delta_min=-1.0, delta_max=1.0, points=np.int64(3))
+    assert run_sweep(spec).states.shape == (3, 4, 4)
+
+
+def test_csv_columns_match_the_documented_header():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    header = readme.split("### CSV format", 1)[1].split("```", 2)[1].strip()
+    assert ",".join(CSV_COLUMNS) == header
+    assert header == (
+        "delta,rho_aa,rho_bb,rho_cc,rho_dd,re_cd,im_cd,re_ca,im_ca,re_db,im_db,"
+        "re_cb,im_cb,re_ab,im_ab,re_ad,im_ad,re_bd,im_bd"
+    )
 
 
 def test_column_access():
