@@ -8,16 +8,22 @@ Configuration files are flat INI-style text with four sections:
     [sweep]    delta_min delta_max points observables
     [output]   out_path
 
+The keys come from the dataclasses: [fields] and [decays] are Scenario's
+fields (the gamma* rates in [decays]), [sweep] is SweepSpec's grid plus
+OutputOptions.observables, and [output] is OutputOptions.out_path.  A key
+whose dataclass default is a float reads a number, an int an integer.
+
 '#' and ';' start a comment.  Keys default as in Scenario (decay rates 1,
 all else 0) and SweepSpec (the grid [-25, 25] with 1001 points).  The
 parser checks the text: sections, keys, duplicates, empty values, number
-and integer syntax, numbers that overflow to infinity, and observable
-names.  Range rules (signs, atom.MAX_RABI, sweep.MAX_POINTS, the closure
-targets, the grid order) belong to Scenario and SweepSpec; the parser
-reports the errors.InputError they raise with the lowest line among the
-keys the rule involves, so every rejected value carries its line number.
-When closure_target is not given it defaults to the first inactive field in
-the order a1, c1, a2, c2, or "none" when all four fields drive.
+and integer syntax, numbers that overflow to infinity, integers too long
+to read, and observable names.  Range rules (signs, atom.MAX_RABI,
+sweep.MAX_POINTS, the closure targets, the grid order) belong to Scenario
+and SweepSpec; the parser reports the errors.InputError they raise with
+the lowest line among the keys the rule involves, so every rejected value
+carries its line number.  When closure_target is not given it defaults to
+the first inactive field in the order a1, c1, a2, c2, or "none" when all
+four fields drive.
 
 Exit status: 0 on success, 1 for usage and configuration errors, 2 when a
 computation fails (no steady state, broken closure, unstable step, ...).
@@ -29,12 +35,12 @@ import argparse
 import math
 import re
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
 
-from .atom import Scenario, closure_complete
+from .atom import LEVELS, Scenario, closure_complete
 from .dressed import dark_classification, dressed_spectrum
 from .errors import InputError, SimulationError
 from .lindblad import build_liouvillian, evolve, ground_state, steady_state
@@ -63,25 +69,15 @@ _NUMBER_RE = re.compile(r"[+-]?(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
 _INT_RE = re.compile(r"[+-]?\d+$")
 _COMMENT_RE = re.compile(r"[#;]")
 
-_FIELD_KEYS = (
-    "omega_a1",
-    "omega_a2",
-    "omega_c1",
-    "omega_c2",
-    "delta_a1",
-    "delta_a2",
-    "delta_c1",
-    "delta_c2",
-    "closure_target",
-)
-_DECAY_KEYS = ("gamma1", "gamma2", "gamma3", "gamma4")
-_SWEEP_KEYS = ("delta_min", "delta_max", "points", "observables")
-_OUTPUT_KEYS = ("out_path",)
+_GRID_FIELDS = tuple(f for f in fields(SweepSpec) if f.name != "base")
+_GRID_KEYS = tuple(f.name for f in _GRID_FIELDS)
+#: Scenario and grid keys in field order, each with the type its value reads as.
+_KINDS = {f.name: type(f.default) for f in fields(Scenario) + _GRID_FIELDS}
 _SECTIONS = {
-    "fields": _FIELD_KEYS,
-    "decays": _DECAY_KEYS,
-    "sweep": _SWEEP_KEYS,
-    "output": _OUTPUT_KEYS,
+    "fields": tuple(f.name for f in fields(Scenario) if not f.name.startswith("gamma")),
+    "decays": tuple(f.name for f in fields(Scenario) if f.name.startswith("gamma")),
+    "sweep": _GRID_KEYS + ("observables",),
+    "output": ("out_path",),
 }
 
 
@@ -101,13 +97,25 @@ class OutputOptions:
     out_path: str | None = None
 
 
-def _parse_number(key: str, text: str, lineno: int) -> float:
-    if not _NUMBER_RE.fullmatch(text):
-        raise ConfigError(f"line {lineno}: malformed number for {key}: {text!r}")
-    value = float(text)
-    if not math.isfinite(value):
-        raise ConfigError(f"line {lineno}: {key} must be finite, got {text}")
-    return value
+def _parse_value(key: str, text: str, lineno: int):
+    kind = _KINDS[key]
+    if kind is float:
+        if not _NUMBER_RE.fullmatch(text):
+            raise ConfigError(f"line {lineno}: malformed number for {key}: {text!r}")
+        value = float(text)
+        if not math.isfinite(value):
+            raise ConfigError(f"line {lineno}: {key} must be finite, got {text}")
+        return value
+    if kind is int:
+        if not _INT_RE.fullmatch(text):
+            raise ConfigError(f"line {lineno}: {key} must be an integer, got {text!r}")
+        try:
+            return int(text)
+        except ValueError:  # beyond Python's integer string conversion limit
+            raise ConfigError(
+                f"line {lineno}: {key} is too long to read: {len(text)} characters"
+            ) from None
+    return text
 
 
 def parse_config(text: str) -> tuple[Scenario, SweepSpec, OutputOptions]:
@@ -154,16 +162,8 @@ def parse_config(text: str) -> tuple[Scenario, SweepSpec, OutputOptions]:
             raise ConfigError(f"line {lineno}: empty value for {key}")
         entries[key] = (value, lineno)
 
-    numbers: dict[str, float] = {}
-    for key in _FIELD_KEYS[:-1] + _DECAY_KEYS + ("delta_min", "delta_max"):
-        if key in entries:
-            numbers[key] = _parse_number(key, *entries[key])
-    grid = {key: numbers.pop(key) for key in ("delta_min", "delta_max") if key in numbers}
-    if "points" in entries:
-        value, lineno = entries["points"]
-        if not _INT_RE.fullmatch(value):
-            raise ConfigError(f"line {lineno}: points must be an integer, got {value!r}")
-        grid["points"] = int(value)
+    values = {key: _parse_value(key, *entries[key]) for key in _KINDS if key in entries}
+    grid = {key: values.pop(key) for key in _GRID_KEYS if key in values}
 
     observables: tuple[str, ...] = OBSERVABLE_KEYS
     if "observables" in entries:
@@ -178,12 +178,10 @@ def parse_config(text: str) -> tuple[Scenario, SweepSpec, OutputOptions]:
         observables = chosen
     out_path = entries["out_path"][0] if "out_path" in entries else None
 
-    if "closure_target" in entries:
-        target = entries["closure_target"][0]
-    else:
-        target = _auto_closure_target(numbers)
+    if "closure_target" not in values:
+        values["closure_target"] = _auto_closure_target(values)
     try:
-        scenario = Scenario(**numbers, closure_target=target)
+        scenario = Scenario(**values)
         spec = SweepSpec(base=scenario, **grid)
     except InputError as exc:
         lineno = min(entries[key][1] for key in exc.fields if key in entries)
@@ -191,9 +189,9 @@ def parse_config(text: str) -> tuple[Scenario, SweepSpec, OutputOptions]:
     return scenario, spec, OutputOptions(observables=observables, out_path=out_path)
 
 
-def _auto_closure_target(numbers: dict[str, float]) -> str:
+def _auto_closure_target(values: dict[str, float]) -> str:
     for suffix in ("a1", "c1", "a2", "c2"):
-        if numbers.get(f"omega_{suffix}", 0.0) == 0.0:
+        if values.get(f"omega_{suffix}", 0.0) == 0.0:
             return suffix
     return "none"
 
@@ -204,79 +202,72 @@ def render_config(
     output: OutputOptions | None = None,
 ) -> str:
     """Canonical config document; parse_config(render_config(s)) round-trips."""
-    lines = ["[fields]"]
-    for key in _FIELD_KEYS[:-1]:
-        lines.append(f"{key} = {float(getattr(scenario, key))!r}")
-    lines.append(f"closure_target = {scenario.closure_target}")
-    lines.append("")
-    lines.append("[decays]")
-    for key in _DECAY_KEYS:
-        lines.append(f"{key} = {float(getattr(scenario, key))!r}")
+
+    def section(name, source, keys):
+        return [f"[{name}]"] + [
+            f"{key} = {float(getattr(source, key))!r}"
+            if _KINDS[key] is float
+            else f"{key} = {getattr(source, key)}"
+            for key in keys
+        ]
+
+    lines = section("fields", scenario, _SECTIONS["fields"])
+    lines += ["", *section("decays", scenario, _SECTIONS["decays"])]
     if spec is not None:
-        lines.append("")
-        lines.append("[sweep]")
-        lines.append(f"delta_min = {float(spec.delta_min)!r}")
-        lines.append(f"delta_max = {float(spec.delta_max)!r}")
-        lines.append(f"points = {spec.points}")
+        lines += ["", *section("sweep", spec, _GRID_KEYS)]
         if output is not None:
             lines.append(f"observables = {', '.join(output.observables)}")
     if output is not None and output.out_path is not None:
-        lines.append("")
-        lines.append("[output]")
-        lines.append(f"out_path = {output.out_path}")
+        lines += ["", "[output]", f"out_path = {output.out_path}"]
     return "\n".join(lines) + "\n"
 
 
-# Shared by the parameter sets demonstrating symmetric-drive transparency.
-_STRONG_LOOP = dict(omega_a1=0.0, omega_a2=15.0, omega_c1=10.0, omega_c2=1.0)
-
-_PRESET_FIELDS: dict[str, dict] = {
-    "fig4": dict(_STRONG_LOOP, closure_target="a1"),
-    "fig5": dict(_STRONG_LOOP, closure_target="a1"),
-    "fig6a": dict(_STRONG_LOOP, omega_a2=10.0, closure_target="a1"),
-    "fig6b": dict(_STRONG_LOOP, omega_a2=3.0, closure_target="a1"),
-    "fig7": dict(_STRONG_LOOP, closure_target="a1"),
-    "fig8": dict(_STRONG_LOOP, closure_target="a1"),
-    # The three-field presets sweep with the weak a-b field's frame parameter
-    # absorbing the probe detuning (closure target a1): that keeps the a-b
-    # coherence resonant structure visible in the scan, which is the feature
-    # these parameter sets demonstrate.  Completing the removed field's
-    # detuning instead would leave the a-b sector static across the sweep.
-    "fig9-left": dict(
-        omega_a1=0.1, omega_a2=0.0, omega_c1=5.0, omega_c2=0.1, closure_target="a1"
-    ),
-    "fig9-right": dict(
-        omega_a1=0.1, omega_a2=0.0, omega_c1=1.0, omega_c2=0.1, closure_target="a1"
-    ),
-    "fig10-left": dict(
-        omega_a1=0.1, omega_a2=10.0, omega_c1=0.0, omega_c2=0.1, closure_target="a1"
-    ),
-    "fig10-right": dict(
-        omega_a1=0.1, omega_a2=1.0, omega_c1=0.0, omega_c2=0.1, closure_target="a1"
-    ),
+# Drives (omega_a1, omega_a2, omega_c1, omega_c2), Scenario's first four
+# fields.  fig4-fig8 share the strong loop and demonstrate symmetric-drive
+# transparency.
+_PRESET_DRIVES = {
+    "fig4": (0.0, 15.0, 10.0, 1.0),
+    "fig5": (0.0, 15.0, 10.0, 1.0),
+    "fig6a": (0.0, 10.0, 10.0, 1.0),
+    "fig6b": (0.0, 3.0, 10.0, 1.0),
+    "fig7": (0.0, 15.0, 10.0, 1.0),
+    "fig8": (0.0, 15.0, 10.0, 1.0),
+    "fig9-left": (0.1, 0.0, 5.0, 0.1),
+    "fig9-right": (0.1, 0.0, 1.0, 0.1),
+    "fig10-left": (0.1, 10.0, 0.0, 0.1),
+    "fig10-right": (0.1, 1.0, 0.0, 0.1),
 }
 
-PRESET_NAMES = tuple(_PRESET_FIELDS)
+PRESET_NAMES = tuple(_PRESET_DRIVES)
 
 
 def preset(name: str) -> tuple[Scenario, SweepSpec]:
     """Bundled demonstration parameter set and its default sweep grid."""
-    if name not in _PRESET_FIELDS:
+    if name not in _PRESET_DRIVES:
         raise ValueError(
             f"unknown preset {name!r}; valid names: {', '.join(PRESET_NAMES)}"
         )
-    scenario = Scenario(**_PRESET_FIELDS[name])
+    # Every preset sweeps with closure target a1, the inactive field of
+    # fig4-fig8.  The three-field presets sweep with the weak a-b field's
+    # frame parameter absorbing the probe detuning (closure target a1): that
+    # keeps the a-b coherence resonant structure visible in the scan, which
+    # is the feature these parameter sets demonstrate.  Completing the
+    # removed field's detuning instead would leave the a-b sector static
+    # across the sweep.
+    scenario = Scenario(*_PRESET_DRIVES[name], closure_target="a1")
     return scenario, SweepSpec(base=scenario)
 
 
-def _format_csv(result: SweepResult) -> bytes:
-    table = np.column_stack([result.column(key) for key in CSV_COLUMNS])
-    row_format = ",".join(["%.16e"] * len(CSV_COLUMNS))
-    lines = [",".join(CSV_COLUMNS)]
-    # Rows go to Python floats one at a time: a whole-table tolist() is no
-    # faster and holds every float object at once.
-    lines.extend(row_format % tuple(row.tolist()) for row in table)
-    return ("\n".join(lines) + "\n").encode("ascii")
+def _write_lines(lines, destination) -> None:
+    """Write lines ended by '\\n' as ASCII to a path, a binary stream or (None) stdout."""
+    data = ("\n".join(lines) + "\n").encode("ascii")
+    if destination is None:
+        sys.stdout.buffer.write(data)
+        sys.stdout.buffer.flush()
+    elif hasattr(destination, "write"):
+        destination.write(data)
+    else:
+        Path(destination).write_bytes(data)
 
 
 def write_csv(result: SweepResult, destination) -> None:
@@ -286,14 +277,12 @@ def write_csv(result: SweepResult, destination) -> None:
     byte stream is a pure function of the result: no timestamps, fixed '\\n'
     line endings.
     """
-    data = _format_csv(result)
-    if destination is None:
-        sys.stdout.buffer.write(data)
-        sys.stdout.buffer.flush()
-    elif hasattr(destination, "write"):
-        destination.write(data)
-    else:
-        Path(destination).write_bytes(data)
+    table = np.column_stack([result.column(key) for key in CSV_COLUMNS])
+    row_format = ",".join(["%.16e"] * len(CSV_COLUMNS))
+    # Rows go to Python floats one at a time: a whole-table tolist() is no
+    # faster and holds every float object at once.
+    rows = (row_format % tuple(row.tolist()) for row in table)
+    _write_lines([",".join(CSV_COLUMNS), *rows], destination)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -349,34 +338,26 @@ def _load_inputs(args) -> tuple[Scenario, SweepSpec, OutputOptions]:
     return parse_config(text)
 
 
-def _entry_rows(rho: np.ndarray):
-    for i, left in enumerate("abcd"):
-        for j, right in enumerate("abcd"):
-            yield f"{left}{right}", rho[i, j]
-
-
-def _print_state(rho: np.ndarray, observables: tuple[str, ...]) -> None:
+def _report_state(rho: np.ndarray, observables: tuple[str, ...], out: str | None) -> int:
+    """Print the chosen observables of rho; given out, also write its entries as CSV."""
     for key in observables:
         value = extract_observable(rho, key)
         if isinstance(value, float):
             print(f"{key:6s} = {value: .12g}")
         else:
             print(f"{key:6s} = {value.real: .12g} {value.imag:+.12g}i")
-
-
-def _write_state_csv(rho: np.ndarray, destination: str) -> None:
-    lines = ["entry,re,im"]
-    for label, value in _entry_rows(rho):
-        lines.append(f"{label},{value.real:.16e},{value.imag:.16e}")
-    Path(destination).write_bytes(("\n".join(lines) + "\n").encode("ascii"))
+    if out is not None:
+        entries = [
+            f"{left}{right},{rho[i, j].real:.16e},{rho[i, j].imag:.16e}"
+            for i, left in enumerate(LEVELS)
+            for j, right in enumerate(LEVELS)
+        ]
+        _write_lines(["entry,re,im", *entries], out)
+    return 0
 
 
 def _run_sweep_command(args, scenario, spec, output) -> int:
-    overrides = {
-        key: getattr(args, key)
-        for key in ("delta_min", "delta_max", "points")
-        if getattr(args, key) is not None
-    }
+    overrides = {key: getattr(args, key) for key in _GRID_KEYS if getattr(args, key) is not None}
     if overrides:
         try:
             spec = replace(spec, **overrides)
@@ -389,10 +370,7 @@ def _run_sweep_command(args, scenario, spec, output) -> int:
 
 def _run_steady_command(args, scenario, spec, output) -> int:
     rho = steady_state(build_liouvillian(closure_complete(scenario)))
-    _print_state(rho, output.observables)
-    if args.out is not None:
-        _write_state_csv(rho, args.out)
-    return 0
+    return _report_state(rho, output.observables, args.out)
 
 
 def _run_evolve_command(args, scenario, spec, output) -> int:
@@ -401,19 +379,13 @@ def _run_evolve_command(args, scenario, spec, output) -> int:
         rho = evolve(completed, ground_state(), t_final=args.t_final, dt=args.dt)
     except ValueError as exc:
         raise _UsageError(str(exc)) from exc
-    _print_state(rho, output.observables)
-    if args.out is not None:
-        _write_state_csv(rho, args.out)
-    return 0
+    return _report_state(rho, output.observables, args.out)
 
 
 def _run_dressed_command(args, scenario, spec, output) -> int:
     spectrum = dressed_spectrum(scenario)
     report = dark_classification(spectrum)
-    group_of = {}
-    for g, members in enumerate(spectrum.groups):
-        for k in members:
-            group_of[k] = g
+    group_of = {k: g for g, members in enumerate(spectrum.groups) for k in members}
     print("drive eigenvalues (probe excluded, zero detunings):")
     for k, value in enumerate(spectrum.eigenvalues):
         print(f"  [{k}] {value: .10g}   group {group_of[k]}")
@@ -428,17 +400,18 @@ def _run_dressed_command(args, scenario, spec, output) -> int:
                 for i in range(4)
             )
             lines.append(f"{k},{value:.16e},{group_of[k]},{vec_parts}")
-        Path(args.out).write_bytes(("\n".join(lines) + "\n").encode("ascii"))
+        _write_lines(lines, args.out)
     return 0
 
 
 def _run_presets_command() -> int:
     for name in PRESET_NAMES:
         scenario, spec = preset(name)
+        gammas = ",".join(f"{getattr(scenario, key):g}" for key in _SECTIONS["decays"])
         print(
             f"{name:12s} omega_a1={scenario.omega_a1:g} omega_a2={scenario.omega_a2:g} "
             f"omega_c1={scenario.omega_c1:g} omega_c2={scenario.omega_c2:g} "
-            f"gammas=1,1,1,1 closure_target={scenario.closure_target} "
+            f"gammas={gammas} closure_target={scenario.closure_target} "
             f"sweep=[{spec.delta_min:g},{spec.delta_max:g}]x{spec.points}"
         )
     return 0
@@ -446,16 +419,6 @@ def _run_presets_command() -> int:
 
 def main(argv=None) -> int:
     """Entry point; returns the exit status instead of calling sys.exit."""
-    parser = _build_parser()
-    try:
-        args = parser.parse_args(argv)
-        if args.command == "presets":
-            return _run_presets_command()
-        scenario, spec, output = _load_inputs(args)
-    except (_UsageError, ConfigError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-
     handlers = {
         "sweep": _run_sweep_command,
         "steady": _run_steady_command,
@@ -463,8 +426,12 @@ def main(argv=None) -> int:
         "dressed": _run_dressed_command,
     }
     try:
+        args = _build_parser().parse_args(argv)
+        if args.command == "presets":
+            return _run_presets_command()
+        scenario, spec, output = _load_inputs(args)
         return handlers[args.command](args, scenario, spec, output)
-    except _UsageError as exc:
+    except (_UsageError, ConfigError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import diamondsim
-from diamondsim.atom import MAX_RABI, Scenario
+from diamondsim.atom import MAX_RABI, Scenario, closure_complete
 from diamondsim.cli import (
     ConfigError,
     OutputOptions,
@@ -21,6 +21,8 @@ from diamondsim.cli import (
     render_config,
     write_csv,
 )
+from diamondsim.dressed import dressed_spectrum
+from diamondsim.lindblad import build_liouvillian, evolve, ground_state, steady_state
 from diamondsim.sweep import CSV_COLUMNS, MAX_POINTS, SweepResult, SweepSpec, run_sweep
 
 FULL_DOC = """\
@@ -99,6 +101,11 @@ def test_defaults_from_empty_sections():
         ("[fields]\nomega_a2 = 1.3\nomega_c1 = 1e77\n", "line 3: omega_c1 must be at most 1e+76"),
         ("[fields]\nomega_a1 = 1e78\nomega_a2 = 1.3\n", "line 2: omega_a1 must be at most"),
         ("[decays]\ngamma1 = 1\n[fields]\nclosure_target = b\n", "line 4: closure_target"),
+        pytest.param(
+            "[sweep]\npoints = " + "1" * 5000 + "\n",
+            "line 2: points is too long to read: 5000 characters",
+            id="points-of-5000-digits",
+        ),
     ],
 )
 def test_parse_errors(doc, fragment):
@@ -511,3 +518,89 @@ def test_boundary_scan_of_every_numeric_key_ends_in_an_exit_status(tmp_path, cap
                     statuses[status] = statuses.get(status, 0) + 1
     # Each outcome occurs, so the scan reaches both rejection paths.
     assert set(statuses) == {0, 1, 2}
+
+
+def test_main_rejects_an_overlong_points_literal(tmp_path, capsys):
+    cfg = tmp_path / "long.cfg"
+    cfg.write_text("[sweep]\npoints = " + "1" * 5000 + "\n")
+    assert main(["sweep", "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: line 2: points is too long to read: 5000 characters\n"
+
+
+def read_complex_csv(path):
+    """Header and rows of a CSV whose trailing columns are (re, im) pairs."""
+    lines = path.read_text(encoding="ascii").splitlines()
+    return lines[0], [line.split(",") for line in lines[1:]]
+
+
+def pairs_to_complex(items):
+    return [complex(float(re), float(im)) for re, im in zip(items[::2], items[1::2])]
+
+
+@pytest.mark.parametrize("name", ["fig5", "fig9-left", "fig10-right"])
+def test_state_csv_parses_back_to_the_library_state(name, tmp_path, capsys):
+    scenario, _ = preset(name)
+    completed = closure_complete(scenario)
+    expected = {
+        "steady": steady_state(build_liouvillian(completed)),
+        "evolve": evolve(completed, ground_state(), t_final=1.0, dt=1e-3),
+    }
+    for command, rho in expected.items():
+        path = tmp_path / f"{command}.csv"
+        extra = ["--t-final", "1"] if command == "evolve" else []
+        assert main([command, "--preset", name, "--out", str(path), *extra]) == 0
+        header, rows = read_complex_csv(path)
+        assert header == "entry,re,im"
+        assert [row[0] for row in rows] == [f"{i}{j}" for i in "abcd" for j in "abcd"]
+        back = np.array([pairs_to_complex(row[1:]) for row in rows]).reshape(4, 4)
+        assert np.array_equal(back, rho), command
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("name", PRESET_NAMES)
+def test_spectrum_csv_parses_back_to_the_dressed_spectrum(name, tmp_path, capsys):
+    spectrum = dressed_spectrum(preset(name)[0])
+    path = tmp_path / "spectrum.csv"
+    assert main(["dressed", "--preset", name, "--out", str(path)]) == 0
+    capsys.readouterr()
+    header, rows = read_complex_csv(path)
+    assert header == "index,eigenvalue,group,re_a,im_a,re_b,im_b,re_c,im_c,re_d,im_d"
+    assert [int(row[0]) for row in rows] == [0, 1, 2, 3]
+    assert np.array_equal([float(row[1]) for row in rows], spectrum.eigenvalues)
+    vectors = np.array([pairs_to_complex(row[3:]) for row in rows]).T
+    assert np.array_equal(vectors, spectrum.eigenvectors)
+    group_of = [int(row[2]) for row in rows]
+    groups = tuple(
+        tuple(k for k in range(4) if group_of[k] == g) for g in range(max(group_of) + 1)
+    )
+    assert groups == spectrum.groups
+
+
+def test_main_dressed_splits_a_widely_split_pair(tmp_path, capsys):
+    cfg = tmp_path / "split.cfg"
+    cfg.write_text("[fields]\nomega_a1 = 1e5\nomega_a2 = 1.3\nomega_c1 = 0.7\n")
+    assert main(["dressed", "--config", str(cfg)]) == 0
+    out = capsys.readouterr().out
+    assert "group dark dimensions: [0, 0, 0, 0]" in out
+    assert "total dark states: 0" in out
+    assert "degenerate: no" in out
+
+
+def test_presets_listing_matches_each_preset(capsys):
+    assert main(["presets"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == len(PRESET_NAMES)
+    for name, line in zip(PRESET_NAMES, lines):
+        scenario, spec = preset(name)
+        words = line.split()
+        assert words[0] == name
+        fields = dict(word.split("=", 1) for word in words[1:])
+        for key in ("omega_a1", "omega_a2", "omega_c1", "omega_c2"):
+            assert float(fields[key]) == getattr(scenario, key), (name, key)
+        rates = (scenario.gamma1, scenario.gamma2, scenario.gamma3, scenario.gamma4)
+        assert tuple(float(g) for g in fields["gammas"].split(",")) == rates
+        assert fields["closure_target"] == scenario.closure_target
+        grid, points = fields["sweep"].split("x")
+        low, high = (float(edge) for edge in grid.strip("[]").split(","))
+        assert (low, high, int(points)) == (spec.delta_min, spec.delta_max, spec.points)

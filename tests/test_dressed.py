@@ -172,3 +172,29 @@ def test_dressed_spectrum_holds_up_to_the_rabi_cap():
                 assert np.max(np.abs(spectrum.eigenvalues - closed_form_eigenvalues(s))) <= (
                     1e-10 * (1.0 + top)
                 )
+
+
+def test_widely_split_pair_is_not_grouped():
+    # The small pair of this drive is split by 1.8e-10 * (1 + max|eigenvalue|),
+    # far above the split rounding leaves in an exact degeneracy.
+    s = Scenario(omega_a1=1e5, omega_a2=1.3, omega_c1=0.7)
+    values, vectors = np.linalg.eigh(build_hamiltonian(s, exclude_probe=True))
+    assert np.all(np.diff(values) > 0.0)
+    assert np.all(np.abs(vectors[2]) > 1e-6)
+    spectrum = dressed_spectrum(s)
+    assert spectrum.groups == ((0,), (1,), (2,), (3,))
+    assert np.all(np.abs(spectrum.eigenvectors[2]) > 1e-6)
+    assert dark_classification(spectrum) == DarkReport((0, 0, 0, 0), 0, False)
+
+
+def test_exact_degeneracies_group_from_weak_to_strong_drives():
+    # omega_a1 = 0 with omega_c1 = omega_a2 doubles both +- values; a zero
+    # omega_a2 or omega_c1 doubles the zero eigenvalue.
+    rng = np.random.default_rng(20081004)
+    for scale in 10.0 ** np.arange(-3, 9):
+        for _ in range(20):
+            w, v = rng.uniform(0.1, 1.0, 2) * scale
+            balanced = dressed_spectrum(Scenario(omega_a2=w, omega_c1=w))
+            assert balanced.groups == ((0, 1), (2, 3)), (scale, w)
+            for s in (Scenario(omega_a1=w, omega_c1=v), Scenario(omega_a1=w, omega_a2=v)):
+                assert dressed_spectrum(s).groups == ((0,), (1, 2), (3,)), (scale, s)
