@@ -44,6 +44,8 @@ _PIVOT_REL_TOL = 1e-14
 _HERMITICITY_REL_TOL = 1e-12
 _RESIDUAL_REL_TOL = 1e-10
 _ORTHONORMALITY_TOL = 1e-12
+# Components within this relative distance of the largest magnitude tie for the phase pin.
+_PIN_REL_TOL = 1e-8
 
 
 class SingularMatrixError(SimulationError):
@@ -84,10 +86,12 @@ def herm_eigen(a) -> EigenDecomposition:
 
     Rotations run in a fixed (p, q) order until the off-diagonal Frobenius
     mass falls below 1e-14 of the total, capped at 100 sweeps.  Eigenvalues
-    come back ascending; eigenvector column k pairs with eigenvalue k.  The
-    phase of each eigenvector is pinned by making its largest-magnitude
-    component real and positive (ties broken at the lowest index), so
-    identical inputs give bit-identical output.
+    come back ascending; eigenvector column k pairs with eigenvalue k.  Each
+    eigenvector's phase follows one sign convention: its lowest-index
+    component whose magnitude is within a relative 1e-8 of the largest is
+    made real and positive.  Components that tie in magnitude, as in
+    (|x> + |y>)/sqrt(2), differ in the last bit from one rounding to the
+    next, and the tolerance keeps that bit from choosing the sign.
 
     Raises ValueError for empty, non-square, non-Hermitian or non-finite
     input and RuntimeError if the decomposition fails its own residual
@@ -107,10 +111,14 @@ def herm_eigen(a) -> EigenDecomposition:
     pinned = []
     for k in order:
         col = columns[k]
-        lead = max(col, key=abs)
-        mag = abs(lead)
+        mags = list(map(abs, col))
+        floor = (1.0 - _PIN_REL_TOL) * max(mags)
+        lead = 0
+        while mags[lead] < floor:
+            lead += 1
+        mag = mags[lead]
         if mag > 0.0:
-            factor = lead.conjugate() / mag
+            factor = col[lead].conjugate() / mag
             col = [z * factor for z in col]
         pinned.append(col)
     values = np.array([values[k] for k in order])

@@ -43,13 +43,11 @@ __all__ = [
     "DecayChannel",
     "LEVELS",
     "MAX_RABI",
-    "MIRROR_PERMUTATION",
     "Scenario",
     "build_hamiltonian",
     "closure_complete",
     "closure_defect",
     "decay_channels",
-    "mirror_scenario",
 ]
 
 LEVELS = ("a", "b", "c", "d")
@@ -63,16 +61,6 @@ _CLOSURE_TOL = 1e-9
 #: {0, 1, w/2, w}, while at 1e77 eight of them overflow.  Detunings have no
 #: cap: closure_complete derives one from the other three mid-sweep.
 MAX_RABI = 1e76
-
-#: Permutation exchanging levels a and d; conjugating by it mirrors the loop.
-MIRROR_PERMUTATION = np.array(
-    [
-        [0.0, 0.0, 0.0, 1.0],
-        [0.0, 1.0, 0.0, 0.0],
-        [0.0, 0.0, 1.0, 0.0],
-        [1.0, 0.0, 0.0, 0.0],
-    ]
-)
 
 _RATE_FIELDS = ("gamma1", "gamma2", "gamma3", "gamma4")
 _OMEGA_FIELDS = ("omega_a1", "omega_a2", "omega_c1", "omega_c2")
@@ -203,31 +191,3 @@ def decay_channels(s: Scenario) -> tuple[DecayChannel, ...]:
         DecayChannel("d", "b", s.gamma4),
     )
 
-
-_MIRROR_TARGET = {"a1": "a2", "a2": "a1", "c1": "c2", "c2": "c1", "none": "none"}
-
-
-def mirror_scenario(s: Scenario) -> Scenario:
-    """Parameter swap matching the a <-> d level exchange.
-
-    Swaps omega_a1 <-> omega_a2, omega_c1 <-> omega_c2, the like-named
-    detunings, gamma1 <-> gamma2, and gamma3 <-> gamma4 (closure_target is
-    remapped to the swapped slot).  Conjugating by MIRROR_PERMUTATION turns
-    the coupling matrix of a closure-satisfying Scenario into the coupling
-    matrix of its mirror, and the steady state transforms the same way.
-    """
-    return Scenario(
-        omega_a1=s.omega_a2,
-        omega_a2=s.omega_a1,
-        omega_c1=s.omega_c2,
-        omega_c2=s.omega_c1,
-        delta_a1=s.delta_a2,
-        delta_a2=s.delta_a1,
-        delta_c1=s.delta_c2,
-        delta_c2=s.delta_c1,
-        gamma1=s.gamma2,
-        gamma2=s.gamma1,
-        gamma3=s.gamma4,
-        gamma4=s.gamma3,
-        closure_target=_MIRROR_TARGET[s.closure_target],
-    )

@@ -68,6 +68,8 @@ __all__ = [
 _NUMBER_RE = re.compile(r"[+-]?(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
 _INT_RE = re.compile(r"[+-]?\d+$")
 _COMMENT_RE = re.compile(r"[#;]")
+#: Longest value text an error message repeats in full.
+_ECHO_MAX = 32
 
 _GRID_FIELDS = tuple(f for f in fields(SweepSpec) if f.name != "base")
 _GRID_KEYS = tuple(f.name for f in _GRID_FIELDS)
@@ -97,18 +99,25 @@ class OutputOptions:
     out_path: str | None = None
 
 
+def _echo(text: str) -> str:
+    # A long value is cut in messages: its head, and how long it was.
+    if len(text) <= _ECHO_MAX:
+        return text
+    return f"{text[:_ECHO_MAX]}... ({len(text)} characters)"
+
+
 def _parse_value(key: str, text: str, lineno: int):
     kind = _KINDS[key]
     if kind is float:
         if not _NUMBER_RE.fullmatch(text):
-            raise ConfigError(f"line {lineno}: malformed number for {key}: {text!r}")
+            raise ConfigError(f"line {lineno}: malformed number for {key}: {_echo(text)!r}")
         value = float(text)
         if not math.isfinite(value):
-            raise ConfigError(f"line {lineno}: {key} must be finite, got {text}")
+            raise ConfigError(f"line {lineno}: {key} must be finite, got {_echo(text)}")
         return value
     if kind is int:
         if not _INT_RE.fullmatch(text):
-            raise ConfigError(f"line {lineno}: {key} must be an integer, got {text!r}")
+            raise ConfigError(f"line {lineno}: {key} must be an integer, got {_echo(text)!r}")
         try:
             return int(text)
         except ValueError:  # beyond Python's integer string conversion limit

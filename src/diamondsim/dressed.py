@@ -32,7 +32,6 @@ individual vectors.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -43,11 +42,9 @@ from .errors import SimulationError
 __all__ = [
     "DarkReport",
     "DressedSpectrum",
-    "DriveInvariants",
     "closed_form_eigenvalues",
     "dark_classification",
     "dressed_spectrum",
-    "drive_invariants",
 ]
 
 _C_INDEX = 2
@@ -58,17 +55,6 @@ _DEGENERACY_REL_TOL = 1e-12
 _C_RANK_TOL = 1e-10
 #: Numerical and closed-form eigenvalues agree within 1e-10 * (1 + max|eigenvalue|).
 _CLOSED_FORM_REL_TOL = 1e-10
-
-
-class DriveInvariants(NamedTuple):
-    """Quadratic drive combinations that fix the dressed eigenvalues.
-
-        total        = omega_a2^2 + omega_c1^2 + omega_a1^2
-        discriminant = total^2 - 4 omega_a2^2 omega_c1^2
-    """
-
-    total: float
-    discriminant: float
 
 
 @dataclass(frozen=True)
@@ -93,36 +79,23 @@ class DarkReport:
     degenerate: bool
 
 
-def _require_zero_detunings(s: Scenario, where: str) -> None:
-    if s.delta_a1 != 0.0 or s.delta_a2 != 0.0 or s.delta_c1 != 0.0 or s.delta_c2 != 0.0:
-        raise SimulationError(f"{where} is defined at zero detunings only")
-
-
-def drive_invariants(s: Scenario) -> DriveInvariants:
-    """Quadratic invariants of the drive Rabi frequencies."""
-    oa1_sq = s.omega_a1 * s.omega_a1
-    oa2_sq = s.omega_a2 * s.omega_a2
-    oc1_sq = s.omega_c1 * s.omega_c1
-    # Factored form of total^2 - 4 oa2^2 oc1^2: exact cancellation-free non-negativity.
-    discriminant = (oa1_sq + (s.omega_c1 - s.omega_a2) ** 2) * (
-        oa1_sq + (s.omega_c1 + s.omega_a2) ** 2
-    )
-    return DriveInvariants(
-        total=oa2_sq + oc1_sq + oa1_sq,
-        discriminant=discriminant,
-    )
-
-
 def closed_form_eigenvalues(s: Scenario) -> np.ndarray:
     """Drive-only eigenvalues from the closed form, ascending.
 
-    Requires zero detunings.  The spectrum is symmetric about zero because
-    the drive chain couples only {a, d} to {b, c}.
+    Requires zero detunings and raises SimulationError otherwise.  The
+    spectrum is symmetric about zero because the drive chain couples only
+    {a, d} to {b, c}.
     """
-    _require_zero_detunings(s, "closed_form_eigenvalues")
-    inv = drive_invariants(s)
-    root = np.sqrt(inv.discriminant)
-    high = np.sqrt((inv.total + root) / 2.0)
+    if s.delta_a1 != 0.0 or s.delta_a2 != 0.0 or s.delta_c1 != 0.0 or s.delta_c2 != 0.0:
+        raise SimulationError("the dressed spectrum is defined at zero detunings only")
+    oa1_sq = s.omega_a1 * s.omega_a1
+    total = s.omega_a2 * s.omega_a2 + s.omega_c1 * s.omega_c1 + oa1_sq
+    # Z in its factored form: no cancellation, never negative.
+    discriminant = (oa1_sq + (s.omega_c1 - s.omega_a2) ** 2) * (
+        oa1_sq + (s.omega_c1 + s.omega_a2) ** 2
+    )
+    root = np.sqrt(discriminant)
+    high = np.sqrt((total + root) / 2.0)
     low = s.omega_a2 * s.omega_c1 / high if high > 0.0 else 0.0
     return np.array([-high, -low, low, high])
 
@@ -130,14 +103,14 @@ def closed_form_eigenvalues(s: Scenario) -> np.ndarray:
 def dressed_spectrum(s: Scenario) -> DressedSpectrum:
     """Numerically diagonalize the drive-only coupling matrix.
 
-    Requires zero detunings; the probe coupling omega_c2 is excluded.  The
-    numerical eigenvalues are cross-checked against closed_form_eigenvalues
-    to 1e-10 * (1 + max|eigenvalue|) before returning.
+    Requires zero detunings, as closed_form_eigenvalues does; the probe
+    coupling omega_c2 is excluded.  The numerical eigenvalues are
+    cross-checked against closed_form_eigenvalues to
+    1e-10 * (1 + max|eigenvalue|) before returning.
     """
-    _require_zero_detunings(s, "dressed_spectrum")
+    reference = closed_form_eigenvalues(s)
     drive = build_hamiltonian(s, exclude_probe=True)
     eig = herm_eigen(drive)
-    reference = closed_form_eigenvalues(s)
     mismatch = float(np.max(np.abs(eig.eigenvalues - reference)))
     if mismatch > _CLOSED_FORM_REL_TOL * (1.0 + float(np.max(np.abs(eig.eigenvalues)))):
         raise RuntimeError(

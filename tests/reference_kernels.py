@@ -22,6 +22,11 @@ import numpy as np
 from diamondsim.algebra import EigenDecomposition, matrix_inf_norm
 from diamondsim.atom import LEVELS, Scenario, build_hamiltonian, closure_complete, decay_channels
 
+# Both Jacobi versions pin each eigenvector's phase as the package does: the
+# lowest-index component within this relative distance of the largest
+# magnitude is made real and positive.
+_PIN_REL_TOL = 1e-8
+
 
 def build_liouvillian(s: Scenario) -> np.ndarray:
     """The generator with every term built by np.kron (14 calls)."""
@@ -47,8 +52,9 @@ def herm_eigen(a) -> EigenDecomposition:
     vectors = vectors[:, order]
     for k in range(vectors.shape[1]):
         col = vectors[:, k]
-        lead = int(np.argmax(np.abs(col)))
-        mag = abs(col[lead])
+        mags = np.abs(col)
+        lead = int(np.argmax(mags >= (1.0 - _PIN_REL_TOL) * mags.max()))
+        mag = mags[lead]
         if mag > 0.0:
             vectors[:, k] = col * (col[lead].conjugate() / mag)
     return EigenDecomposition(eigenvalues=values, eigenvectors=vectors)
@@ -168,9 +174,8 @@ def scalar_herm_eigen(a) -> EigenDecomposition:
     Rotations run in a fixed (p, q) order until the off-diagonal Frobenius
     mass falls below 1e-14 of the total, capped at 100 sweeps.  Eigenvalues
     come back ascending; eigenvector column k pairs with eigenvalue k.  The
-    phase of each eigenvector is pinned by making its largest-magnitude
-    component real and positive (ties broken at the lowest index), so
-    identical inputs give bit-identical output.
+    phase of each eigenvector is pinned by making its lowest-index component
+    within a relative 1e-8 of the largest magnitude real and positive.
 
     Raises ValueError for non-square or non-Hermitian input and RuntimeError
     if the decomposition fails its own residual checks.
@@ -188,7 +193,8 @@ def scalar_herm_eigen(a) -> EigenDecomposition:
     pinned = []
     for k in order:
         col = columns[k]
-        lead = max(col, key=abs)
+        floor = (1.0 - _PIN_REL_TOL) * max(abs(z) for z in col)
+        lead = next(z for z in col if abs(z) >= floor)
         mag = abs(lead)
         if mag > 0.0:
             factor = lead.conjugate() / mag

@@ -14,13 +14,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from diamondsim.atom import (
-    MIRROR_PERMUTATION,
-    Scenario,
-    build_hamiltonian,
-    closure_complete,
-    mirror_scenario,
-)
+from diamondsim.atom import Scenario, build_hamiltonian, closure_complete
 from diamondsim.cli import PRESET_NAMES, main, preset
 from diamondsim.dressed import dark_classification, dressed_spectrum
 from diamondsim.lindblad import (
@@ -34,6 +28,7 @@ from diamondsim.lindblad import (
 from diamondsim.sweep import detect_gain, detect_windows, run_sweep
 from diamondsim.errors import SimulationError
 from eom import eom_rhs
+from mirror import MIRROR_PERMUTATION, mirror_scenario
 
 SWEPT_PRESETS = (
     "fig5", "fig6a", "fig6b", "fig7", "fig8",

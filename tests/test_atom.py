@@ -7,16 +7,15 @@ import pytest
 
 from diamondsim.atom import (
     MAX_RABI,
-    MIRROR_PERMUTATION,
     ClosureError,
     Scenario,
     build_hamiltonian,
     closure_complete,
     closure_defect,
     decay_channels,
-    mirror_scenario,
 )
 from diamondsim.errors import InputError
+from mirror import MIRROR_PERMUTATION, mirror_scenario
 
 
 def test_closure_defect_formula():

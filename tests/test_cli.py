@@ -106,6 +106,11 @@ def test_defaults_from_empty_sections():
             "line 2: points is too long to read: 5000 characters",
             id="points-of-5000-digits",
         ),
+        pytest.param(
+            "[fields]\nomega_a1 = " + "1" * 5000 + "\n",
+            "line 2: omega_a1 must be finite, got " + "1" * 32 + "... (5000 characters)",
+            id="omega_a1-of-5000-digits",
+        ),
     ],
 )
 def test_parse_errors(doc, fragment):
