@@ -49,10 +49,6 @@ def test_closed_form_block_spectrum():
     # omega_a1 = 0 splits the chain into two 2x2 blocks
     s = drive_scenario(0.0, 10.0, 15.0)
     assert np.allclose(closed_form_eigenvalues(s), [-15.0, -10.0, 10.0, 15.0], atol=1e-12)
-    # With omega_c1 = omega_a2 too, the discriminant is exactly 0: the two
-    # pairs coincide exactly, and its square root gives no NaN.
-    values = closed_form_eigenvalues(drive_scenario(0.0, 7.3, 7.3))
-    assert values.tolist() == [-7.3, -7.3, 7.3, 7.3]
 
 
 def test_closed_form_golden_ratio_at_unit_drives():
@@ -76,6 +72,31 @@ def test_requires_zero_detunings():
         closed_form_eigenvalues(s)
     with pytest.raises(SimulationError, match="zero detunings only"):
         dressed_spectrum(s)
+
+
+def test_drive_invariants_consistent():
+    # The positive pair carries the invariants of the drive chain:
+    # high^2 + low^2 = S, high * low = omega_a2 * omega_c1, and
+    # (high^2 - low^2)^2 = Z = S^2 - 4 omega_a2^2 omega_c1^2 >= 0.
+    rng = np.random.default_rng(27)
+    for _ in range(100):
+        oa1, oc1, oa2 = rng.uniform(0.0, 20.0, 3)
+        values = closed_form_eigenvalues(drive_scenario(oa1, oc1, oa2))
+        assert np.all(np.isfinite(values))
+        low, high = values[2], values[3]
+        total = oa1**2 + oc1**2 + oa2**2
+        assert high**2 + low**2 == pytest.approx(total, rel=1e-12)
+        assert high * low == pytest.approx(oa2 * oc1, rel=1e-12, abs=1e-12)
+        assert (high**2 - low**2) ** 2 == pytest.approx(
+            total**2 - 4.0 * oa2**2 * oc1**2, rel=1e-9, abs=1e-6
+        )
+
+
+def test_discriminant_nonnegative_even_when_balanced():
+    # oa1 = 0 with oc1 = oa2 makes the discriminant exactly 0: the two
+    # pairs coincide exactly, and its square root gives no NaN.
+    values = closed_form_eigenvalues(drive_scenario(0.0, 7.3, 7.3))
+    assert values.tolist() == [-7.3, -7.3, 7.3, 7.3]
 
 
 def test_grouping_of_degenerate_pair():
