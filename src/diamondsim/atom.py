@@ -35,7 +35,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import InputError, SimulationError
+from .errors import InputError, SimulationError, echo
 
 __all__ = [
     "CLOSURE_TARGETS",
@@ -112,7 +112,7 @@ class Scenario:
         if self.closure_target not in CLOSURE_TARGETS:
             raise InputError(
                 f"closure_target must be one of {', '.join(CLOSURE_TARGETS)}, "
-                f"got {self.closure_target!r}",
+                f"got {echo(self.closure_target)!r}",
                 ("closure_target",),
             )
 

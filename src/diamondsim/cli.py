@@ -42,7 +42,7 @@ import numpy as np
 
 from .atom import LEVELS, Scenario, closure_complete
 from .dressed import dark_classification, dressed_spectrum
-from .errors import InputError, SimulationError
+from .errors import InputError, SimulationError, echo
 from .lindblad import build_liouvillian, evolve, ground_state, steady_state
 from .sweep import (
     CSV_COLUMNS,
@@ -68,8 +68,6 @@ __all__ = [
 _NUMBER_RE = re.compile(r"[+-]?(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
 _INT_RE = re.compile(r"[+-]?\d+$")
 _COMMENT_RE = re.compile(r"[#;]")
-#: Longest value text an error message repeats in full.
-_ECHO_MAX = 32
 
 _GRID_FIELDS = tuple(f for f in fields(SweepSpec) if f.name != "base")
 _GRID_KEYS = tuple(f.name for f in _GRID_FIELDS)
@@ -99,25 +97,18 @@ class OutputOptions:
     out_path: str | None = None
 
 
-def _echo(text: str) -> str:
-    # A long value is cut in messages: its head, and how long it was.
-    if len(text) <= _ECHO_MAX:
-        return text
-    return f"{text[:_ECHO_MAX]}... ({len(text)} characters)"
-
-
 def _parse_value(key: str, text: str, lineno: int):
     kind = _KINDS[key]
     if kind is float:
         if not _NUMBER_RE.fullmatch(text):
-            raise ConfigError(f"line {lineno}: malformed number for {key}: {_echo(text)!r}")
+            raise ConfigError(f"line {lineno}: malformed number for {key}: {echo(text)!r}")
         value = float(text)
         if not math.isfinite(value):
-            raise ConfigError(f"line {lineno}: {key} must be finite, got {_echo(text)}")
+            raise ConfigError(f"line {lineno}: {key} must be finite, got {echo(text)}")
         return value
     if kind is int:
         if not _INT_RE.fullmatch(text):
-            raise ConfigError(f"line {lineno}: {key} must be an integer, got {_echo(text)!r}")
+            raise ConfigError(f"line {lineno}: {key} must be an integer, got {echo(text)!r}")
         try:
             return int(text)
         except ValueError:  # beyond Python's integer string conversion limit
@@ -142,25 +133,25 @@ def parse_config(text: str) -> tuple[Scenario, SweepSpec, OutputOptions]:
             continue
         if line.startswith("["):
             if not line.endswith("]"):
-                raise ConfigError(f"line {lineno}: unterminated section header {line!r}")
+                raise ConfigError(f"line {lineno}: unterminated section header {echo(line)!r}")
             name = line[1:-1].strip()
             if name not in _SECTIONS:
                 raise ConfigError(
-                    f"line {lineno}: unknown section [{name}]; "
+                    f"line {lineno}: unknown section [{echo(name)}]; "
                     f"valid sections: {', '.join(_SECTIONS)}"
                 )
             section = name
             continue
         if "=" not in line:
-            raise ConfigError(f"line {lineno}: expected 'key = value', got {line!r}")
+            raise ConfigError(f"line {lineno}: expected 'key = value', got {echo(line)!r}")
         key, _, value = line.partition("=")
         key = key.strip()
         value = value.strip()
         if section is None:
-            raise ConfigError(f"line {lineno}: key {key!r} appears before any section")
+            raise ConfigError(f"line {lineno}: key {echo(key)!r} appears before any section")
         if key not in _SECTIONS[section]:
             raise ConfigError(
-                f"line {lineno}: unknown key {key!r} in [{section}]; "
+                f"line {lineno}: unknown key {echo(key)!r} in [{section}]; "
                 f"valid keys: {', '.join(_SECTIONS[section])}"
             )
         if key in entries:
@@ -181,7 +172,7 @@ def parse_config(text: str) -> tuple[Scenario, SweepSpec, OutputOptions]:
         for item in chosen:
             if item not in OBSERVABLE_KEYS:
                 raise ConfigError(
-                    f"line {lineno}: unknown observable {item!r}; "
+                    f"line {lineno}: unknown observable {echo(item)!r}; "
                     f"valid keys: {', '.join(OBSERVABLE_KEYS)}"
                 )
         observables = chosen

@@ -1,5 +1,20 @@
 """Shared exception types: rejected inputs and failed physics computations."""
 
+#: Longest text an error message repeats in full.
+ECHO_MAX = 32
+
+
+def echo(value):
+    """A value as an error message repeats it.
+
+    A str longer than ECHO_MAX (32) characters becomes its head and its
+    length, so a message stays short whatever the input; anything else
+    comes back unchanged.
+    """
+    if not isinstance(value, str) or len(value) <= ECHO_MAX:
+        return value
+    return f"{value[:ECHO_MAX]}... ({len(value)} characters)"
+
 
 class InputError(ValueError):
     """A constructor rejected an input value.

@@ -327,8 +327,11 @@ def evolve_trajectory(
     times[k] = step * dt; the steps are round(j * n / samples) for
     j = 1..samples and n = round(t_final / dt), without repeats or step 0,
     so the last sample falls on the final step.  The samples are checked
-    against the density-matrix invariants in one stack after stepping; a
-    violation raises InvariantError naming the first failing step.
+    against the density-matrix invariants in one stack after stepping,
+    each distinct sample once: a sample whose bytes repeat an earlier one
+    (as samples do once the state settles at its steady state) would pass
+    or fail the check as that one does.  A violation raises InvariantError
+    naming the first failing step, with that sample's position as `index`.
     samples must be a positive integer; otherwise ValueError.
     """
     if not isinstance(samples, numbers.Integral):
@@ -338,6 +341,16 @@ def evolve_trajectory(
     liouv = build_liouvillian(s)
     _, pairs = _propagate(liouv, rho0, t_final, dt, samples=samples)
     states = np.array([state for _, state in pairs])
-    check_density_matrix(states, context=[f"state at step {step}" for step, _ in pairs])
+    first: dict[bytes, int] = {}
+    for k, state in enumerate(states):
+        first.setdefault(state.tobytes(), k)
+    distinct = list(first.values())
+    try:
+        check_density_matrix(
+            states[distinct], context=[f"state at step {pairs[k][0]}" for k in distinct]
+        )
+    except InvariantError as exc:
+        exc.index = distinct[exc.index]
+        raise
     times = np.array([step * dt for step, _ in pairs])
     return times, states

@@ -27,7 +27,7 @@ import numpy as np
 
 from .atom import LEVELS, Scenario, closure_complete
 from .errors import InputError, SimulationError
-from .lindblad import build_liouvillian, steady_state
+from .lindblad import SteadyStateError, build_liouvillian, steady_state
 
 __all__ = [
     "CSV_COLUMNS",
@@ -171,9 +171,11 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
 
     Each grid point sets delta_c2, closure-completes with the configured
     target, and builds its generator; the steady states are then solved a
-    block of points at a time.  Any per-point failure aborts the sweep: the
-    failing block is run again point by point, and the error names the
-    first detuning that fails on its own.  Note that closure_target "c2"
+    block of points at a time.  Any per-point failure aborts the sweep, and
+    the error names the first detuning that fails on its own: each point is
+    built once, and a failing block's lowest failure comes from
+    steady_state's `index` or, for a point whose build fails, from solving
+    the points built before it.  Note that closure_target "c2"
     pins the probe detuning right back, making the scan flat; targets
     naming an inactive field give the intended probe spectroscopy.  Output
     is deterministic: identical specs produce bit-identical results, equal
@@ -183,24 +185,32 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
     def generator(delta) -> np.ndarray:
         return build_liouvillian(closure_complete(replace(spec.base, delta_c2=float(delta))))
 
+    def aborted(delta, exc: SimulationError) -> SweepError:
+        return SweepError(f"sweep aborted at probe detuning {float(delta)!r}: {exc}")
+
     grid = np.linspace(spec.delta_min, spec.delta_max, spec.points)
     states = np.empty((spec.points, 4, 4), dtype=np.complex128)
     liouv = np.empty((min(_BLOCK, spec.points), 16, 16), dtype=np.complex128)
     for start in range(0, spec.points, _BLOCK):
         block = grid[start : start + _BLOCK]
-        try:
-            for k, delta in enumerate(block):
+        built, failure = len(block), None
+        for k, delta in enumerate(block):
+            try:
                 liouv[k] = generator(delta)
-            states[start : start + len(block)] = steady_state(liouv[: len(block)])
-        except SimulationError:
-            for delta in block:
-                try:
-                    steady_state(generator(delta))
-                except SimulationError as exc:
-                    raise SweepError(
-                        f"sweep aborted at probe detuning {float(delta)!r}: {exc}"
-                    ) from exc
-            raise
+            except SimulationError as exc:
+                built, failure = k, exc
+                break
+        # The points built before a failing one are solved first: a point
+        # that fails alone before it names the sweep's error instead.
+        try:
+            states[start : start + built] = steady_state(liouv[:built])
+        except SteadyStateError as exc:
+            if exc.index is not None:
+                raise aborted(block[exc.index], exc) from exc
+            if failure is None:
+                raise
+        if failure is not None:
+            raise aborted(block[built], failure) from failure
     return SweepResult(delta=grid, states=states)
 
 

@@ -533,6 +533,38 @@ def test_main_rejects_an_overlong_points_literal(tmp_path, capsys):
     assert err == "error: line 2: points is too long to read: 5000 characters\n"
 
 
+_LONG = "q" * 5000
+
+
+@pytest.mark.parametrize(
+    "doc,fragment",
+    [
+        ("[" + _LONG + "\n", "line 1: unterminated section header"),
+        ("[" + _LONG + "]\n", "line 1: unknown section"),
+        (_LONG + " = 1\n", "line 1: key "),
+        ("[fields]\n" + _LONG + "\n", "line 2: expected 'key = value'"),
+        ("[fields]\n" + _LONG + " = 1\n", "line 2: unknown key"),
+        ("[fields]\nomega_a1 = " + _LONG + "\n", "line 2: malformed number"),
+        ("[sweep]\npoints = " + _LONG + "\n", "line 2: points must be an integer"),
+        ("[sweep]\nobservables = cd, " + _LONG + "\n", "line 2: unknown observable"),
+        ("[fields]\nclosure_target = " + _LONG + "\n", "line 2: closure_target must be one of"),
+    ],
+    ids=[
+        "unterminated-section", "unknown-section", "key-before-section", "no-equals",
+        "unknown-key", "malformed-number", "non-integer", "unknown-observable",
+        "closure-target",
+    ],
+)
+def test_main_cuts_long_values_in_config_errors(doc, fragment, tmp_path, capsys):
+    cfg = tmp_path / "long.cfg"
+    cfg.write_text(doc)
+    assert main(["steady", "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {fragment}")
+    assert "q" * 33 not in err and "... (500" in err  # head and length of the value or line
+    assert len(err.encode()) < 300
+
+
 def read_complex_csv(path):
     """Header and rows of a CSV whose trailing columns are (re, im) pairs."""
     lines = path.read_text(encoding="ascii").splitlines()

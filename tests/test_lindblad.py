@@ -1,5 +1,6 @@
 """Tests for the generator assembly, steady states, and the integrator."""
 
+import hashlib
 import math
 from dataclasses import replace
 
@@ -7,6 +8,7 @@ import numpy as np
 import pytest
 
 from diamondsim import lindblad
+from diamondsim.algebra import herm_eigen
 from diamondsim.atom import Scenario
 from diamondsim.cli import PRESET_NAMES, preset
 from diamondsim.lindblad import (
@@ -429,6 +431,43 @@ def test_trajectory_names_the_failing_step(monkeypatch):
     monkeypatch.setattr(lindblad, "build_liouvillian", lambda s: leaky)
     with pytest.raises(InvariantError, match="state at step 300:"):
         evolve_trajectory(Scenario(), ground_state(), t_final=1.0, dt=1e-3, samples=10)
+
+
+def test_trajectory_names_the_first_bad_sample_among_repeats(monkeypatch):
+    # A bad sample that repeats before and after good ones: only first
+    # occurrences are checked, and the error is the one the whole stack gives.
+    good, other = ground_state(), np.diag([0.5, 0.5, 0.0, 0.0]).astype(complex)
+    bad = np.diag([1.2, -0.2, 0.0, 0.0]).astype(complex)
+    samples = [good, good, bad, other, bad, good, bad]
+    pairs = [(10 * (k + 1), state) for k, state in enumerate(samples)]
+    monkeypatch.setattr(lindblad, "_propagate", lambda *args, **kwargs: (samples[-1], pairs))
+    with pytest.raises(InvariantError) as whole:
+        check_density_matrix(np.array(samples), [f"state at step {step}" for step, _ in pairs])
+    with pytest.raises(InvariantError) as info:
+        evolve_trajectory(Scenario(), ground_state(), t_final=1.0, dt=1e-3, samples=7)
+    assert str(info.value) == str(whole.value)
+    assert str(info.value).startswith("state at step 30: minimum eigenvalue -2.000e-01")
+    assert info.value.index == whole.value.index == 2
+
+
+def test_trajectory_eigensolves_each_distinct_sample_once(monkeypatch):
+    # Past the transient, fig5's samples repeat the steady state bit for bit.
+    calls = []
+
+    def counting(matrix):
+        calls.append(matrix)
+        return herm_eigen(matrix)
+
+    monkeypatch.setattr(lindblad, "herm_eigen", counting)
+    times, states = evolve_trajectory(preset("fig5")[0], ground_state(), 200.0, 1e-3, samples=200)
+    distinct = {state.tobytes() for state in states}
+    assert len(calls) == 1 + len(distinct) == 56  # the initial state, then the samples
+    assert hashlib.sha256(times.tobytes()).hexdigest() == (
+        "1e6baebbad8cc37c5b469205da2eeb2ff4a6203030f222763b3ef63d82170496"
+    )
+    assert hashlib.sha256(states.tobytes()).hexdigest() == (
+        "0e37240d5f6b6bdf1e092c1af6e8444bb8d0d617eedccd35d145b8fbb9d54fbf"
+    )
 
 
 @pytest.mark.parametrize("extra", [1, 7, 1000])

@@ -140,6 +140,30 @@ def test_sweep_names_the_lowest_failing_point_past_the_first_block(monkeypatch):
     )
 
 
+def test_failing_block_builds_each_point_once(monkeypatch):
+    # One 64-point block whose last point leaks: the failure path reuses
+    # steady_state's index instead of building the block again.
+    s, _ = preset("fig5")
+    spec = SweepSpec(base=s, points=64)
+    grid = np.linspace(spec.delta_min, spec.delta_max, spec.points).tolist()
+    built = []
+
+    def build(scenario):
+        built.append(scenario.delta_c2)
+        liouv = lindblad.build_liouvillian(scenario)
+        if scenario.delta_c2 == grid[-1]:
+            liouv[0, 0] -= 1e-3
+        return liouv
+
+    monkeypatch.setattr(sweep, "build_liouvillian", build)
+    with pytest.raises(SweepError) as info:
+        run_sweep(spec)
+    assert str(info.value).startswith(
+        f"sweep aborted at probe detuning {grid[-1]!r}: non-unique or absent steady state: residual"
+    )
+    assert built == grid
+
+
 def test_probe_target_pins_the_scan_flat():
     # completing the probe detuning itself overwrites the swept value
     s, _ = preset("fig5")
