@@ -31,7 +31,7 @@ probe detuning.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -42,7 +42,7 @@ __all__ = [
     "ClosureError",
     "DecayChannel",
     "LEVELS",
-    "MAX_RABI",
+    "MAX_RATE",
     "Scenario",
     "build_hamiltonian",
     "closure_complete",
@@ -55,16 +55,12 @@ CLOSURE_TARGETS = ("a1", "a2", "c1", "c2", "none")
 
 _CLOSURE_TOL = 1e-9
 
-#: Largest Rabi frequency Scenario accepts.  The dressed-state closed form
-#: squares products of two drives: at 1e76 dressed.dressed_spectrum succeeds
-#: on all 64 drive patterns with each of omega_a1, omega_a2, omega_c1 in
-#: {0, 1, w/2, w}, while at 1e77 eight of them overflow.  Detunings have no
-#: cap: closure_complete derives one from the other three mid-sweep.
-MAX_RABI = 1e76
-
-_RATE_FIELDS = ("gamma1", "gamma2", "gamma3", "gamma4")
-_OMEGA_FIELDS = ("omega_a1", "omega_a2", "omega_c1", "omega_c2")
-_DELTA_FIELDS = ("delta_a1", "delta_a2", "delta_c1", "delta_c2")
+#: Largest magnitude of any Scenario number and sweep edge.  At 1e76 the
+#: dressed-state closed form succeeds on all 64 drive patterns with each of
+#: omega_a1, omega_a2, omega_c1 in {0, 1, w/2, w}; at 1e77 eight overflow.
+#: Under it the sums in B, L and the closure condition stay finite, and a
+#: detuning closure_complete derives past it (up to 3e76) is rejected.
+MAX_RATE = 1e76
 
 
 class ClosureError(SimulationError):
@@ -75,11 +71,12 @@ class ClosureError(SimulationError):
 class Scenario:
     """Complete dimensionless parameter set for one run.
 
-    Rabi frequencies and decay rates must be finite and non-negative, Rabi
-    frequencies at most MAX_RABI, detunings finite; a rejected value raises
-    errors.InputError naming its field.  closure_target names the detuning
-    closure_complete is allowed to overwrite ("none" forbids rewriting and
-    instead demands that fully driven loops already satisfy closure).
+    Every number must be finite and at most MAX_RATE (1e76) in magnitude,
+    and Rabi frequencies and decay rates non-negative; the first rejected
+    value in field order raises errors.InputError naming its field.
+    closure_target names the detuning closure_complete is allowed to
+    overwrite ("none" forbids rewriting and instead demands that fully
+    driven loops already satisfy closure).
     """
 
     omega_a1: float = 0.0
@@ -97,24 +94,30 @@ class Scenario:
     closure_target: str = "none"
 
     def __post_init__(self):
-        for name in _OMEGA_FIELDS + _RATE_FIELDS:
-            value = getattr(self, name)
+        values = vars(self)
+        for name in _NUMBER_FIELDS:
+            value = values[name]
+            # One chained test passes an accepted value (NaN fails it; only
+            # detunings may be negative); a rejected one is matched below.
+            if -MAX_RATE <= value <= MAX_RATE and (value >= 0.0 or name[0] == "d"):
+                continue
             if not math.isfinite(value):
-                raise InputError(f"{name} must be finite, got {value!r}", (name,))
-            if value < 0.0:
-                raise InputError(f"{name} must be non-negative, got {value!r}", (name,))
-            if value > MAX_RABI and name in _OMEGA_FIELDS:
-                raise InputError(f"{name} must be at most {MAX_RABI:g}, got {value!r}", (name,))
-        for name in _DELTA_FIELDS:
-            value = getattr(self, name)
-            if not math.isfinite(value):
-                raise InputError(f"{name} must be finite, got {value!r}", (name,))
+                rule = "be finite"
+            elif value < 0.0 and name[0] != "d":
+                rule = "be non-negative"
+            else:
+                rule = f"be at most {MAX_RATE:g} in magnitude"
+            raise InputError(f"{name} must {rule}, got {value!r}", (name,))
         if self.closure_target not in CLOSURE_TARGETS:
             raise InputError(
                 f"closure_target must be one of {', '.join(CLOSURE_TARGETS)}, "
                 f"got {echo(self.closure_target)!r}",
                 ("closure_target",),
             )
+
+
+#: Scenario's numbers, in field order.
+_NUMBER_FIELDS = tuple(f.name for f in fields(Scenario) if f.name != "closure_target")
 
 
 @dataclass(frozen=True)
@@ -161,23 +164,20 @@ def closure_complete(s: Scenario) -> Scenario:
     return replace(s, delta_c2=s.delta_a1 + s.delta_c1 - s.delta_a2)
 
 
-def build_hamiltonian(s: Scenario, exclude_probe: bool = False) -> np.ndarray:
+def build_hamiltonian(s: Scenario) -> np.ndarray:
     """Rotating-frame coupling matrix B in basis order (a, b, c, d).
 
     B is real symmetric and generates the coherent part of the dynamics via
     drho/dt = +i[B, rho].  The caller is expected to pass a
     closure-completed Scenario; note that delta_c2 never appears in B, so
-    probe scans only act through closure completion.  With exclude_probe the
-    probe coupling omega_c2 is dropped, which is the drive-only matrix used
-    by the dressed-state analysis.
+    probe scans only act through closure completion.
     """
-    oc2 = 0.0 if exclude_probe else s.omega_c2
     return np.array(
         [
             [s.delta_a1, s.omega_a1, s.omega_c1, 0.0],
             [s.omega_a1, 0.0, 0.0, s.omega_a2],
-            [s.omega_c1, 0.0, s.delta_a1 + s.delta_c1, oc2],
-            [0.0, s.omega_a2, oc2, s.delta_a2],
+            [s.omega_c1, 0.0, s.delta_a1 + s.delta_c1, s.omega_c2],
+            [0.0, s.omega_a2, s.omega_c2, s.delta_a2],
         ]
     )
 

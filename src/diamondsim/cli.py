@@ -17,7 +17,7 @@ whose dataclass default is a float reads a number, an int an integer.
 all else 0) and SweepSpec (the grid [-25, 25] with 1001 points).  The
 parser checks the text: sections, keys, duplicates, empty values, number
 and integer syntax, numbers that overflow to infinity, integers too long
-to read, and observable names.  Range rules (signs, atom.MAX_RABI,
+to read, and observable names.  Range rules (signs, atom.MAX_RATE,
 sweep.MAX_POINTS, the closure targets, the grid order) belong to Scenario
 and SweepSpec; the parser reports the errors.InputError they raise with
 the lowest line among the keys the rule involves, so every rejected value
@@ -25,13 +25,15 @@ carries its line number.  When closure_target is not given it defaults to
 the first inactive field in the order a1, c1, a2, c2, or "none" when all
 four fields drive.
 
-Exit status: 0 on success, 1 for usage and configuration errors, 2 when a
-computation fails (no steady state, broken closure, unstable step, ...).
+Exit status: 0 on success, 1 for usage and configuration errors (any
+ValueError), 2 when a computation fails (no steady state, broken closure,
+unstable step, ...).
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import re
 import sys
@@ -65,8 +67,8 @@ __all__ = [
     "write_csv",
 ]
 
-_NUMBER_RE = re.compile(r"[+-]?(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
-_INT_RE = re.compile(r"[+-]?\d+$")
+_NUMBER_RE = re.compile(r"[+-]?([0-9]+\.?[0-9]*|\.[0-9]+)([eE][+-]?[0-9]+)?$")
+_INT_RE = re.compile(r"[+-]?[0-9]+$")
 _COMMENT_RE = re.compile(r"[#;]")
 
 _GRID_FIELDS = tuple(f for f in fields(SweepSpec) if f.name != "base")
@@ -83,10 +85,6 @@ _SECTIONS = {
 
 class ConfigError(ValueError):
     """A configuration document could not be accepted."""
-
-
-class _UsageError(Exception):
-    """Command line arguments could not be accepted."""
 
 
 @dataclass(frozen=True)
@@ -244,9 +242,7 @@ PRESET_NAMES = tuple(_PRESET_DRIVES)
 def preset(name: str) -> tuple[Scenario, SweepSpec]:
     """Bundled demonstration parameter set and its default sweep grid."""
     if name not in _PRESET_DRIVES:
-        raise ValueError(
-            f"unknown preset {name!r}; valid names: {', '.join(PRESET_NAMES)}"
-        )
+        raise ValueError(f"unknown preset {echo(name)!r}; valid names: {', '.join(PRESET_NAMES)}")
     # Every preset sweeps with closure target a1, the inactive field of
     # fig4-fig8.  The three-field presets sweep with the weak a-b field's
     # frame parameter absorbing the probe detuning (closure target a1): that
@@ -287,9 +283,23 @@ def write_csv(result: SweepResult, destination) -> None:
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
-        raise _UsageError(message)
+        raise ValueError(message)
 
 
+def _flag(kind):
+    """An argparse type reading kind (float or int) whose error cuts a long value."""
+
+    def read(text: str):
+        try:
+            return kind(text)
+        except ValueError:
+            message = f"invalid {kind.__name__} value: {echo(text)!r}"
+        raise argparse.ArgumentTypeError(message)
+
+    return read
+
+
+@functools.cache  # building takes about 1 ms; a parser is reusable across calls
 def _build_parser() -> _Parser:
     parser = _Parser(prog="diamondsim", description=__doc__.splitlines()[0])
     commands = parser.add_subparsers(dest="command", required=True)
@@ -302,9 +312,9 @@ def _build_parser() -> _Parser:
     sub = commands.add_parser("sweep", help="scan the probe detuning, emit CSV")
     add_inputs(sub)
     sub.add_argument("--out", metavar="PATH", help="CSV destination (default stdout)")
-    sub.add_argument("--min", dest="delta_min", type=float, help="grid lower edge")
-    sub.add_argument("--max", dest="delta_max", type=float, help="grid upper edge")
-    sub.add_argument("--points", type=int, help="grid size")
+    sub.add_argument("--min", dest="delta_min", type=_flag(float), help="grid lower edge")
+    sub.add_argument("--max", dest="delta_max", type=_flag(float), help="grid upper edge")
+    sub.add_argument("--points", type=_flag(int), help="grid size")
 
     sub = commands.add_parser("steady", help="solve one steady state")
     add_inputs(sub)
@@ -313,8 +323,8 @@ def _build_parser() -> _Parser:
     sub = commands.add_parser("evolve", help="integrate from the ground state")
     add_inputs(sub)
     sub.add_argument("--out", metavar="PATH", help="CSV of density-matrix entries")
-    sub.add_argument("--t-final", dest="t_final", type=float, default=200.0)
-    sub.add_argument("--dt", type=float, default=1e-3)
+    sub.add_argument("--t-final", dest="t_final", type=_flag(float), default=200.0)
+    sub.add_argument("--dt", type=_flag(float), default=1e-3)
 
     sub = commands.add_parser("dressed", help="drive eigenvalues and dark states")
     add_inputs(sub)
@@ -326,15 +336,13 @@ def _build_parser() -> _Parser:
 
 def _load_inputs(args) -> tuple[Scenario, SweepSpec, OutputOptions]:
     if args.preset is not None:
-        try:
-            scenario, spec = preset(args.preset)
-        except ValueError as exc:
-            raise _UsageError(str(exc)) from exc
-        return scenario, spec, OutputOptions()
+        return *preset(args.preset), OutputOptions()
     try:
         text = Path(args.config).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise _UsageError(f"cannot read config {args.config!r}: {exc}") from exc
+    except (OSError, UnicodeDecodeError) as exc:
+        # An OSError's own text repeats the path; its strerror does not.
+        reason = getattr(exc, "strerror", None) or exc
+        raise ConfigError(f"cannot read config {echo(args.config)!r}: {reason}") from exc
     return parse_config(text)
 
 
@@ -358,12 +366,7 @@ def _report_state(rho: np.ndarray, observables: tuple[str, ...], out: str | None
 
 def _run_sweep_command(args, scenario, spec, output) -> int:
     overrides = {key: getattr(args, key) for key in _GRID_KEYS if getattr(args, key) is not None}
-    if overrides:
-        try:
-            spec = replace(spec, **overrides)
-        except InputError as exc:
-            raise _UsageError(str(exc)) from exc
-    result = run_sweep(spec)
+    result = run_sweep(replace(spec, **overrides))
     write_csv(result, args.out if args.out is not None else output.out_path)
     return 0
 
@@ -374,11 +377,7 @@ def _run_steady_command(args, scenario, spec, output) -> int:
 
 
 def _run_evolve_command(args, scenario, spec, output) -> int:
-    completed = closure_complete(scenario)
-    try:
-        rho = evolve(completed, ground_state(), t_final=args.t_final, dt=args.dt)
-    except ValueError as exc:
-        raise _UsageError(str(exc)) from exc
+    rho = evolve(closure_complete(scenario), ground_state(), t_final=args.t_final, dt=args.dt)
     return _report_state(rho, output.observables, args.out)
 
 
@@ -431,7 +430,7 @@ def main(argv=None) -> int:
             return _run_presets_command()
         scenario, spec, output = _load_inputs(args)
         return handlers[args.command](args, scenario, spec, output)
-    except (_UsageError, ConfigError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:

@@ -16,7 +16,7 @@ one is computed: S - sqrt(Z) cancels when the pairs are far apart.
 Z factors as (omega_a1^2 + (omega_c1 - omega_a2)^2) *
 (omega_a1^2 + (omega_c1 + omega_a2)^2), so Z >= 0 always and Z = 0 (a doubly
 degenerate +- pair) occurs exactly when omega_a1 = 0 and omega_c1 = omega_a2.
-Up to atom.MAX_RABI the factored Z is at most about 2.5e305, so it stays
+Up to atom.MAX_RATE the factored Z is at most about 2.5e305, so it stays
 finite.  Eigenvalues within 1e-12 * (1 + max|eigenvalue|) form one
 degenerate group: herm_eigen splits an exact degeneracy by at most about
 2.4e-16 of that scale, and omega_a1 = 1e5, omega_a2 = 1.3, omega_c1 = 0.7
@@ -31,7 +31,7 @@ individual vectors.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -109,7 +109,7 @@ def dressed_spectrum(s: Scenario) -> DressedSpectrum:
     1e-10 * (1 + max|eigenvalue|) before returning.
     """
     reference = closed_form_eigenvalues(s)
-    drive = build_hamiltonian(s, exclude_probe=True)
+    drive = build_hamiltonian(replace(s, omega_c2=0.0))
     eig = herm_eigen(drive)
     mismatch = float(np.max(np.abs(eig.eigenvalues - reference)))
     if mismatch > _CLOSED_FORM_REL_TOL * (1.0 + float(np.max(np.abs(eig.eigenvalues)))):

@@ -1,5 +1,7 @@
 """Shared exception types: rejected inputs and failed physics computations."""
 
+import math
+
 #: Longest text an error message repeats in full.
 ECHO_MAX = 32
 
@@ -8,12 +10,18 @@ def echo(value):
     """A value as an error message repeats it.
 
     A str longer than ECHO_MAX (32) characters becomes its head and its
-    length, so a message stays short whatever the input; anything else
-    comes back unchanged.
+    length, an int of more digits its leading digits and digit count (without
+    str(), which refuses ints past 4300 digits); anything else comes back
+    unchanged.  So a message stays short whatever the input.
     """
-    if not isinstance(value, str) or len(value) <= ECHO_MAX:
-        return value
-    return f"{value[:ECHO_MAX]}... ({len(value)} characters)"
+    if isinstance(value, str) and len(value) > ECHO_MAX:
+        return f"{value[:ECHO_MAX]}... ({len(value)} characters)"
+    if isinstance(value, int) and abs(value) >= 10**ECHO_MAX:
+        # bit_length * log10(2) gives the digit count or one more.
+        digits = int(abs(value).bit_length() * math.log10(2)) + 1
+        digits -= abs(value) < 10 ** (digits - 1)
+        return f"{'-' * (value < 0)}{abs(value) // 10 ** (digits - ECHO_MAX)}... ({digits} digits)"
+    return value
 
 
 class InputError(ValueError):

@@ -19,14 +19,13 @@ count as windows.
 
 from __future__ import annotations
 
-import math
 import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .atom import LEVELS, Scenario, closure_complete
-from .errors import InputError, SimulationError
+from .atom import LEVELS, MAX_RATE, Scenario, closure_complete
+from .errors import InputError, SimulationError, echo
 from .lindblad import SteadyStateError, build_liouvillian, steady_state
 
 __all__ = [
@@ -82,10 +81,10 @@ class SweepSpec:
     """Grid description for a probe scan.
 
     The swept parameter is always the probe detuning delta_c2; base supplies
-    every other parameter and the closure target.  The edges and the span
-    between them must be finite, delta_min < delta_max, and points an
-    integer with 2 <= points <= MAX_POINTS (10^6); otherwise
-    errors.InputError naming the fields involved.
+    every other parameter and the closure target.  Both edges must be
+    finite and at most atom.MAX_RATE (1e76) in magnitude, delta_min <
+    delta_max, and points an integer with 2 <= points <= MAX_POINTS (10^6);
+    otherwise errors.InputError naming the fields involved.
     """
 
     base: Scenario
@@ -95,25 +94,18 @@ class SweepSpec:
 
     def __post_init__(self):
         edges = ("delta_min", "delta_max")
-        # The span is finite only when both edges are too.
-        if not math.isfinite(self.delta_max - self.delta_min):
-            raise InputError(
-                "delta_min, delta_max and delta_max - delta_min must be finite, "
-                f"got [{self.delta_min}, {self.delta_max}]",
-                edges,
-            )
+        grid = f"[{self.delta_min}, {self.delta_max}]"
+        if not (abs(self.delta_min) <= MAX_RATE and abs(self.delta_max) <= MAX_RATE):
+            cap = f"at most {MAX_RATE:g} in magnitude"
+            raise InputError(f"delta_min, delta_max must be finite and {cap}, got {grid}", edges)
         if not self.delta_min < self.delta_max:
-            raise InputError(
-                f"sweep range [{self.delta_min}, {self.delta_max}] is empty: "
-                "delta_min must be below delta_max",
-                edges,
-            )
+            rule = "delta_min must be below delta_max"
+            raise InputError(f"sweep range {grid} is empty: {rule}", edges)
         if not isinstance(self.points, numbers.Integral):
-            raise InputError(f"points must be an integer, got {self.points!r}", ("points",))
-        if self.points < 2:
-            raise InputError(f"points must be at least 2, got {self.points}", ("points",))
-        if self.points > MAX_POINTS:
-            raise InputError(f"points must be at most {MAX_POINTS}, got {self.points}", ("points",))
+            raise InputError(f"points must be an integer, got {echo(self.points)!r}", ("points",))
+        if not 2 <= self.points <= MAX_POINTS:
+            bound = "at least 2" if self.points < 2 else f"at most {MAX_POINTS}"
+            raise InputError(f"points must be {bound}, got {echo(self.points)}", ("points",))
 
 
 @dataclass(frozen=True)

@@ -1,12 +1,12 @@
 """Tests for the parameter model, closure completion, and the mirror swap."""
 
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
 from diamondsim.atom import (
-    MAX_RABI,
+    MAX_RATE,
     ClosureError,
     Scenario,
     build_hamiltonian,
@@ -16,6 +16,8 @@ from diamondsim.atom import (
 )
 from diamondsim.errors import InputError
 from mirror import MIRROR_PERMUTATION, mirror_scenario
+
+SCENARIO_NUMBERS = tuple(f.name for f in fields(Scenario) if f.name != "closure_target")
 
 
 def test_closure_defect_formula():
@@ -109,16 +111,6 @@ def test_probe_detuning_never_enters_hamiltonian():
     assert np.array_equal(build_hamiltonian(s), build_hamiltonian(replace(s, delta_c2=9.0)))
 
 
-def test_exclude_probe_drops_only_the_probe_coupling():
-    s = Scenario(omega_a1=1.0, omega_a2=2.0, omega_c1=3.0, omega_c2=4.0)
-    full = build_hamiltonian(s)
-    drive = build_hamiltonian(s, exclude_probe=True)
-    assert drive[2, 3] == 0.0 and drive[3, 2] == 0.0
-    drive[2, 3] = full[2, 3]
-    drive[3, 2] = full[3, 2]
-    assert np.array_equal(drive, full)
-
-
 def test_decay_channel_order_and_rates():
     s = Scenario(gamma1=1.0, gamma2=2.0, gamma3=3.0, gamma4=4.0)
     channels = decay_channels(s)
@@ -201,7 +193,7 @@ def test_scenario_validation():
         (dict(delta_a1=float("nan")), "delta_a1", "delta_a1 must be finite"),
         (dict(omega_c2=float("inf")), "omega_c2", "omega_c2 must be finite"),
         (dict(gamma4=float("-inf")), "gamma4", "gamma4 must be finite"),
-        (dict(omega_a2=10 * MAX_RABI), "omega_a2", "omega_a2 must be at most 1e+76"),
+        (dict(omega_a2=10 * MAX_RATE), "omega_a2", "omega_a2 must be at most 1e+76"),
         (dict(omega_c1=1e300), "omega_c1", "must be at most"),
         (
             dict(closure_target="b7"),
@@ -217,7 +209,36 @@ def test_scenario_rejections_name_their_field(kwargs, field, fragment):
     assert fragment in str(info.value)
 
 
-def test_rabi_cap_itself_is_accepted_and_detunings_have_none():
-    s = Scenario(omega_a1=MAX_RABI, omega_a2=MAX_RABI, omega_c1=MAX_RABI, omega_c2=MAX_RABI)
-    assert s.omega_c2 == MAX_RABI
-    assert Scenario(delta_a1=1e300, delta_c2=-1e300, gamma1=1e300).delta_a1 == 1e300
+def test_rate_cap_itself_is_accepted_for_every_number():
+    numbers = {name: MAX_RATE for name in SCENARIO_NUMBERS}
+    assert Scenario(**numbers).omega_c2 == MAX_RATE
+    assert Scenario(delta_a1=-MAX_RATE, delta_c2=-MAX_RATE).delta_a1 == -MAX_RATE
+
+
+@pytest.mark.parametrize("name", SCENARIO_NUMBERS)
+@pytest.mark.parametrize(
+    "value", [10 * MAX_RATE, -10 * MAX_RATE, 1e308], ids=["10-caps", "minus-10-caps", "1e308"]
+)
+def test_every_number_past_the_cap_is_rejected(name, value):
+    with pytest.raises(InputError) as info:
+        Scenario(**{name: value})
+    assert info.value.fields == (name,)
+    rule = "non-negative" if value < 0.0 and not name.startswith("delta") else "at most 1e+76"
+    assert f"{name} must be {rule}" in str(info.value)
+
+
+def test_the_first_bad_number_in_field_order_is_reported():
+    with pytest.raises(InputError) as info:
+        Scenario(gamma1=-1.0, delta_c1=1e300, omega_a2=float("nan"))
+    assert info.value.fields == ("omega_a2",)
+    with pytest.raises(InputError) as info:
+        Scenario(gamma1=-1.0, delta_c1=1e300)
+    assert info.value.fields == ("delta_c1",)
+
+
+def test_closure_completion_past_the_cap_is_rejected():
+    s = Scenario(delta_a2=MAX_RATE, delta_c2=MAX_RATE, delta_c1=-MAX_RATE, closure_target="a1")
+    with pytest.raises(InputError) as info:
+        closure_complete(s)
+    assert info.value.fields == ("delta_a1",)
+    assert "delta_a1 must be at most 1e+76 in magnitude, got 3e+76" in str(info.value)

@@ -1,6 +1,7 @@
 """Tests for config parsing, presets, CSV output, and the command line."""
 
 import io
+import itertools
 import os
 import subprocess
 import sys
@@ -10,7 +11,7 @@ import numpy as np
 import pytest
 
 import diamondsim
-from diamondsim.atom import MAX_RABI, Scenario, closure_complete
+from diamondsim.atom import MAX_RATE, Scenario, closure_complete
 from diamondsim.cli import (
     ConfigError,
     OutputOptions,
@@ -481,9 +482,10 @@ def test_main_unwritable_output(tmp_path, capsys):
     assert "cannot write output" in capsys.readouterr().err
 
 
-# Every numeric config key at the edges of the float range, through every
-# command that reads a config.  Each call must end in an exit status, never
-# in an exception: out-of-range inputs exit 1, failed computations exit 2.
+# Every numeric config key at the edges of the float range, and every pair
+# of them at plus or minus the cap, through every command that reads a
+# config.  Each call must end in an exit status, never in an exception:
+# out-of-range inputs exit 1, failed computations exit 2.
 _SCAN_KEYS = {
     "fields": (
         "omega_a1", "omega_a2", "omega_c1", "omega_c2",
@@ -492,7 +494,34 @@ _SCAN_KEYS = {
     "decays": ("gamma1", "gamma2", "gamma3", "gamma4"),
     "sweep": ("delta_min", "delta_max"),
 }
-_SCAN_VALUES = (0.0, 5e-324, 1e-300, 1e20, MAX_RABI, 10 * MAX_RABI, 1e300, -1e300)
+_SCAN_VALUES = (0.0, 5e-324, 1e-300, 1e20, MAX_RATE, 10 * MAX_RATE, 1e300, -1e300)
+_SCAN_NUMBERS = tuple(key for keys in _SCAN_KEYS.values() for key in keys)
+_SECTION_OF = {key: section for section, keys in _SCAN_KEYS.items() for key in keys}
+_SECTION_OF["closure_target"] = "fields"
+
+# Multi-key configs that once ended in a traceback or in numpy warnings,
+# and a closure completion past the cap from in-cap detunings.
+_OVERFLOW_CONFIGS = {
+    "closure-to-infinity": dict(delta_a2=1e308, delta_c1=-1e308, closure_target="a1"),
+    "huge-decays": dict(gamma1=1e308, gamma2=1e308),
+    "huge-frame": dict(delta_a1=1e308, delta_c1=1e308, closure_target="none"),
+    "closure-past-the-cap": dict(
+        delta_a2=MAX_RATE, delta_c2=MAX_RATE, delta_c1=-MAX_RATE, closure_target="a1"
+    ),
+}
+
+
+def scan_config(**values):
+    """Config text of the scan's base drives with values set, each in its section."""
+    doc = {"fields": {"omega_a2": 1.3, "omega_c1": 0.7, "omega_c2": 1.0}}
+    for key, value in values.items():
+        doc.setdefault(_SECTION_OF[key], {})[key] = value
+    return "".join(
+        f"[{name}]\n" + "".join(
+            f"{k} = {v if isinstance(v, str) else repr(v)}\n" for k, v in entries.items()
+        )
+        for name, entries in doc.items()
+    )
 
 
 def test_boundary_scan_of_every_numeric_key_ends_in_an_exit_status(tmp_path, capsys):
@@ -504,25 +533,103 @@ def test_boundary_scan_of_every_numeric_key_ends_in_an_exit_status(tmp_path, cap
         ["evolve", "--t-final", "0.01"],
         ["dressed"],
     )
+    cases = [{key: value} for key in _SCAN_NUMBERS for value in _SCAN_VALUES]
+    cases += [
+        {first: first_sign * MAX_RATE, second: second_sign * MAX_RATE}
+        for first, second in itertools.combinations(_SCAN_NUMBERS, 2)
+        for first_sign in (1, -1)
+        for second_sign in (1, -1)
+    ]
+    cases += _OVERFLOW_CONFIGS.values()
     statuses = {}
-    for section, keys in _SCAN_KEYS.items():
-        for key in keys:
-            for value in _SCAN_VALUES:
-                doc = {"fields": {"omega_a2": 1.3, "omega_c1": 0.7, "omega_c2": 1.0}}
-                doc.setdefault(section, {})[key] = value
-                cfg.write_text("".join(
-                    f"[{name}]\n" + "".join(f"{k} = {v!r}\n" for k, v in entries.items())
-                    for name, entries in doc.items()
-                ))
-                for command in commands:
-                    status = main([command[0], "--config", str(cfg), *command[1:]])
-                    err = capsys.readouterr().err
-                    assert status in (0, 1, 2), (key, value, command)
-                    if status == 1 and value == 10 * MAX_RABI and key.startswith("omega"):
-                        assert err.startswith("error: line ") and "at most" in err
-                    statuses[status] = statuses.get(status, 0) + 1
+    for values in cases:
+        cfg.write_text(scan_config(**values))
+        for command in commands:
+            status = main([command[0], "--config", str(cfg), *command[1:]])
+            err = capsys.readouterr().err
+            assert status in (0, 1, 2), (values, command)
+            if status == 1 and 10 * MAX_RATE in values.values():
+                assert err.startswith("error: line ") and "at most" in err
+            statuses[status] = statuses.get(status, 0) + 1
     # Each outcome occurs, so the scan reaches both rejection paths.
     assert set(statuses) == {0, 1, 2}
+
+
+_AT_MOST = "must be at most 1e+76 in magnitude, got"
+
+
+@pytest.mark.parametrize(
+    "name,message",
+    [
+        ("closure-to-infinity", f"line 5: delta_a2 {_AT_MOST} 1e+308"),
+        ("huge-decays", f"line 6: gamma1 {_AT_MOST} 1e+308"),
+        ("huge-frame", f"line 5: delta_a1 {_AT_MOST} 1e+308"),
+        ("closure-past-the-cap", f"delta_a1 {_AT_MOST} 3e+76"),
+    ],
+    ids=list(_OVERFLOW_CONFIGS),
+)
+def test_overflowing_configs_exit_1_with_one_error_line(name, message, tmp_path, capsys):
+    cfg = tmp_path / "overflow.cfg"
+    cfg.write_text(scan_config(**_OVERFLOW_CONFIGS[name]))
+    for command in (["steady"], ["sweep", "--points", "3"], ["evolve", "--t-final", "0.01"]):
+        assert main([command[0], "--config", str(cfg), *command[1:]]) == 1
+        # A sweep completes with delta_c2 on its grid: 1e76 + delta + 1e76.
+        expected = message.replace("3e+76", "2e+76") if command[0] == "sweep" else message
+        assert capsys.readouterr().err == f"error: {expected}\n"
+    # dressed rejects the in-cap detunings as nonzero, a computation failure.
+    assert main(["dressed", "--config", str(cfg)]) == (2 if name == "closure-past-the-cap" else 1)
+    capsys.readouterr()
+
+
+def test_python_dash_m_prints_only_the_error_line(tmp_path):
+    src = Path(diamondsim.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")])
+    ))
+    overflow = tmp_path / "overflow.cfg"
+    overflow.write_text(scan_config(**_OVERFLOW_CONFIGS["huge-decays"]))
+    undecodable = tmp_path / "latin1.cfg"
+    undecodable.write_bytes(b"[fields]\nomega_a2 = 1.3  # 2 \xb5s\n")
+    for cfg, fragment in (
+        (overflow, f"line 6: gamma1 {_AT_MOST} 1e+308"),
+        (undecodable, "'utf-8' codec can't decode byte 0xb5 in position 29"),
+    ):
+        done = subprocess.run(
+            [sys.executable, "-m", "diamondsim", "steady", "--config", str(cfg)],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert done.returncode == 1
+        assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1, done.stderr
+        assert fragment in done.stderr
+    assert done.stderr.startswith("error: cannot read config ")
+
+
+@pytest.mark.parametrize(
+    "key,value", [("omega_a1", "\u0663"), ("points", "\u0663"), ("delta_max", "2\u0665")]
+)
+def test_config_numbers_must_be_ascii(key, value):
+    # U+0663 and U+0665 are Arabic-Indic digits, which float() and int() accept.
+    section = "sweep" if key in ("points", "delta_max") else "fields"
+    with pytest.raises(ConfigError, match=f"line 2: .*{key}"):
+        parse_config(f"[{section}]\n{key} = {value}\n")
+
+
+_LONG_FLAGS = {
+    "preset": ["steady", "--preset", "q" * 5000],
+    "points-of-4000-digits": ["sweep", "--preset", "fig5", "--points", "9" * 4000],
+    "points-of-5000-digits": ["sweep", "--preset", "fig5", "--points", "9" * 5000],
+    "min": ["sweep", "--preset", "fig5", "--min", "q" * 5000],
+    "dt": ["evolve", "--preset", "fig5", "--dt", "q" * 5000],
+    "missing-config": ["steady", "--config", "/no/such/dir/" + "p" * 3000],
+}
+
+
+@pytest.mark.parametrize("argv", _LONG_FLAGS.values(), ids=_LONG_FLAGS)
+def test_main_cuts_long_values_in_flag_errors(argv, capsys):
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "... (" in err and len(err.encode()) < 200, err
 
 
 def test_main_rejects_an_overlong_points_literal(tmp_path, capsys):

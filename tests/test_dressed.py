@@ -1,11 +1,12 @@
 """Tests for the drive-only eigensystem and the dark-state census."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from diamondsim.atom import MAX_RABI, Scenario, build_hamiltonian
+from diamondsim.atom import MAX_RATE, Scenario, build_hamiltonian
 from diamondsim.dressed import (
     DarkReport,
     DressedSpectrum,
@@ -24,7 +25,7 @@ def test_closed_form_matches_numpy_eigvalsh():
     rng = np.random.default_rng(314)
     for _ in range(200):
         s = drive_scenario(*rng.uniform(0.0, 20.0, 3))
-        reference = np.linalg.eigvalsh(build_hamiltonian(s, exclude_probe=True))
+        reference = np.linalg.eigvalsh(build_hamiltonian(replace(s, omega_c2=0.0)))
         assert np.max(np.abs(closed_form_eigenvalues(s) - reference)) < 1e-10
 
 
@@ -39,7 +40,7 @@ def test_closed_form_check_holds_from_weak_to_strong_drives():
             drives = scale * rng.uniform(0.0, 1.0, 3) * (rng.uniform(size=3) > 0.2)
             s = drive_scenario(*drives)
             values = dressed_spectrum(s).eigenvalues
-            reference = np.linalg.eigvalsh(build_hamiltonian(s, exclude_probe=True))
+            reference = np.linalg.eigvalsh(build_hamiltonian(replace(s, omega_c2=0.0)))
             bound = 1e-14 * (1.0 + np.max(np.abs(reference)))
             assert np.max(np.abs(closed_form_eigenvalues(s) - reference)) < bound
             assert np.max(np.abs(values - reference)) < bound
@@ -113,7 +114,7 @@ def test_spectrum_deterministic():
 
 def brute_force_census(s):
     """Independent dark count: numpy eigensystem plus rank of the c row."""
-    drive = build_hamiltonian(s, exclude_probe=True)
+    drive = build_hamiltonian(replace(s, omega_c2=0.0))
     values, vectors = np.linalg.eigh(drive)
     tol = 1e-9 * (1.0 + float(np.max(np.abs(values))))
     groups = [[0]]
@@ -162,11 +163,20 @@ def test_census_invariant_under_degenerate_remixing():
     assert dark_classification(remixed) == before
 
 
+def test_dressed_spectrum_ignores_the_probe_coupling():
+    s = Scenario(omega_a1=1.0, omega_a2=2.0, omega_c1=3.0, omega_c2=4.0)
+    with_probe = dressed_spectrum(s)
+    without = dressed_spectrum(replace(s, omega_c2=0.0))
+    assert with_probe.eigenvalues.tobytes() == without.eigenvalues.tobytes()
+    assert with_probe.eigenvectors.tobytes() == without.eigenvectors.tobytes()
+    assert with_probe.groups == without.groups
+
+
 def test_dressed_spectrum_holds_up_to_the_rabi_cap():
     # Every drive pattern with each Rabi frequency in {0, 1, w/2, w}: the
-    # closed-form cross-check must pass at w = MAX_RABI, the cap Scenario
-    # enforces; at 10 * MAX_RABI some patterns overflow.
-    levels = (0.0, 1.0, MAX_RABI / 2, MAX_RABI)
+    # closed-form cross-check must pass at w = MAX_RATE, the cap Scenario
+    # enforces; at 10 * MAX_RATE some patterns overflow.
+    levels = (0.0, 1.0, MAX_RATE / 2, MAX_RATE)
     for oa1 in levels:
         for oa2 in levels:
             for oc1 in levels:
@@ -183,7 +193,7 @@ def test_widely_split_pair_is_not_grouped():
     # The small pair of this drive is split by 1.8e-10 * (1 + max|eigenvalue|),
     # far above the split rounding leaves in an exact degeneracy.
     s = Scenario(omega_a1=1e5, omega_a2=1.3, omega_c1=0.7)
-    values, vectors = np.linalg.eigh(build_hamiltonian(s, exclude_probe=True))
+    values, vectors = np.linalg.eigh(build_hamiltonian(replace(s, omega_c2=0.0)))
     assert np.all(np.diff(values) > 0.0)
     assert np.all(np.abs(vectors[2]) > 1e-6)
     spectrum = dressed_spectrum(s)

@@ -196,6 +196,22 @@ def test_spec_rejections_name_their_fields(kwargs, fields, fragment):
     assert fragment in str(info.value)
 
 
+@pytest.mark.parametrize(
+    "points,message",
+    [
+        (10**40, "points must be at most 1000000, got 1" + "0" * 31 + "... (41 digits)"),
+        (10**5000, "points must be at most 1000000, got 1" + "0" * 31 + "... (5001 digits)"),
+        (-(10**4500) + 1, "points must be at least 2, got -" + "9" * 32 + "... (4500 digits)"),
+    ],
+    ids=["41-digits", "5001-digits", "minus-4500-digits"],
+)
+def test_spec_cuts_the_echo_of_a_long_integer(points, message):
+    # Ints past 4300 digits cannot go through str(); the echo must not try.
+    with pytest.raises(InputError) as info:
+        SweepSpec(base=Scenario(), points=points)
+    assert str(info.value) == message
+
+
 def test_spec_points_accept_numpy_integers():
     spec = SweepSpec(base=preset("fig5")[0], delta_min=-1.0, delta_max=1.0, points=np.int64(3))
     assert run_sweep(spec).states.shape == (3, 4, 4)
