@@ -1,24 +1,28 @@
 """Minimal dense complex-matrix kernel.
 
 Hermitian eigendecomposition and linear solves for the small matrices this
-package works with (4x4 coupling matrices, 16x16 generators).  Both routines
-are written out explicitly instead of delegating to LAPACK so that results
-are bit-reproducible across runs and thread counts on one machine and numpy
-build, and failure modes carry precise diagnostics (pivot index,
-convergence state).  Across machines or builds the last bits may differ:
-numpy may fuse the multiply and add of a complex product (FMA), Python's
-scalar arithmetic never does.  Everything here is O(n^3), which is
-irrelevant at these sizes: the cost is per-call overhead.  So the Jacobi
-eigensolver runs on Python complex scalars instead of numpy slices, from a
-rotation plan built once per matrix size, with explicit left-to-right sums
-for its stopping test; and solve_linear eliminates a whole stack of
-systems in one pass.
+package works with (4x4 coupling matrices, 16x16 generators).  At these
+sizes the cost is per-call overhead, not the O(n^3) arithmetic.
+
+herm_eigen runs LAPACK's zheevd through np.linalg.eigh, from the OpenBLAS
+that numpy ships; a hand-written Jacobi on Python scalars cost about twice
+as much per call.  Its eigenvalues only gate outputs (the positivity floor
+of every steady state and trajectory sample) or feed the dressed census,
+whose degenerate groups do not depend on the basis chosen inside them, so
+no sweep, steady or evolve output byte depends on its last bits.
+solve_linear stays hand-written: its solutions are the sweep's output bit
+for bit, it reports the pivot that fell under its own threshold, and it
+eliminates a whole stack of systems in one pass.
+
+At these sizes both are bit-reproducible across runs and BLAS thread
+counts on one machine and numpy build.  Across machines or builds the last
+bits may differ (numpy may fuse the multiply and add of a complex product,
+and OpenBLAS picks its kernels per CPU), and so may the eigenvector basis
+inside a group of equal eigenvalues.
 """
 
 from __future__ import annotations
 
-import functools
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,11 +36,6 @@ __all__ = [
     "matrix_inf_norm",
     "solve_linear",
 ]
-
-# Jacobi sweeps stop once the off-diagonal Frobenius mass drops below this
-# fraction of the total; 4x4 Hermitian inputs typically need 4-6 sweeps.
-_JACOBI_REL_TOL = 1e-14
-_JACOBI_MAX_SWEEPS = 100
 
 # Relative pivot magnitude below which elimination declares the matrix singular.
 _PIVOT_REL_TOL = 1e-14
@@ -82,20 +81,20 @@ def matrix_inf_norm(a: np.ndarray):
 
 
 def herm_eigen(a) -> EigenDecomposition:
-    """Eigendecomposition of a Hermitian matrix by cyclic complex Jacobi rotations.
+    """Eigendecomposition of a Hermitian matrix by LAPACK's zheevd.
 
-    Rotations run in a fixed (p, q) order until the off-diagonal Frobenius
-    mass falls below 1e-14 of the total, capped at 100 sweeps.  Eigenvalues
-    come back ascending; eigenvector column k pairs with eigenvalue k.  Each
-    eigenvector's phase follows one sign convention: its lowest-index
-    component whose magnitude is within a relative 1e-8 of the largest is
-    made real and positive.  Components that tie in magnitude, as in
-    (|x> + |y>)/sqrt(2), differ in the last bit from one rounding to the
-    next, and the tolerance keeps that bit from choosing the sign.
+    Eigenvalues come back ascending; eigenvector column k pairs with
+    eigenvalue k.  Each eigenvector's phase follows one sign convention: its
+    lowest-index component whose magnitude is within a relative 1e-8 of the
+    largest is made real and positive.  Components that tie in magnitude,
+    as in (|x> + |y>)/sqrt(2), differ in the last bit from one rounding to
+    the next, and the tolerance keeps that bit from choosing the sign.
+    Inside a group of equal eigenvalues the columns are an arbitrary
+    orthonormal basis of the eigenspace.
 
     Raises ValueError for empty, non-square, non-Hermitian or non-finite
-    input and RuntimeError if the decomposition fails its own residual
-    checks.
+    input and RuntimeError if LAPACK fails or the decomposition fails its
+    own residual checks.
     """
     mat = np.asarray(a, dtype=np.complex128)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1] or not mat.size:
@@ -105,123 +104,23 @@ def herm_eigen(a) -> EigenDecomposition:
     if not matrix_inf_norm(mat - mat.conj().T) < _HERMITICITY_REL_TOL * (1.0 + scale):
         raise ValueError("herm_eigen requires a finite Hermitian matrix")
 
-    pairs, off_diagonal, eye = _rotation_plan(mat.shape[0])
-    values, columns = _jacobi(mat.tolist(), pairs, off_diagonal)
-    order = sorted(range(len(values)), key=values.__getitem__)
-    pinned = []
-    for k in order:
-        col = columns[k]
-        mags = list(map(abs, col))
-        floor = (1.0 - _PIN_REL_TOL) * max(mags)
-        lead = 0
-        while mags[lead] < floor:
-            lead += 1
-        mag = mags[lead]
-        if mag > 0.0:
-            factor = col[lead].conjugate() / mag
-            col = [z * factor for z in col]
-        pinned.append(col)
-    values = np.array([values[k] for k in order])
-    vectors = np.array(pinned, dtype=np.complex128).T.copy()
+    try:
+        values, vectors = np.linalg.eigh(mat)
+    except np.linalg.LinAlgError as exc:
+        raise RuntimeError(f"eigendecomposition failed: {exc}") from exc
+    # The phase pin on every column at once; a unit column's largest
+    # magnitude is positive, so the division is safe.
+    mags = np.abs(vectors)
+    lead = np.argmax(mags >= (1.0 - _PIN_REL_TOL) * mags.max(axis=0), axis=0)
+    columns = np.arange(len(values))
+    vectors *= vectors[lead, columns].conj() / mags[lead, columns]
 
     residual = np.abs(mat @ vectors - vectors * values).max()
     if residual >= _RESIDUAL_REL_TOL * (1.0 + scale):
         raise RuntimeError(f"eigendecomposition residual {residual:.3e} out of tolerance")
-    if np.abs(vectors.conj().T @ vectors - eye).max() >= _ORTHONORMALITY_TOL:
+    if np.abs(vectors.conj().T @ vectors - np.eye(len(values))).max() >= _ORTHONORMALITY_TOL:
         raise RuntimeError("eigenvector columns lost orthonormality")
     return EigenDecomposition(eigenvalues=values, eigenvectors=vectors)
-
-
-@functools.cache
-def _rotation_plan(n: int) -> tuple:
-    # Built once per size: (p, q, the other indices) for each rotation in
-    # sweep order, the off-diagonal positions row by row, and the identity.
-    indices = range(n)
-    pairs = tuple(
-        (p, q, tuple(k for k in indices if k != p and k != q))
-        for p in indices
-        for q in range(p + 1, n)
-    )
-    off_diagonal = tuple((i, j) for i in indices for j in indices if i != j)
-    eye = np.eye(n)
-    eye.flags.writeable = False
-    return pairs, off_diagonal, eye
-
-
-def _jacobi(
-    work: list[list[complex]], pairs: tuple, off_diagonal: tuple
-) -> tuple[list[float], list[list[complex]]]:
-    # work holds the rows of the matrix as lists of Python complex numbers;
-    # the eigenvectors come back as a list of columns.  The sums run left to
-    # right, so they do not depend on how a Python version's sum() adds.
-    n = len(work)
-    columns = [[1.0 + 0j if i == j else 0j for i in range(n)] for j in range(n)]
-    total = 0.0
-    for row in work:
-        for z in row:
-            total += z.real * z.real + z.imag * z.imag
-    if total == 0.0:
-        return [0.0] * n, columns
-    threshold = _JACOBI_REL_TOL * math.sqrt(total)
-    for _ in range(_JACOBI_MAX_SWEEPS):
-        off = 0.0
-        for i, j in off_diagonal:
-            z = work[i][j]
-            off += z.real * z.real + z.imag * z.imag
-        if math.sqrt(off) < threshold:
-            break
-        for p, q, others in pairs:
-            row_p = work[p]
-            row_q = work[q]
-            apq = row_p[q]
-            babs = abs(apq)
-            if babs == 0.0:
-                continue
-            phase = apq / babs
-            app = row_p[p].real
-            aqq = row_q[q].real
-            tau = (aqq - app) / (2.0 * babs)
-            # Smaller root of t^2 + 2*tau*t - 1 = 0, for the rotation angle <= pi/4.
-            if tau >= 0.0:
-                t = 1.0 / (tau + math.sqrt(1.0 + tau * tau))
-            else:
-                t = -1.0 / (-tau + math.sqrt(1.0 + tau * tau))
-            c = 1.0 / math.sqrt(1.0 + t * t)
-            s = t * c
-
-            # Unitary J: J[p,p] = c*phase, J[p,q] = s*phase, J[q,p] = -s,
-            # J[q,q] = c; work <- J^H work J zeroes the (p, q) element.
-            # Columns p and q are rotated, then rows p and q, at the other
-            # indices; the four entries where they cross come from the
-            # closed form.
-            c_phase = c * phase
-            s_phase = s * phase
-            c_conj = c * phase.conjugate()
-            s_conj = s * phase.conjugate()
-            for k in others:
-                row = work[k]
-                x = row[p]
-                y = row[q]
-                row[p] = c_phase * x - s * y
-                row[q] = s_phase * x + c * y
-                x = row_p[k]
-                y = row_q[k]
-                row_p[k] = c_conj * x - s * y
-                row_q[k] = s_conj * x + c * y
-            row_p[p] = app - t * babs
-            row_q[q] = aqq + t * babs
-            row_p[q] = 0j
-            row_q[p] = 0j
-
-            vec_p = columns[p]
-            vec_q = columns[q]
-            for i, x in enumerate(vec_p):
-                y = vec_q[i]
-                vec_p[i] = c_phase * x - s * y
-                vec_q[i] = s_phase * x + c * y
-    else:
-        raise RuntimeError("Jacobi iteration did not converge within 100 sweeps")
-    return [row[k].real for k, row in enumerate(work)], columns
 
 
 def solve_linear(a, b) -> np.ndarray:

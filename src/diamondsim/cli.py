@@ -282,8 +282,22 @@ def write_csv(result: SweepResult, destination) -> None:
 
 
 class _Parser(argparse.ArgumentParser):
+    # argparse's own messages repeat an unknown subcommand and unrecognized
+    # arguments in full; the two overrides below cut them by errors.echo.
     def error(self, message):
         raise ValueError(message)
+
+    def parse_args(self, args=None, namespace=None):
+        parsed, extra = self.parse_known_args(args, namespace)
+        if extra:
+            raise ValueError(f"unrecognized arguments: {echo(' '.join(extra))}")
+        return parsed
+
+    def _check_value(self, action, value):
+        if action.choices is not None and value not in action.choices:
+            choices = ", ".join(map(repr, action.choices))
+            message = f"invalid choice: {echo(value)!r} (choose from {choices})"
+            raise argparse.ArgumentError(action, message)
 
 
 def _flag(kind):
@@ -434,7 +448,8 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:
-        print(f"error: cannot write output: {exc}", file=sys.stderr)
+        # An OSError's own text repeats the path; its strerror does not.
+        print(f"error: cannot write output: {exc.strerror or echo(str(exc))}", file=sys.stderr)
         return 1
     except SimulationError as exc:
         print(f"error: {exc}", file=sys.stderr)

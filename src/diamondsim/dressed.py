@@ -19,8 +19,11 @@ degenerate +- pair) occurs exactly when omega_a1 = 0 and omega_c1 = omega_a2.
 Up to atom.MAX_RATE the factored Z is at most about 2.5e305, so it stays
 finite.  Eigenvalues within 1e-12 * (1 + max|eigenvalue|) form one
 degenerate group: herm_eigen splits an exact degeneracy by at most about
-2.4e-16 of that scale, and omega_a1 = 1e5, omega_a2 = 1.3, omega_c1 = 0.7
-splits a real pair by 1.8e-10 of it.
+6.6e-16 of that scale (60000 drives with omega_a1 = 0 and
+omega_c1 = omega_a2, or with omega_a2 * omega_c1 = 0, at scales from 1e-3
+to 1e8), and omega_a1 = 1e5, omega_a2 = 1.3, omega_c1 = 0.7 splits a real
+pair by 1.8e-10 of it.  Inside a group the eigenvector columns are an
+arbitrary orthonormal basis of the eigenspace.
 
 A dressed state with no amplitude on the top level |c> cannot absorb the
 probe: it is dark.  Darkness inside a degenerate eigenvalue group is a

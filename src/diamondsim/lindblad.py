@@ -263,7 +263,7 @@ def _propagate(
     norm = matrix_inf_norm(liouv)
     if dt * norm >= 0.5:
         raise StabilityError(
-            f"dt * ||L||_inf = {dt * norm:.3f} >= 0.5; reduce dt below {0.5 / norm:.3e}"
+            f"dt * ||L||_inf = {dt * norm:.3e} >= 0.5; reduce dt below {0.5 / norm:.3e}"
         )
     check_density_matrix(rho0, context="initial state")
     # Past one sample a step, further marks would only repeat steps.

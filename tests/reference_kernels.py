@@ -1,20 +1,17 @@
 """Straightforward numpy versions of the per-point kernels, the tests' oracles.
 
 build_liouvillian, herm_eigen and solve_linear in the package are written
-for speed: cached dissipators, a Jacobi eigensolver on Python scalars, and
-one elimination over a stack of augmented systems [a | b].  The versions
-here are the plain ones: each term built by np.kron, rotations on numpy
-slices, one system at a time with the right-hand side carried separately,
-and a sweep that solves its grid one point at a time.  scalar_herm_eigen is
-the package's Jacobi on Python scalars before its per-size rotation plan:
-one call per rotation, a skip test per index, sum() for the stopping mass.
-test_reference_kernels holds the routes together: L, the sweep states and
-the scalar Jacobi's eigenvalues and eigenvectors bit for bit, the
-numpy-slice eigenvalues to 1e-13 * (1 + ||A||_inf).  Test-only code; the
-package never imports it.
+for speed: cached dissipators, LAPACK's zheevd, and one elimination over a
+stack of augmented systems [a | b].  The versions here are the plain ones:
+each term built by np.kron, a cyclic complex Jacobi on numpy slices, one
+system at a time with the right-hand side carried separately, and a sweep
+that solves its grid one point at a time.  The Jacobi also runs on a whole
+stack of matrices at once, so that every steady state of a preset sweep
+can be checked against it.  test_reference_kernels holds the routes
+together: L and the sweep states bit for bit, the eigenvalues to
+1e-13 * (1 + ||A||_inf).  Test-only code; the package never imports it.
 """
 
-import math
 from dataclasses import replace
 
 import numpy as np
@@ -22,7 +19,7 @@ import numpy as np
 from diamondsim.algebra import EigenDecomposition, matrix_inf_norm
 from diamondsim.atom import LEVELS, Scenario, build_hamiltonian, closure_complete, decay_channels
 
-# Both Jacobi versions pin each eigenvector's phase as the package does: the
+# The Jacobi pins each eigenvector's phase as the package does: the
 # lowest-index component within this relative distance of the largest
 # magnitude is made real and positive.
 _PIN_REL_TOL = 1e-8
@@ -44,74 +41,81 @@ def build_liouvillian(s: Scenario) -> np.ndarray:
 
 
 def herm_eigen(a) -> EigenDecomposition:
-    """Cyclic complex Jacobi on numpy arrays; ascending, phase-pinned columns."""
+    """Cyclic complex Jacobi on numpy arrays; ascending, phase-pinned columns.
+
+    a is one Hermitian matrix or a stack of them; the rotations run on the
+    whole stack at once.
+    """
     work = np.array(a, dtype=np.complex128)
-    values, vectors = _jacobi(work)
-    order = np.argsort(values, kind="stable")
-    values = values[order]
-    vectors = vectors[:, order]
-    for k in range(vectors.shape[1]):
-        col = vectors[:, k]
+    values, vectors = _jacobi(work.reshape(-1, *work.shape[-2:]))
+    order = np.argsort(values, axis=1, kind="stable")
+    values = np.take_along_axis(values, order, axis=1)
+    vectors = np.take_along_axis(vectors, order[:, np.newaxis, :], axis=2)
+    for col in (matrix[:, k] for matrix in vectors for k in range(matrix.shape[1])):
         mags = np.abs(col)
         lead = int(np.argmax(mags >= (1.0 - _PIN_REL_TOL) * mags.max()))
         mag = mags[lead]
         if mag > 0.0:
-            vectors[:, k] = col * (col[lead].conjugate() / mag)
-    return EigenDecomposition(eigenvalues=values, eigenvectors=vectors)
+            col *= col[lead].conjugate() / mag
+    return EigenDecomposition(
+        eigenvalues=values.reshape(work.shape[:-1]), eigenvectors=vectors.reshape(work.shape)
+    )
 
 
 def _jacobi(work: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    n = work.shape[0]
-    vectors = np.eye(n, dtype=np.complex128)
-    total = float(np.linalg.norm(work))
-    if total == 0.0:
-        return np.zeros(n, dtype=np.float64), vectors
+    # Rotates the (m, n, n) stack in place, every matrix through the same
+    # (p, q) order.  A matrix whose off-diagonal mass is below 1e-14 of its
+    # norm, or whose (p, q) entry is zero, gets the identity rotation.
+    m, n, _ = work.shape
+    vectors = np.tile(np.eye(n, dtype=np.complex128), (m, 1, 1))
+    total = np.linalg.norm(work, axis=(1, 2))
+    off_diagonal = ~np.eye(n, dtype=bool)
     for _ in range(100):
-        off = float(np.linalg.norm(work - np.diag(np.diagonal(work))))
-        if off < 1e-14 * total:
+        off = np.linalg.norm(work[:, off_diagonal], axis=1)
+        active = (off >= 1e-14 * total) & (total > 0.0)
+        if not active.any():
             break
         for p in range(n - 1):
             for q in range(p + 1, n):
-                _rotate(work, vectors, p, q)
+                _rotate(work, vectors, p, q, active)
     else:
         raise RuntimeError("Jacobi iteration did not converge within 100 sweeps")
-    return np.diagonal(work).real.copy(), vectors
+    return np.diagonal(work, axis1=1, axis2=2).real.copy(), vectors
 
 
-def _rotate(work: np.ndarray, vectors: np.ndarray, p: int, q: int) -> None:
-    apq = work[p, q]
-    babs = abs(apq)
-    if babs == 0.0:
-        return
-    phase = apq / babs
-    app = work[p, p].real
-    aqq = work[q, q].real
-    tau = (aqq - app) / (2.0 * babs)
-    if tau >= 0.0:
-        t = 1.0 / (tau + math.sqrt(1.0 + tau * tau))
-    else:
-        t = -1.0 / (-tau + math.sqrt(1.0 + tau * tau))
-    c = 1.0 / math.sqrt(1.0 + t * t)
+def _rotate(work: np.ndarray, vectors: np.ndarray, p: int, q: int, active: np.ndarray) -> None:
+    apq = work[:, p, q]
+    babs = np.where(active, np.abs(apq), 0.0)
+    live = babs > 0.0
+    safe = np.where(live, babs, 1.0)
+    phase = np.where(live, apq / safe, 1.0)
+    app = work[:, p, p].real.copy()
+    aqq = work[:, q, q].real.copy()
+    tau = (aqq - app) / (2.0 * safe)
+    # Smaller root of t^2 + 2*tau*t - 1 = 0, for the rotation angle <= pi/4;
+    # hypot(1, tau) is sqrt(1 + tau^2) without overflow at a tiny (p, q) entry.
+    t = np.where(live, np.where(tau >= 0.0, 1.0, -1.0) / (np.abs(tau) + np.hypot(1.0, tau)), 0.0)
+    c = 1.0 / np.sqrt(1.0 + t * t)
     s = t * c
 
-    col_p = work[:, p].copy()
-    col_q = work[:, q].copy()
-    work[:, p] = c * phase * col_p - s * col_q
-    work[:, q] = s * phase * col_p + c * col_q
-    row_p = work[p, :].copy()
-    row_q = work[q, :].copy()
-    pc = phase.conjugate()
-    work[p, :] = c * pc * row_p - s * row_q
-    work[q, :] = s * pc * row_p + c * row_q
-    work[p, p] = app - t * babs
-    work[q, q] = aqq + t * babs
-    work[p, q] = 0.0
-    work[q, p] = 0.0
-
-    vcol_p = vectors[:, p].copy()
-    vcol_q = vectors[:, q].copy()
-    vectors[:, p] = c * phase * vcol_p - s * vcol_q
-    vectors[:, q] = s * phase * vcol_p + c * vcol_q
+    c_phase = (c * phase)[:, np.newaxis]
+    s_phase = (s * phase)[:, np.newaxis]
+    c, s = c[:, np.newaxis], s[:, np.newaxis]
+    for mat in (work, vectors):
+        col_p = mat[:, :, p].copy()
+        col_q = mat[:, :, q].copy()
+        mat[:, :, p] = c_phase * col_p - s * col_q
+        mat[:, :, q] = s_phase * col_p + c * col_q
+    row_p = work[:, p, :].copy()
+    row_q = work[:, q, :].copy()
+    work[:, p, :] = c_phase.conj() * row_p - s * row_q
+    work[:, q, :] = s_phase.conj() * row_p + c * row_q
+    # The four crossing entries from the closed form; an identity rotation
+    # leaves them as they are.
+    work[:, p, p] = np.where(live, app - t * babs, work[:, p, p])
+    work[:, q, q] = np.where(live, aqq + t * babs, work[:, q, q])
+    work[:, p, q] = np.where(live, 0.0, work[:, p, q])
+    work[:, q, p] = np.where(live, 0.0, work[:, q, p])
 
 
 def solve_linear(a, b) -> np.ndarray:
@@ -136,157 +140,27 @@ def solve_linear(a, b) -> np.ndarray:
 
 
 def steady_state(liouv: np.ndarray) -> np.ndarray:
-    """Trace-row replacement solve, symmetrized, with the -1e-8 positivity floor."""
+    """Trace-row replacement solve, symmetrized."""
     modified = liouv.copy()
     modified[0, :] = 0.0
     modified[0, [0, 5, 10, 15]] = 1.0
     rhs = np.zeros(16, dtype=np.complex128)
     rhs[0] = 1.0
     rho = solve_linear(modified, rhs).reshape(4, 4)
-    rho = 0.5 * (rho + rho.conj().T)
-    lowest = herm_eigen(rho).eigenvalues[0]
-    if lowest < -1e-8:
-        raise ValueError(f"minimum eigenvalue {lowest:.3e} < -1e-8")
-    return rho
+    return 0.5 * (rho + rho.conj().T)
 
 
 def sweep_states(base: Scenario, grid: np.ndarray) -> np.ndarray:
-    """Steady states over the probe grid, one point at a time."""
-    return np.array([
+    """Steady states over the probe grid, solved one point at a time.
+
+    Every state must pass the -1e-8 positivity floor, checked by one Jacobi
+    over the whole grid.
+    """
+    states = np.array([
         steady_state(build_liouvillian(closure_complete(replace(base, delta_c2=float(delta)))))
         for delta in grid
     ])
-
-
-# The Jacobi on Python complex scalars as it stood before its rotation plan
-# was cached per size and its rotation inlined into the sweep; the package's
-# herm_eigen must match it bit for bit.
-_JACOBI_REL_TOL = 1e-14
-_JACOBI_MAX_SWEEPS = 100
-_HERMITICITY_REL_TOL = 1e-12
-_RESIDUAL_REL_TOL = 1e-10
-_ORTHONORMALITY_TOL = 1e-12
-
-
-def scalar_herm_eigen(a) -> EigenDecomposition:
-    """Eigendecomposition of a Hermitian matrix by cyclic complex Jacobi rotations.
-
-    Rotations run in a fixed (p, q) order until the off-diagonal Frobenius
-    mass falls below 1e-14 of the total, capped at 100 sweeps.  Eigenvalues
-    come back ascending; eigenvector column k pairs with eigenvalue k.  The
-    phase of each eigenvector is pinned by making its lowest-index component
-    within a relative 1e-8 of the largest magnitude real and positive.
-
-    Raises ValueError for non-square or non-Hermitian input and RuntimeError
-    if the decomposition fails its own residual checks.
-    """
-    mat = np.asarray(a, dtype=np.complex128)
-    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-        raise ValueError(f"herm_eigen requires a square matrix, got shape {mat.shape}")
-    scale = matrix_inf_norm(mat)
-    if matrix_inf_norm(mat - mat.conj().T) >= _HERMITICITY_REL_TOL * (1.0 + scale):
-        raise ValueError("herm_eigen requires a Hermitian matrix")
-
-    n = mat.shape[0]
-    values, columns = _scalar_jacobi(mat.tolist())
-    order = sorted(range(n), key=values.__getitem__)
-    pinned = []
-    for k in order:
-        col = columns[k]
-        floor = (1.0 - _PIN_REL_TOL) * max(abs(z) for z in col)
-        lead = next(z for z in col if abs(z) >= floor)
-        mag = abs(lead)
-        if mag > 0.0:
-            factor = lead.conjugate() / mag
-            col = [z * factor for z in col]
-        pinned.append(col)
-    values = np.array([values[k] for k in order])
-    vectors = np.array(pinned, dtype=np.complex128).T.copy()
-
-    residual = np.max(np.abs(mat @ vectors - vectors * values[np.newaxis, :]))
-    if residual >= _RESIDUAL_REL_TOL * (1.0 + scale):
-        raise RuntimeError(f"eigendecomposition residual {residual:.3e} out of tolerance")
-    gram = vectors.conj().T @ vectors - np.eye(n)
-    if np.max(np.abs(gram)) >= _ORTHONORMALITY_TOL:
-        raise RuntimeError("eigenvector columns lost orthonormality")
-    return EigenDecomposition(eigenvalues=values, eigenvectors=vectors)
-
-
-def _scalar_jacobi(work: list[list[complex]]) -> tuple[list[float], list[list[complex]]]:
-    # work holds the rows of the matrix as lists of Python complex numbers;
-    # the eigenvectors come back as a list of columns.
-    n = len(work)
-    columns = [[1.0 + 0j if i == j else 0j for i in range(n)] for j in range(n)]
-    total = math.sqrt(sum(z.real * z.real + z.imag * z.imag for row in work for z in row))
-    if total == 0.0:
-        return [0.0] * n, columns
-    for _ in range(_JACOBI_MAX_SWEEPS):
-        off = math.sqrt(
-            sum(
-                z.real * z.real + z.imag * z.imag
-                for i, row in enumerate(work)
-                for j, z in enumerate(row)
-                if i != j
-            )
-        )
-        if off < _JACOBI_REL_TOL * total:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                _scalar_rotate(work, columns, p, q)
-    else:
-        raise RuntimeError("Jacobi iteration did not converge within 100 sweeps")
-    return [work[k][k].real for k in range(n)], columns
-
-
-def _scalar_rotate(work: list[list[complex]], columns: list[list[complex]], p: int, q: int) -> None:
-    row_p = work[p]
-    row_q = work[q]
-    apq = row_p[q]
-    babs = abs(apq)
-    if babs == 0.0:
-        return
-    phase = apq / babs
-    app = row_p[p].real
-    aqq = row_q[q].real
-    tau = (aqq - app) / (2.0 * babs)
-    # Smaller root of t^2 + 2*tau*t - 1 = 0, for the rotation angle <= pi/4.
-    if tau >= 0.0:
-        t = 1.0 / (tau + math.sqrt(1.0 + tau * tau))
-    else:
-        t = -1.0 / (-tau + math.sqrt(1.0 + tau * tau))
-    c = 1.0 / math.sqrt(1.0 + t * t)
-    s = t * c
-
-    # Unitary J: J[p,p] = c*phase, J[p,q] = s*phase, J[q,p] = -s, J[q,q] = c;
-    # work <- J^H work J zeroes the (p, q) element.  Columns p and q are
-    # rotated, then rows p and q; the four entries where they cross are set
-    # from the closed form afterwards, so the loops skip them.
-    c_phase = c * phase
-    s_phase = s * phase
-    c_conj = c * phase.conjugate()
-    s_conj = s * phase.conjugate()
-    for k in range(len(work)):
-        if k == p or k == q:
-            continue
-        row = work[k]
-        x = row[p]
-        y = row[q]
-        row[p] = c_phase * x - s * y
-        row[q] = s_phase * x + c * y
-        x = row_p[k]
-        y = row_q[k]
-        row_p[k] = c_conj * x - s * y
-        row_q[k] = s_conj * x + c * y
-    row_p[p] = app - t * babs
-    row_q[q] = aqq + t * babs
-    row_p[q] = 0j
-    row_q[p] = 0j
-
-    vec_p = columns[p]
-    vec_q = columns[q]
-    for i in range(len(vec_p)):
-        x = vec_p[i]
-        y = vec_q[i]
-        vec_p[i] = c_phase * x - s * y
-        vec_q[i] = s_phase * x + c * y
+    lowest = herm_eigen(states).eigenvalues[:, 0].min()
+    if lowest < -1e-8:
+        raise ValueError(f"minimum eigenvalue {lowest:.3e} < -1e-8")
+    return states

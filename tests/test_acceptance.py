@@ -7,7 +7,6 @@ structural properties of the bundled preset sweeps (check 6 in the
 weak-probe limit of its preset), 11-12 are symmetry and determinism.
 """
 
-import functools
 import math
 import threading
 from dataclasses import replace
@@ -31,12 +30,6 @@ from diamondsim.errors import SimulationError
 from eom import eom_rhs
 from mirror import MIRROR_PERMUTATION, mirror_scenario
 
-SWEPT_PRESETS = (
-    "fig5", "fig6a", "fig6b", "fig7", "fig8",
-    "fig9-left", "fig9-right", "fig10-left", "fig10-right",
-)
-
-
 def _gate(capfd, number, ok, detail):
     line = f"ACCEPTANCE {number:02d} {'PASS' if ok else 'FAIL'} {detail}"
     with capfd.disabled():
@@ -48,13 +41,6 @@ def random_hermitian_unit_trace(rng):
     raw = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
     h = 0.5 * (raw + raw.conj().T)
     return h - np.eye(4) * (np.trace(h).real - 1.0) / 4.0
-
-
-@pytest.fixture(scope="module")
-def sweeps():
-    # fig5, fig7 and fig8 are one parameter set: each distinct grid runs once.
-    sweep_once = functools.cache(run_sweep)
-    return {name: sweep_once(preset(name)[1]) for name in SWEPT_PRESETS}
 
 
 def center_index(result):

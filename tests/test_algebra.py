@@ -96,6 +96,15 @@ def test_eigen_rejects_nan_and_empty_input():
         herm_eigen(np.zeros((0, 0)))
 
 
+def test_eigen_reports_a_lapack_failure_as_runtime_error(monkeypatch):
+    def fail(_):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigh", fail)
+    with pytest.raises(RuntimeError, match="eigendecomposition failed: Eigenvalues did not converge"):
+        herm_eigen(np.eye(2))
+
+
 def test_eigen_result_type():
     eig = herm_eigen(np.eye(2))
     assert isinstance(eig, EigenDecomposition)

@@ -621,6 +621,8 @@ _LONG_FLAGS = {
     "min": ["sweep", "--preset", "fig5", "--min", "q" * 5000],
     "dt": ["evolve", "--preset", "fig5", "--dt", "q" * 5000],
     "missing-config": ["steady", "--config", "/no/such/dir/" + "p" * 3000],
+    "subcommand": ["q" * 5000],
+    "presets-argument": ["presets", "q" * 5000],
 }
 
 
@@ -630,6 +632,24 @@ def test_main_cuts_long_values_in_flag_errors(argv, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "... (" in err and len(err.encode()) < 200, err
+
+
+@pytest.mark.parametrize("length", [3000, 5000])
+def test_main_cuts_long_paths_in_write_errors(length, tmp_path, capsys):
+    # The OSError's own text would repeat the path; only its reason is printed.
+    missing = tmp_path / "no" / "dir" / ("p" * length)
+    assert main(["steady", "--preset", "fig5", "--out", str(missing)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot write output: ") and err.count("\n") == 1
+    assert "ppp" not in err and len(err.encode()) < 100, err
+
+
+def test_stability_error_prints_a_short_number(tmp_path, capsys):
+    cfg = tmp_path / "fast.cfg"
+    cfg.write_text("[decays]\ngamma1 = 1e76\n")
+    assert main(["evolve", "--config", str(cfg)]) == 2
+    error_line = capsys.readouterr().err.splitlines()[0]
+    assert error_line == "error: dt * ||L||_inf = 1.000e+73 >= 0.5; reduce dt below 5.000e-77"
 
 
 def test_main_rejects_an_overlong_points_literal(tmp_path, capsys):

@@ -5,21 +5,26 @@ Stated tolerances:
 - solve_linear on one system: bit-identical to the elimination that keeps
   the right-hand side apart;
 - run_sweep: the same states, bit for bit, as a per-point loop whose
-  generator, linear solve and positivity eigensolve all come from the
-  references, for every preset under each of the five closure targets;
-- herm_eigen: eigenvalues and eigenvectors bit-identical to the scalar
-  Jacobi without a rotation plan (tolerance 0), on the Hermitian cases below
-  and on 500 drive matrices with a fifth of their Rabi frequencies zero,
-  whose eigenvectors tie in magnitude and so expose the phase pin;
+  generator and linear solve come from the references, with the
+  references' Jacobi as the positivity gate, for every preset under each of
+  the five closure targets;
 - herm_eigen: eigenvalues within 1e-13 * (1 + ||A||_inf) of the numpy-slice
   Jacobi, and the eigenvector residual inside herm_eigen's own bound,
-  1e-10 * (1 + ||A||_inf).  The two differ in the last bits only because
-  numpy may fuse the multiply and add of a complex product and Python's
-  scalar product does not;
-- herm_eigen: on 2010 drive matrices with a fifth of their Rabi frequencies
-  zero, every eigenvector column of a non-degenerate eigenvalue within 1e-8
-  of the numpy-slice Jacobi's, so that no last-bit difference between the
-  two flips a column's sign through the phase pin.
+  1e-10 * (1 + ||A||_inf), on the Hermitian cases below and on 500 drive
+  matrices with a fifth of their Rabi frequencies zero;
+- herm_eigen: on 2010 such drive matrices, every eigenvector column of a
+  non-degenerate eigenvalue within 1e-8 of the Jacobi's, so that no
+  last-bit difference between the two flips a column's sign through the
+  phase pin;
+- dressed_spectrum on every preset: the same degenerate groups as the
+  Jacobi's eigenvalues give, and each group's projector within
+  1e-12 * (1 + max|eigenvalue|) of the Jacobi's; inside a degenerate group
+  the two return different bases of one eigenspace;
+- the positivity gate: the lowest eigenvalue of a unit-trace state within
+  FLOOR_DELTA = 1e-14 of the Jacobi's, so check_density_matrix accepts or
+  rejects a state exactly as the Jacobi's lowest eigenvalue does whenever
+  that eigenvalue is more than FLOOR_DELTA from the -1e-8 floor, near the
+  floor and on every steady state of the ten preset sweeps.
 """
 
 import functools
@@ -32,7 +37,8 @@ import reference_kernels as ref
 from diamondsim.algebra import herm_eigen, matrix_inf_norm, solve_linear
 from diamondsim.atom import CLOSURE_TARGETS, Scenario, build_hamiltonian, closure_complete
 from diamondsim.cli import PRESET_NAMES, preset
-from diamondsim.lindblad import build_liouvillian
+from diamondsim.dressed import dressed_spectrum
+from diamondsim.lindblad import InvariantError, build_liouvillian, check_density_matrix
 from diamondsim.sweep import SweepSpec, run_sweep
 
 
@@ -101,14 +107,17 @@ def hermitian_cases(rng):
 
 
 def test_herm_eigen_agrees_with_the_numpy_slice_jacobi():
-    for a in hermitian_cases(np.random.default_rng(17)):
-        scale = matrix_inf_norm(a)
-        fast = herm_eigen(a)
-        slow = ref.herm_eigen(a)
-        gap = np.max(np.abs(fast.eigenvalues - slow.eigenvalues))
-        assert gap <= 1e-13 * (1.0 + scale)
-        residual = np.max(np.abs(a @ fast.eigenvectors - fast.eigenvectors * fast.eigenvalues))
-        assert residual < 1e-10 * (1.0 + scale)
+    rng = np.random.default_rng(17)
+    cases = [*hermitian_cases(rng), *drive_matrices(rng, 500)]
+    # The Jacobi runs once per matrix size, on the stack of that size.
+    for n in {len(a) for a in cases}:
+        stack = np.array([a for a in cases if len(a) == n])
+        for a, slow in zip(stack, ref.herm_eigen(stack).eigenvalues):
+            scale = matrix_inf_norm(a)
+            fast = herm_eigen(a)
+            assert np.max(np.abs(fast.eigenvalues - slow)) <= 1e-13 * (1.0 + scale)
+            residual = np.max(np.abs(a @ fast.eigenvectors - fast.eigenvectors * fast.eigenvalues))
+            assert residual < 1e-10 * (1.0 + scale)
 
 
 def drive_matrices(rng, count):
@@ -122,26 +131,92 @@ def drive_matrices(rng, count):
         yield build_hamiltonian(replace(s, omega_c2=0.0))
 
 
-def test_herm_eigen_is_bit_identical_to_the_scalar_jacobi():
-    rng = np.random.default_rng(17)
-    for a in [*hermitian_cases(rng), *drive_matrices(rng, 500)]:
-        fast = herm_eigen(a)
-        slow = ref.scalar_herm_eigen(a)
-        assert fast.eigenvalues.tobytes() == slow.eigenvalues.tobytes(), a
-        assert fast.eigenvectors.tobytes() == slow.eigenvectors.tobytes(), a
-
-
 def test_herm_eigen_sign_does_not_hang_on_the_last_bit():
-    # Components that tie in magnitude come out of the two Jacobi versions a
+    # Components that tie in magnitude come out of LAPACK and the Jacobi a
     # bit apart; the phase pin must pick the same one in both.  Degenerate
     # columns are left out: any unitary mix of them is an eigenbasis too.
+    drives = np.array(list(drive_matrices(np.random.default_rng(2010), 2010)))
     flips = columns = 0
-    for a in drive_matrices(np.random.default_rng(2010), 2010):
+    for a, slow_vectors in zip(drives, ref.herm_eigen(drives).eigenvectors):
         fast = herm_eigen(a)
-        slow = ref.herm_eigen(a)
         values = fast.eigenvalues
         split = np.diff(values) >= 1e-12 * (1.0 + np.max(np.abs(values)))
         for k in np.flatnonzero(np.r_[True, split] & np.r_[split, True]):
             columns += 1
-            flips += np.max(np.abs(fast.eigenvectors[:, k] - slow.eigenvectors[:, k])) > 1e-8
+            flips += np.max(np.abs(fast.eigenvectors[:, k] - slow_vectors[:, k])) > 1e-8
     assert (flips, columns) == (0, 6576)
+
+
+def degenerate_groups(values):
+    """Index groups of ascending values closer than 1e-12 * (1 + max|value|)."""
+    tol = 1e-12 * (1.0 + np.max(np.abs(values)))
+    groups = [[0]]
+    for k in range(1, len(values)):
+        if values[k] - values[k - 1] < tol:
+            groups[-1].append(k)
+        else:
+            groups.append([k])
+    return tuple(tuple(group) for group in groups)
+
+
+@pytest.mark.parametrize("name", PRESET_NAMES)
+def test_dressed_groups_and_projectors_match_the_jacobi(name):
+    s = preset(name)[0]
+    fast = dressed_spectrum(s)
+    slow = ref.herm_eigen(build_hamiltonian(replace(s, omega_c2=0.0)))
+    assert fast.groups == degenerate_groups(slow.eigenvalues)
+    tol = 1e-12 * (1.0 + np.max(np.abs(slow.eigenvalues)))
+    for group in fast.groups:
+        columns = list(group)
+        projectors = [v[:, columns] @ v[:, columns].conj().T
+                      for v in (fast.eigenvectors, slow.eigenvectors)]
+        assert np.max(np.abs(projectors[0] - projectors[1])) <= tol, group
+
+
+# herm_eigen's lowest eigenvalue of a unit-trace 4x4 state is within this
+# of the Jacobi's; the largest gap seen on the preset sweeps is about 4e-16.
+FLOOR_DELTA = 1e-14
+
+
+def accepts(rho):
+    try:
+        check_density_matrix(rho)
+    except InvariantError as exc:
+        assert "minimum eigenvalue" in str(exc)
+        return False
+    return True
+
+
+def test_positivity_gate_agrees_with_the_jacobi_near_the_floor():
+    # States U diag(lambda) U^H with lambda_min = -1e-8 +- delta: those
+    # within FLOOR_DELTA of the floor may go either way, all others must be
+    # decided as the Jacobi's lowest eigenvalue decides them.
+    rng = np.random.default_rng(1408)
+    deltas = np.repeat([0.0, 1e-16, 1e-15, 2e-14, 1e-13, 1e-11, 1e-9], 2 * 40)
+    states = []
+    for offset in deltas * np.tile([-1.0, 1.0], len(deltas) // 2):
+        raw = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+        u, _ = np.linalg.qr(raw)
+        lowest = -1e-8 + offset
+        spectrum = [lowest, *rng.dirichlet(np.ones(3)) * (1.0 - lowest)]
+        states.append(u @ np.diag(spectrum) @ u.conj().T)
+    states = np.array(states)
+    symmetric = 0.5 * (states + states.conj().transpose(0, 2, 1))
+    slow = ref.herm_eigen(symmetric).eigenvalues[:, 0]
+    fast = np.array([herm_eigen(rho).eigenvalues[0] for rho in symmetric])
+    assert np.max(np.abs(fast - slow)) <= FLOOR_DELTA
+    decided = np.abs(slow + 1e-8) > FLOOR_DELTA
+    verdicts = [accepts(rho) for rho in states[decided]]
+    assert verdicts == list(slow[decided] >= -1e-8)
+    # Every state at least 2e-14 from the floor was decided, both ways.
+    assert decided[deltas >= 2e-14].all()
+    assert set(verdicts) == {True, False}
+
+
+def test_positivity_gate_agrees_with_the_jacobi_on_every_preset_sweep(sweeps):
+    # fig4, fig5, fig7 and fig8 share one sweep result; each is checked once.
+    for result in {id(result): result for result in sweeps.values()}.values():
+        fast = np.array([herm_eigen(rho).eigenvalues[0] for rho in result.states])
+        slow = ref.herm_eigen(result.states).eigenvalues[:, 0]
+        assert np.max(np.abs(fast - slow)) <= FLOOR_DELTA
+        assert np.array_equal(fast >= -1e-8, slow >= -1e-8)
