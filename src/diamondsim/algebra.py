@@ -23,6 +23,7 @@ inside a group of equal eigenvalues.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -76,8 +77,17 @@ class EigenDecomposition:
 def matrix_inf_norm(a: np.ndarray):
     """Induced infinity norm (maximum absolute row sum); an array of them for a stack."""
     a = np.asarray(a)
-    norms = np.abs(a).sum(axis=-1).max(axis=-1, initial=0.0)
+    norms = np.maximum.reduce(np.add.reduce(np.abs(a), axis=-1), axis=-1, initial=0.0)
     return float(norms) if a.ndim == 2 else norms
+
+
+@functools.lru_cache(maxsize=16)
+def _eye_and_columns(n: int) -> tuple[np.ndarray, np.ndarray]:
+    # herm_eigen's identity and column indices at size n, shared by every
+    # call of that size and so read-only.
+    eye, columns = np.eye(n), np.arange(n)
+    eye.flags.writeable = columns.flags.writeable = False
+    return eye, columns
 
 
 def herm_eigen(a) -> EigenDecomposition:
@@ -111,14 +121,15 @@ def herm_eigen(a) -> EigenDecomposition:
     # The phase pin on every column at once; a unit column's largest
     # magnitude is positive, so the division is safe.
     mags = np.abs(vectors)
-    lead = np.argmax(mags >= (1.0 - _PIN_REL_TOL) * mags.max(axis=0), axis=0)
-    columns = np.arange(len(values))
+    lead = np.argmax(mags >= (1.0 - _PIN_REL_TOL) * np.maximum.reduce(mags), axis=0)
+    eye, columns = _eye_and_columns(len(values))
     vectors *= vectors[lead, columns].conj() / mags[lead, columns]
 
-    residual = np.abs(mat @ vectors - vectors * values).max()
+    residual = np.maximum.reduce(np.abs(mat @ vectors - vectors * values), axis=None)
     if residual >= _RESIDUAL_REL_TOL * (1.0 + scale):
         raise RuntimeError(f"eigendecomposition residual {residual:.3e} out of tolerance")
-    if np.abs(vectors.conj().T @ vectors - np.eye(len(values))).max() >= _ORTHONORMALITY_TOL:
+    gram_defect = np.abs(vectors.conj().T @ vectors - eye)
+    if np.maximum.reduce(gram_defect, axis=None) >= _ORTHONORMALITY_TOL:
         raise RuntimeError("eigenvector columns lost orthonormality")
     return EigenDecomposition(eigenvalues=values, eigenvectors=vectors)
 
@@ -133,11 +144,11 @@ def solve_linear(a, b) -> np.ndarray:
     SingularMatrixError carrying the pivot index; the computed solution is
     verified against the residual bound
     ||a x - b||_inf < 1e-10 * (1 + ||a||_inf * ||x||_inf).  A system whose
-    pivot fails is carried on with a pivot of 1.0, so it cannot disturb the
-    others; on a stack the error raised is that of the lowest-index failing
-    system, with its position as `index`.  No system's arithmetic depends on
-    the rest of the stack, so a stacked solve equals one-system solves bit
-    for bit.
+    pivot fails is carried on with a pivot of 1.0 and a zero right-hand
+    side, so it cannot disturb the others or overflow; on a stack the error
+    raised is that of the lowest-index failing system, with its position as
+    `index`.  No system's arithmetic depends on the rest of the stack, so a
+    stacked solve equals one-system solves bit for bit.
     """
     a0 = np.asarray(a, dtype=np.complex128)
     rhs0 = np.asarray(b, dtype=np.complex128)
@@ -178,6 +189,13 @@ def solve_linear(a, b) -> np.ndarray:
             work[:, k + 1 :, k : k + 1] / work[:, k : k + 1, k : k + 1] * work[:, k : k + 1, k + 1 :]
         )
 
+    small = pivots <= threshold
+    pivot_failed = small.any(axis=0)
+    # A system whose pivot failed raises below whatever its solution is; a
+    # zero right-hand side keeps that solution zero, so substituting back
+    # through its carried-on pivots of 1.0 cannot overflow.
+    work[pivot_failed, :, n] = 0.0
+
     # x as (m, n, 1) columns: each row dot below is a (1, r) @ (r, 1) matmul.
     x = np.zeros((m, n, 1), dtype=np.complex128)
     for k in range(n - 1, -1, -1):
@@ -186,8 +204,6 @@ def solve_linear(a, b) -> np.ndarray:
 
     residual = np.max(np.abs(a0 @ x - rhs0[:, :, np.newaxis]), axis=(1, 2), initial=0.0)
     bound = _RESIDUAL_REL_TOL * (1.0 + norm_a * np.max(np.abs(x), axis=(1, 2), initial=0.0))
-    small = pivots <= threshold
-    pivot_failed = small.any(axis=0)
     failing = np.flatnonzero(pivot_failed | (residual >= bound))
     if failing.size:
         j = int(failing[0])

@@ -12,8 +12,10 @@ with jump operators |a><c|, |d><c|, |b><a|, |b><d| at rates gamma1..gamma4.
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
+import struct
 from collections.abc import Sequence
 
 import numpy as np
@@ -137,6 +139,18 @@ _DISSIPATORS = tuple(
 )
 
 
+@functools.lru_cache(maxsize=32)
+def _dissipative_part(rates: bytes) -> np.ndarray:
+    # sum_k gamma_k/2 D_k in decay_channels order, for the four doubles
+    # packed in `rates`.  The points of a sweep share their rates, so the sum
+    # is built once per rate set; keying on the bytes keeps -0.0 and 0.0
+    # apart.  Every caller gets this array, so it is read-only.
+    terms = [0.5 * rate * d for rate, d in zip(struct.unpack("4d", rates), _DISSIPATORS)]
+    total = functools.reduce(np.add, terms)
+    total.flags.writeable = False
+    return total
+
+
 def build_liouvillian(s: Scenario) -> np.ndarray:
     """Assemble the 16x16 generator L with drho/dt = L vec(rho).
 
@@ -147,8 +161,10 @@ def build_liouvillian(s: Scenario) -> np.ndarray:
     # B (x) I - I (x) B^T, multiplied out as np.kron does it.
     commutator = coupling[:, None, :, None] * _EYE_RIGHT - _EYE_LEFT * coupling.T[None, :, None, :]
     liouv = (1j * commutator).reshape(16, 16)
-    for channel, dissipator in zip(decay_channels(s), _DISSIPATORS):
-        liouv += 0.5 * channel.rate * dissipator
+    # The commutator part's real components and the dissipators' imaginary
+    # ones are all zeros, so adding the channels' sum in one step gives the
+    # bits that adding the channels one at a time gives.
+    liouv += _dissipative_part(struct.pack("4d", s.gamma1, s.gamma2, s.gamma3, s.gamma4))
     return liouv
 
 
@@ -209,14 +225,6 @@ def _rk4_step_matrix(liouv: np.ndarray, dt: float) -> np.ndarray:
     return np.eye(16, dtype=np.complex128) + hl + hl2 / 2.0 + hl3 / 6.0 + hl4 / 24.0
 
 
-def _from_trace_coordinates(state: np.ndarray) -> np.ndarray:
-    # Undo _propagate's change of coordinates, which adds the populations at
-    # 5, 10, 15 into position 0 so that it holds the trace.
-    rho = state.copy()
-    rho[0] -= rho[_LATER_POPULATIONS].sum()
-    return unvec(rho)
-
-
 def _power(squares: list[np.ndarray], n: int) -> np.ndarray:
     # S^n for n >= 1 by binary powering; squares holds S, S^2, S^4, ... and
     # grows on demand, so every power taken from it shares the squarings.
@@ -235,10 +243,11 @@ def _propagate(
     t_final: float,
     dt: float,
     samples: int = 0,
-) -> tuple[np.ndarray, list[tuple[int, np.ndarray]]]:
-    # Runs round(t_final / dt) RK4 steps.  With samples > 0 the raw state is
-    # also recorded at `samples` evenly spaced steps, the last one on the
-    # final step.  The state jumps from one checkpoint to the next by a
+) -> tuple[np.ndarray, list[int], np.ndarray]:
+    # Runs round(t_final / dt) RK4 steps and returns the final state, the
+    # sampled steps and the (m, 4, 4) states at them.  With samples > 0 the
+    # raw state is recorded at `samples` evenly spaced steps, the last one on
+    # the final step.  The state jumps from one checkpoint to the next by a
     # power of the step matrix S: the same iterate as stepping one at a
     # time, with the products taken in another order.
     #
@@ -277,7 +286,8 @@ def _propagate(
     powers: dict[int, np.ndarray] = {}
     state = vec(rho0).copy()
     state[0] += state[_LATER_POPULATIONS].sum()
-    records: list[tuple[int, np.ndarray]] = []
+    steps: list[int] = []
+    recorded: list[np.ndarray] = []
     reached = 0
     for step in sorted((targets | {n_steps}) - {0}):
         gap = step - reached
@@ -286,8 +296,14 @@ def _propagate(
         state = powers[gap] @ state
         reached = step
         if step in targets:
-            records.append((step, _from_trace_coordinates(state)))
-    return _from_trace_coordinates(state), records
+            steps.append(step)
+            recorded.append(state)
+    # Back from trace coordinates, the final state and every sample at once:
+    # position 0 holds the trace, so take the populations at 5, 10, 15 out.
+    raw = np.array([state, *recorded])
+    raw[:, 0] -= raw[:, _LATER_POPULATIONS].sum(axis=1)
+    rho = raw.reshape(-1, 4, 4)
+    return rho[0], steps, rho[1:]
 
 
 def evolve(
@@ -308,7 +324,7 @@ def evolve(
     before being returned.  Expects a closure-completed Scenario.
     """
     liouv = build_liouvillian(s)
-    final, _ = _propagate(liouv, rho0, t_final, dt)
+    final, _, _ = _propagate(liouv, rho0, t_final, dt)
     final = 0.5 * (final + final.conj().T)
     check_density_matrix(final, context="final state")
     return final
@@ -339,18 +355,17 @@ def evolve_trajectory(
     if samples < 1:
         raise ValueError(f"samples must be positive, got {samples!r}")
     liouv = build_liouvillian(s)
-    _, pairs = _propagate(liouv, rho0, t_final, dt, samples=samples)
-    states = np.array([state for _, state in pairs])
+    _, steps, states = _propagate(liouv, rho0, t_final, dt, samples=samples)
     first: dict[bytes, int] = {}
     for k, state in enumerate(states):
         first.setdefault(state.tobytes(), k)
     distinct = list(first.values())
     try:
         check_density_matrix(
-            states[distinct], context=[f"state at step {pairs[k][0]}" for k in distinct]
+            states[distinct], context=[f"state at step {steps[k]}" for k in distinct]
         )
     except InvariantError as exc:
         exc.index = distinct[exc.index]
         raise
-    times = np.array([step * dt for step, _ in pairs])
+    times = np.array([step * dt for step in steps])
     return times, states

@@ -476,6 +476,24 @@ def test_main_computation_failure(tmp_path, capsys):
     assert "error:" in err and "parameters:" in err
 
 
+def test_main_steady_at_mixed_extremes_exits_2_with_one_error_line(tmp_path, capsys):
+    # A singular generator inside the cap: the solver's error, with no
+    # overflow warning before it (pytest makes one an error).
+    cfg = tmp_path / "extremes.cfg"
+    cfg.write_text(
+        "[fields]\nomega_a1 = 1.0\nomega_c1 = 1e-300\nomega_c2 = 1.0\n"
+        "delta_a2 = -1e38\ndelta_c1 = 1e60\ndelta_c2 = 1.0\nclosure_target = none\n"
+        "[decays]\ngamma1 = 1e-300\ngamma2 = 1e76\ngamma3 = 1e-300\ngamma4 = 1e76\n"
+    )
+    assert main(["steady", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert "Warning" not in err
+    assert [line for line in err.splitlines() if line.startswith("error:")] == [
+        "error: non-unique or absent steady state: matrix is numerically singular at pivot 0 "
+        "(|pivot| = 1.000e+00, threshold = 2.000e+62)"
+    ]
+
+
 def test_main_unwritable_output(tmp_path, capsys):
     missing = tmp_path / "no" / "dir" / "x.csv"
     assert main(sweep_args("--out", str(missing))) == 1

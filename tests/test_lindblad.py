@@ -9,7 +9,7 @@ import pytest
 
 from diamondsim import lindblad
 from diamondsim.algebra import herm_eigen
-from diamondsim.atom import Scenario
+from diamondsim.atom import Scenario, closure_complete
 from diamondsim.cli import PRESET_NAMES, preset
 from diamondsim.lindblad import (
     InvariantError,
@@ -227,6 +227,43 @@ def test_steady_state_without_decay_is_rejected():
         steady_state(build_liouvillian(s))
 
 
+# Singular generators at mixed extremes inside the cap.  Elimination fails a
+# pivot on each; substituting back through the carried-on pivots used to
+# overflow on the way to that error, and pytest makes the warning an error.
+MIXED_EXTREMES = [
+    (
+        Scenario(omega_a1=1.0, omega_c1=1e-300, omega_c2=1.0, delta_a2=-1e38, delta_c1=1e60,
+                 delta_c2=1.0, gamma1=1e-300, gamma2=1e76, gamma3=1e-300, gamma4=1e76),
+        "pivot 0 (|pivot| = 1.000e+00, threshold = 2.000e+62)",
+    ),
+    (
+        Scenario(omega_a1=1e76, omega_a2=1e-300, omega_c1=1e60, delta_a1=-1.0, delta_a2=1e-300,
+                 delta_c1=1e38, delta_c2=-1e-300, gamma1=1.0, gamma2=1e38, gamma3=1e76,
+                 gamma4=1e76, closure_target="a2"),
+        "pivot 5 (|pivot| = 8.000e+59, threshold = 4.000e+62)",
+    ),
+    (
+        Scenario(omega_a1=1e38, omega_a2=1e-300, omega_c1=1e-300, omega_c2=1e-300, delta_a2=1e60,
+                 delta_c1=-1e38, delta_c2=-1e20, gamma1=1e20, gamma2=1e38, gamma3=0.0,
+                 gamma4=1e20, closure_target="c2"),
+        "pivot 0 (|pivot| = 1.000e+38, threshold = 1.000e+46)",
+    ),
+]
+
+
+@pytest.mark.parametrize("s, pivot", MIXED_EXTREMES, ids=["none", "a2", "c2"])
+def test_singular_generators_at_mixed_extremes_fail_without_overflow(s, pivot):
+    liouv = build_liouvillian(closure_complete(s))
+    message = f"non-unique or absent steady state: matrix is numerically singular at {pivot}"
+    with pytest.raises(SteadyStateError) as alone:
+        steady_state(liouv)
+    assert str(alone.value) == message
+    # In a stack the failing system's arithmetic stays finite beside a good one.
+    with pytest.raises(SteadyStateError) as stacked:
+        steady_state(np.array([build_liouvillian(preset("fig5")[0]), liouv]))
+    assert str(stacked.value) == message and stacked.value.index == 1
+
+
 def test_steady_state_rejects_a_generator_that_leaks_trace():
     # The trace condition replaces the (a, a) row of L, so only the residual
     # check sees a defect there; the solved state is a valid density matrix.
@@ -440,7 +477,10 @@ def test_trajectory_names_the_first_bad_sample_among_repeats(monkeypatch):
     bad = np.diag([1.2, -0.2, 0.0, 0.0]).astype(complex)
     samples = [good, good, bad, other, bad, good, bad]
     pairs = [(10 * (k + 1), state) for k, state in enumerate(samples)]
-    monkeypatch.setattr(lindblad, "_propagate", lambda *args, **kwargs: (samples[-1], pairs))
+    steps = [step for step, _ in pairs]
+    monkeypatch.setattr(
+        lindblad, "_propagate", lambda *args, **kwargs: (samples[-1], steps, np.array(samples))
+    )
     with pytest.raises(InvariantError) as whole:
         check_density_matrix(np.array(samples), [f"state at step {step}" for step, _ in pairs])
     with pytest.raises(InvariantError) as info:

@@ -1,7 +1,9 @@
 """The fast per-point kernels against the numpy references in reference_kernels.
 
 Stated tolerances:
-- build_liouvillian: bit-identical to the np.kron assembly (tolerance 0);
+- build_liouvillian: bit-identical to the np.kron assembly (tolerance 0),
+  also through more rate sets than its cache holds and for rate sets that
+  differ only in the sign of a zero;
 - solve_linear on one system: bit-identical to the elimination that keeps
   the right-hand side apart;
 - run_sweep: the same states, bit for bit, as a per-point loop whose
@@ -34,6 +36,7 @@ import numpy as np
 import pytest
 
 import reference_kernels as ref
+from diamondsim import lindblad
 from diamondsim.algebra import herm_eigen, matrix_inf_norm, solve_linear
 from diamondsim.atom import CLOSURE_TARGETS, Scenario, build_hamiltonian, closure_complete
 from diamondsim.cli import PRESET_NAMES, preset
@@ -56,9 +59,33 @@ def test_liouvillian_is_bit_identical_to_the_kron_reference():
         for name in PRESET_NAMES
         for delta in np.linspace(-25.0, 25.0, 51)
     ]
-    scenarios += [closure_complete(s) for s in random_scenarios(np.random.default_rng(5), 200)]
+    # 200 distinct rate sets, more than the cache of dissipative parts holds,
+    # run twice: the second run rebuilds the sums the first evicted.
+    randoms = [closure_complete(s) for s in random_scenarios(np.random.default_rng(5), 200)]
+    rate_sets = {(s.gamma1, s.gamma2, s.gamma3, s.gamma4) for s in randoms}
+    assert len(rate_sets) > lindblad._dissipative_part.cache_info().maxsize
+    scenarios += randoms + randoms
     for s in scenarios:
         assert build_liouvillian(s).tobytes() == ref.build_liouvillian(s).tobytes(), s
+
+    # Rate sets that differ only in the sign of a zero give different bits,
+    # whichever of them is built first.
+    plus, minus = (
+        Scenario(delta_a1=-0.0, gamma1=0.0, gamma2=0.0, gamma3=0.0, gamma4=zero)
+        for zero in (0.0, -0.0)
+    )
+    assert ref.build_liouvillian(plus).tobytes() != ref.build_liouvillian(minus).tobytes()
+    for order in ((plus, minus), (minus, plus)):
+        lindblad._dissipative_part.cache_clear()
+        for s in order:
+            assert build_liouvillian(s).tobytes() == ref.build_liouvillian(s).tobytes(), s
+
+    # Each L is the caller's own: writing to it leaves the next build alone.
+    s = scenarios[0]
+    liouv = build_liouvillian(s)
+    assert liouv.flags.writeable
+    liouv[...] = np.nan
+    assert build_liouvillian(s).tobytes() == ref.build_liouvillian(s).tobytes()
 
 
 def test_one_system_solve_is_bit_identical_to_the_reference():
