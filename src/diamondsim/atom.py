@@ -46,7 +46,6 @@ __all__ = [
     "Scenario",
     "build_hamiltonian",
     "closure_complete",
-    "closure_defect",
     "decay_channels",
 ]
 
@@ -54,6 +53,10 @@ LEVELS = ("a", "b", "c", "d")
 CLOSURE_TARGETS = ("a1", "a2", "c1", "c2", "none")
 
 _CLOSURE_TOL = 1e-9
+_OPEN_LOOP = (
+    "time-dependent Hamiltonian unsupported: all four fields are active and "
+    "delta_a1 + delta_c1 - delta_a2 - delta_c2 = {:.3e}"
+)
 
 #: Largest magnitude of any Scenario number and sweep edge.  At 1e76 the
 #: dressed-state closed form succeeds on all 64 drive patterns with each of
@@ -129,9 +132,28 @@ class DecayChannel:
     rate: float
 
 
-def closure_defect(s: Scenario) -> float:
-    """Signed violation of the loop closure condition."""
-    return s.delta_a1 + s.delta_c1 - s.delta_a2 - s.delta_c2
+def _closure(s: Scenario, delta_c2):
+    """Closure completion's arithmetic at probe detuning(s) delta_c2.
+
+    A float or an ndarray runs the same float operations in the same order.
+    Returns the field closure_target overwrites and its completed value; for
+    "none", "" and the defect delta_a1 + delta_c1 - delta_a2 - delta_c2.
+    """
+    target = s.closure_target
+    if target == "a1":
+        return "delta_a1", s.delta_a2 + delta_c2 - s.delta_c1
+    if target == "a2":
+        return "delta_a2", s.delta_a1 + s.delta_c1 - delta_c2
+    if target == "c1":
+        return "delta_c1", s.delta_a2 + delta_c2 - s.delta_a1
+    if target == "c2":
+        return "delta_c2", s.delta_a1 + s.delta_c1 - s.delta_a2
+    return "", s.delta_a1 + s.delta_c1 - s.delta_a2 - delta_c2
+
+
+def _open_loop(s: Scenario, defect):
+    """Whether the defect leaves a fully driven loop open (elementwise for an array)."""
+    return min(s.omega_a1, s.omega_a2, s.omega_c1, s.omega_c2) > 0.0 and abs(defect) >= _CLOSURE_TOL
 
 
 def closure_complete(s: Scenario) -> Scenario:
@@ -144,24 +166,12 @@ def closure_complete(s: Scenario) -> Scenario:
     time-dependent Hamiltonian, which this package does not model.
     Idempotent: completing a completed Scenario reproduces it bit for bit.
     """
-    target = s.closure_target
-    if target == "none":
-        if (
-            min(s.omega_a1, s.omega_a2, s.omega_c1, s.omega_c2) > 0.0
-            and abs(closure_defect(s)) >= _CLOSURE_TOL
-        ):
-            raise ClosureError(
-                "time-dependent Hamiltonian unsupported: all four fields are active and "
-                f"delta_a1 + delta_c1 - delta_a2 - delta_c2 = {closure_defect(s):.3e}"
-            )
-        return s
-    if target == "a1":
-        return replace(s, delta_a1=s.delta_a2 + s.delta_c2 - s.delta_c1)
-    if target == "a2":
-        return replace(s, delta_a2=s.delta_a1 + s.delta_c1 - s.delta_c2)
-    if target == "c1":
-        return replace(s, delta_c1=s.delta_a2 + s.delta_c2 - s.delta_a1)
-    return replace(s, delta_c2=s.delta_a1 + s.delta_c1 - s.delta_a2)
+    name, value = _closure(s, s.delta_c2)
+    if name:
+        return replace(s, **{name: value})
+    if _open_loop(s, value):
+        raise ClosureError(_OPEN_LOOP.format(value))
+    return s
 
 
 def build_hamiltonian(s: Scenario) -> np.ndarray:

@@ -1,12 +1,12 @@
 """Probe-detuning scans of the steady state and feature detection.
 
-A sweep walks the probe detuning delta_c2 over a uniform grid.  At each grid
-point the Scenario is closure-completed (so the scan is physically realized
-through the frame of the field named by closure_target) and the generator
-rebuilt; the steady states are solved a block of points at a time.  The
-stored quantities per row are the four populations and the six independent
-coherences, addressed with the same column keys the CSV output uses (rho_aa,
-re_cd, im_cd, ...).
+A sweep walks the probe detuning delta_c2 over a uniform grid.  Closure
+completion runs once on the whole grid (so the scan is physically realized
+through the frame of the field named by closure_target); each grid point
+then gets its own validated Scenario and generator, and the steady states
+are solved a block of points at a time.  The stored quantities per row are
+the four populations and the six independent coherences, addressed with the
+same column keys the CSV output uses (rho_aa, re_cd, im_cd, ...).
 
 Feature detectors operate on the imaginary parts of the coherences, which
 carry the absorption information: for the probe transition Im rho_cd > 0 is
@@ -20,11 +20,11 @@ count as windows.
 from __future__ import annotations
 
 import numbers
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .atom import LEVELS, MAX_RATE, Scenario, closure_complete
+from .atom import _OPEN_LOOP, LEVELS, MAX_RATE, ClosureError, Scenario, _closure, _open_loop
 from .errors import InputError, SimulationError, echo
 from .lindblad import SteadyStateError, build_liouvillian, steady_state
 
@@ -161,47 +161,59 @@ def extract_observable(rho: np.ndarray, key: str):
 def run_sweep(spec: SweepSpec) -> SweepResult:
     """Solve the steady state across the probe-detuning grid.
 
-    Each grid point sets delta_c2, closure-completes with the configured
-    target, and builds its generator; the steady states are then solved a
-    block of points at a time.  Any per-point failure aborts the sweep, and
-    the error names the first detuning that fails on its own: each point is
-    built once, and a failing block's lowest failure comes from
-    steady_state's `index` or, for a point whose build fails, from solving
-    the points built before it.  Note that closure_target "c2"
-    pins the probe detuning right back, making the scan flat; targets
-    naming an inactive field give the intended probe spectroscopy.  Output
-    is deterministic: identical specs produce bit-identical results, equal
-    to solving each point on its own.
+    Closure completion runs once on the grid, with closure_complete's float
+    operations; each point then gets one validated Scenario (a completed
+    detuning past atom.MAX_RATE raises its errors.InputError) and one
+    generator, and the steady states are solved a block of points at a time.
+    Any other per-point failure aborts the sweep, and the error names the
+    first detuning that fails on its own: each point is built once, and a
+    failing block's lowest failure comes from steady_state's `index` or, for
+    an open loop under closure_target "none", from solving the points before
+    it.  Note that closure_target "c2" pins the probe detuning right back,
+    making the scan flat; targets naming an inactive field give the intended
+    probe spectroscopy.  Output is deterministic: identical specs produce
+    bit-identical results, equal to solving each point on its own.
     """
-
-    def generator(delta) -> np.ndarray:
-        return build_liouvillian(closure_complete(replace(spec.base, delta_c2=float(delta))))
 
     def aborted(delta, exc: SimulationError) -> SweepError:
         return SweepError(f"sweep aborted at probe detuning {float(delta)!r}: {exc}")
 
+    base = spec.base
     grid = np.linspace(spec.delta_min, spec.delta_max, spec.points)
+    target, completed = _closure(base, grid)
+    open_at = spec.points
+    if not target:
+        # Target "none" keeps the probe detuning and returns the defect.
+        defect, target, completed = completed, "delta_c2", grid
+        open_loop = _open_loop(base, defect)
+        if np.any(open_loop):
+            open_at = int(np.argmax(open_loop))
+    # Target "c2" completes to one value for the whole grid.
+    completed = np.broadcast_to(completed, grid.shape)
+    values = dict(vars(base))
     states = np.empty((spec.points, 4, 4), dtype=np.complex128)
     liouv = np.empty((min(_BLOCK, spec.points), 16, 16), dtype=np.complex128)
     for start in range(0, spec.points, _BLOCK):
         block = grid[start : start + _BLOCK]
-        built, failure = len(block), None
-        for k, delta in enumerate(block):
-            try:
-                liouv[k] = generator(delta)
-            except SimulationError as exc:
-                built, failure = k, exc
-                break
-        # The points built before a failing one are solved first: a point
+        # The points of an open loop are built up to its first open one.
+        built = min(len(block), open_at - start)
+        # Python floats, a block at a time: a Scenario echoes them with repr.
+        points = zip(block[:built].tolist(), completed[start : start + built].tolist())
+        for k, (delta, value) in enumerate(points):
+            values["delta_c2"] = delta
+            values[target] = value
+            liouv[k] = build_liouvillian(Scenario(**values))
+        # The points built before an open one are solved first: a point
         # that fails alone before it names the sweep's error instead.
         try:
             states[start : start + built] = steady_state(liouv[:built])
         except SteadyStateError as exc:
             if exc.index is not None:
                 raise aborted(block[exc.index], exc) from exc
-            if failure is None:
+            if built == len(block):
                 raise
-        if failure is not None:
+        if built < len(block):
+            failure = ClosureError(_OPEN_LOOP.format(defect[open_at]))
             raise aborted(block[built], failure) from failure
     return SweepResult(delta=grid, states=states)
 

@@ -30,13 +30,13 @@ Stated tolerances:
 """
 
 import functools
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
 import reference_kernels as ref
-from diamondsim import lindblad
+from diamondsim import lindblad, sweep
 from diamondsim.algebra import herm_eigen, matrix_inf_norm, solve_linear
 from diamondsim.atom import CLOSURE_TARGETS, Scenario, build_hamiltonian, closure_complete
 from diamondsim.cli import PRESET_NAMES, preset
@@ -117,6 +117,49 @@ def test_sweep_states_are_bit_identical_to_the_reference_kernels(name):
     for target in CLOSURE_TARGETS:
         base = replace(preset(name)[0], closure_target=target)
         assert sweep_matches_the_references(base) == (True, True), target
+
+
+def detuned_bases():
+    """Seeded bases with non-zero detunings of both signs and one -0.0.
+
+    Each leaves a different field inactive, so that target "none" runs too.
+    """
+    rng = np.random.default_rng(16)
+    signs = ((1, -1, 1), (-1, 1, -1), (1, 1, -1), (-1, -1, 1))
+    for inactive, sign in enumerate(signs):
+        omegas = rng.uniform(0.5, 5.0, 4)
+        omegas[inactive] = 0.0
+        deltas = rng.uniform(1.0, 10.0, 3) * sign
+        gammas = rng.uniform(0.5, 2.0, 4)
+        yield Scenario(*omegas.tolist(), *deltas.tolist(), 0.0, *gammas.tolist())
+    yield Scenario(1.5, 0.0, 2.5, 1.0, -3.5, 4.0, -0.0, 0.0, 1.0, 0.5, 1.5, 2.0)
+
+
+def scenario_bits(s: Scenario) -> bytes:
+    """A Scenario's numbers as bytes, so that -0.0 and 0.0 differ."""
+    numbers = [getattr(s, f.name) for f in fields(Scenario) if f.name != "closure_target"]
+    return np.array(numbers).tobytes() + s.closure_target.encode()
+
+
+@pytest.mark.parametrize("base", list(detuned_bases()))
+@pytest.mark.parametrize("target", CLOSURE_TARGETS)
+def test_sweep_off_zero_detunings_is_bit_identical_to_point_by_point_completion(
+    monkeypatch, base, target
+):
+    # Every term of each target's formula is non-zero here, unlike on the
+    # presets, whose fixed detunings are all zero.
+    base = replace(base, closure_target=target)
+    built = []
+
+    def build(scenario):
+        built.append(scenario_bits(scenario))
+        return build_liouvillian(scenario)
+
+    monkeypatch.setattr(sweep, "build_liouvillian", build)
+    fast = run_sweep(SweepSpec(base=base, delta_min=-12.0, delta_max=12.0, points=67))
+    grid = fast.delta.tolist()
+    assert built == [scenario_bits(closure_complete(replace(base, delta_c2=d))) for d in grid]
+    assert fast.states.tobytes() == ref.sweep_states(base, fast.delta).tobytes()
 
 
 def hermitian_cases(rng):

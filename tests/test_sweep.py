@@ -164,6 +164,37 @@ def test_failing_block_builds_each_point_once(monkeypatch):
     assert built == grid
 
 
+@pytest.mark.parametrize(
+    "target,offset",
+    [("a1", {"delta_a2": 5e75}), ("a2", {"delta_a1": -5e75}), ("c1", {"delta_a2": 5e75})],
+)
+def test_sweep_past_the_cap_raises_the_point_by_point_input_error(monkeypatch, target, offset):
+    # The completed detuning runs 5e75 ahead of the probe (behind it, for
+    # a2), so it passes atom.MAX_RATE partway along, in the third block.
+    # Every point solves fig5's generator, so the blocks before it succeed.
+    base = replace(Scenario(closure_target=target), **offset)
+    spec = SweepSpec(base=base, delta_min=-1e76, delta_max=1e76, points=231)
+    grid = np.linspace(spec.delta_min, spec.delta_max, spec.points).tolist()
+    with pytest.raises(InputError) as expected:
+        for crossing, delta in enumerate(grid):
+            closure_complete(replace(base, delta_c2=delta))
+    assert 2 * 64 <= crossing < 3 * 64
+    fig5 = lindblad.build_liouvillian(closure_complete(preset("fig5")[0]))
+    built = []
+
+    def build(scenario):
+        built.append(scenario.delta_c2)
+        return fig5
+
+    monkeypatch.setattr(sweep, "build_liouvillian", build)
+    with pytest.raises(InputError) as info:
+        run_sweep(spec)
+    assert str(info.value) == str(expected.value)
+    assert info.value.fields == expected.value.fields == (f"delta_{target}",)
+    assert "np.float64" not in str(info.value)
+    assert built == grid[:crossing]
+
+
 def test_probe_target_pins_the_scan_flat():
     # completing the probe detuning itself overwrites the swept value
     s, _ = preset("fig5")
