@@ -109,9 +109,16 @@ def herm_eigen(a) -> EigenDecomposition:
     mat = np.asarray(a, dtype=np.complex128)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1] or not mat.size:
         raise ValueError(f"herm_eigen requires a non-empty square matrix, got shape {mat.shape}")
-    scale = matrix_inf_norm(mat)
-    # Written so that a NaN defect or scale fails too.
-    if not matrix_inf_norm(mat - mat.conj().T) < _HERMITICITY_REL_TOL * (1.0 + scale):
+    # Both inf-norms inline, without matrix_inf_norm's call overhead.  An
+    # inf entry fails before the defect's inf - inf could warn; a NaN scale
+    # or defect fails every comparison.
+    scale = float(np.maximum.reduce(np.add.reduce(np.abs(mat), axis=-1)))
+    finite = scale < np.inf or np.isfinite(mat).all()
+    if not (
+        finite
+        and np.maximum.reduce(np.add.reduce(np.abs(mat - mat.conj().T), axis=-1))
+        < _HERMITICITY_REL_TOL * (1.0 + scale)
+    ):
         raise ValueError("herm_eigen requires a finite Hermitian matrix")
 
     try:
@@ -121,7 +128,7 @@ def herm_eigen(a) -> EigenDecomposition:
     # The phase pin on every column at once; a unit column's largest
     # magnitude is positive, so the division is safe.
     mags = np.abs(vectors)
-    lead = np.argmax(mags >= (1.0 - _PIN_REL_TOL) * np.maximum.reduce(mags), axis=0)
+    lead = (mags >= (1.0 - _PIN_REL_TOL) * np.maximum.reduce(mags)).argmax(axis=0)
     eye, columns = _eye_and_columns(len(values))
     vectors *= vectors[lead, columns].conj() / mags[lead, columns]
 
@@ -178,9 +185,11 @@ def solve_linear(a, b) -> np.ndarray:
     for k in range(n):
         lead = k + np.abs(work[:, k:, k]).argmax(axis=1)
         # Swap rows k and lead of every system; where lead == k it is a no-op.
-        upper = work[rows, lead]
-        work[rows, lead] = work[:, k]
-        work[:, k] = upper
+        # Only columns k: are live; those left of k hold eliminated entries
+        # that nothing reads again.
+        upper = work[rows, lead, k:]
+        work[rows, lead, k:] = work[:, k, k:]
+        work[:, k, k:] = upper
         diagonal = work[:, k, k]
         np.abs(diagonal, out=pivots[k])
         np.copyto(diagonal, 1.0, where=pivots[k] <= threshold)

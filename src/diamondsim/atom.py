@@ -64,6 +64,7 @@ _OPEN_LOOP = (
 #: Under it the sums in B, L and the closure condition stay finite, and a
 #: detuning closure_complete derives past it (up to 3e76) is rejected.
 MAX_RATE = 1e76
+_NARROW_FLOATS = (np.float16, np.float32)
 
 
 class ClosureError(SimulationError):
@@ -98,11 +99,16 @@ class Scenario:
 
     def __post_init__(self):
         values = vars(self)
+        high = MAX_RATE
+        low = -high
         for name in _NUMBER_FIELDS:
             value = values[name]
             # One chained test passes an accepted value (NaN fails it; only
             # detunings may be negative); a rejected one is matched below.
-            if -MAX_RATE <= value <= MAX_RATE and (value >= 0.0 or name[0] == "d"):
+            # It runs in double precision: a float16 or float32 would take
+            # the cap into its own type, where it overflows.
+            number = float(value) if type(value) in _NARROW_FLOATS else value
+            if low <= number <= high and (number >= 0.0 or name[0] == "d"):
                 continue
             if not math.isfinite(value):
                 rule = "be finite"
@@ -182,14 +188,13 @@ def build_hamiltonian(s: Scenario) -> np.ndarray:
     closure-completed Scenario; note that delta_c2 never appears in B, so
     probe scans only act through closure completion.
     """
-    return np.array(
-        [
-            [s.delta_a1, s.omega_a1, s.omega_c1, 0.0],
-            [s.omega_a1, 0.0, 0.0, s.omega_a2],
-            [s.omega_c1, 0.0, s.delta_a1 + s.delta_c1, s.omega_c2],
-            [0.0, s.omega_a2, s.omega_c2, s.delta_a2],
-        ]
-    )
+    # One flat list, four entries a row.
+    return np.array([
+        s.delta_a1, s.omega_a1, s.omega_c1, 0.0,
+        s.omega_a1, 0.0, 0.0, s.omega_a2,
+        s.omega_c1, 0.0, s.delta_a1 + s.delta_c1, s.omega_c2,
+        0.0, s.omega_a2, s.omega_c2, s.delta_a2,
+    ]).reshape(4, 4)
 
 
 def decay_channels(s: Scenario) -> tuple[DecayChannel, ...]:

@@ -13,6 +13,7 @@ with jump operators |a><c|, |d><c|, |b><a|, |b><d| at rates gamma1..gamma4.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import numbers
 import struct
@@ -103,8 +104,8 @@ def check_density_matrix(
     if len(labels) != len(stack):
         raise ValueError(f"expected {len(stack)} context labels, got {len(labels)}")
     adjoint = stack.conj().transpose(0, 2, 1)
-    defect = matrix_inf_norm(stack - adjoint)
-    trace_err = np.abs(np.trace(stack, axis1=1, axis2=2) - 1.0)
+    defect = matrix_inf_norm(stack - adjoint).tolist()
+    trace_err = np.abs(np.trace(stack, axis1=1, axis2=2) - 1.0).tolist()
     for k, symmetric in enumerate(0.5 * (stack + adjoint)):
         if not defect[k] < _HERMITICITY_TOL:
             message = f"Hermiticity defect {defect[k]:.3e} >= 1e-9"
@@ -119,9 +120,17 @@ def check_density_matrix(
 
 
 _EYE = np.eye(4, dtype=np.complex128)
-# np.kron(x, y) of 4x4 matrices is x[:, None, :, None] * y[None, :, None, :]
-# reshaped to 16x16; these are the identity's two broadcast forms.
-_EYE_RIGHT, _EYE_LEFT = _EYE[None, :, None, :], _EYE[:, None, :, None]
+# Entry (4i + j, 4k + l) of B (x) I - I (x) B^T is B[i, k] d[j, l] - d[i, k] B[l, j]:
+# flat positions 4i + k and 4l + j of B, and the two Kronecker deltas as
+# complex 0/1 factors.  Multiplying by them, as np.kron does, keeps its
+# signed zeros, which a bare gather of B's entries would not.
+# Built from Python numbers: built by numpy casts, they raised the
+# process's peak memory by about 0.25 MB.
+_ENTRIES = list(itertools.product(range(4), repeat=4))
+_IK = np.array([4 * i + k for i, j, k, l in _ENTRIES])
+_LJ = np.array([4 * l + j for i, j, k, l in _ENTRIES])
+_DELTA_JL = np.array([complex(j == l) for i, j, k, l in _ENTRIES])
+_DELTA_IK = np.array([complex(i == k) for i, j, k, l in _ENTRIES])
 
 
 def _dissipator(from_level: str, to_level: str) -> np.ndarray:
@@ -157,9 +166,9 @@ def build_liouvillian(s: Scenario) -> np.ndarray:
     Expects a closure-completed Scenario.  The four rows at the population
     positions sum to the zero row exactly, so L conserves the trace.
     """
-    coupling = build_hamiltonian(s).astype(np.complex128)
-    # B (x) I - I (x) B^T, multiplied out as np.kron does it.
-    commutator = coupling[:, None, :, None] * _EYE_RIGHT - _EYE_LEFT * coupling.T[None, :, None, :]
+    coupling = build_hamiltonian(s).astype(np.complex128).ravel()
+    # B (x) I - I (x) B^T, gathered entry by entry.
+    commutator = coupling[_IK] * _DELTA_JL - _DELTA_IK * coupling[_LJ]
     liouv = (1j * commutator).reshape(16, 16)
     # The commutator part's real components and the dissipators' imaginary
     # ones are all zeros, so adding the channels' sum in one step gives the

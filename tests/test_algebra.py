@@ -92,7 +92,12 @@ def test_eigen_rejects_non_hermitian():
 def test_eigen_rejects_nan_and_empty_input():
     pair = np.eye(4, dtype=complex)
     pair[0, 1] = pair[1, 0] = np.nan
-    for bad in (pair, np.full((4, 4), np.nan)):
+    inf_pair = np.eye(4, dtype=complex)
+    inf_pair[0, 1] = inf_pair[1, 0] = np.inf
+    diagonals = [np.diag([1.0, sign * np.inf, 1.0, 1.0]).astype(complex) for sign in (1, -1)]
+    # Under the suite's warnings-as-errors, an inf - inf that warned would
+    # raise RuntimeWarning here instead.
+    for bad in (pair, np.full((4, 4), np.nan), inf_pair, *diagonals):
         with pytest.raises(ValueError, match="requires a finite Hermitian matrix"):
             herm_eigen(bad)
     with pytest.raises(ValueError, match=r"non-empty square matrix, got shape \(0, 0\)"):

@@ -234,6 +234,25 @@ def test_every_number_past_the_cap_is_rejected(name, value):
     assert f"{name} must be {rule}" in str(info.value)
 
 
+@pytest.mark.parametrize("narrow", [np.float16, np.float32])
+def test_narrow_numpy_floats_are_checked_in_double_precision(narrow):
+    # The cap is no float16 or float32: checked in their own type it would
+    # overflow, which the suite's warnings-as-errors turns into a raise.
+    s = Scenario(delta_a2=narrow(0.1), omega_c2=narrow(2.5), closure_target="a1")
+    assert (s.delta_a2, s.omega_c2) == (narrow(0.1), narrow(2.5))
+    with pytest.raises(InputError, match="delta_a2 must be finite, got np.float") as info:
+        Scenario(delta_a2=narrow("inf"), closure_target="a1")
+    assert info.value.fields == ("delta_a2",)
+    with pytest.raises(InputError, match="omega_c2 must be non-negative"):
+        Scenario(omega_c2=narrow(-1.0))
+
+
+def test_non_numeric_values_fail_the_comparison_as_before():
+    for value in ("1.0", None, 1 + 2j):
+        with pytest.raises(TypeError, match="'<=' not supported between instances of 'float'"):
+            Scenario(delta_a1=value)
+
+
 def test_the_first_bad_number_in_field_order_is_reported():
     with pytest.raises(InputError) as info:
         Scenario(gamma1=-1.0, delta_c1=1e300, omega_a2=float("nan"))

@@ -53,12 +53,35 @@ def random_scenarios(rng, count):
         yield Scenario(*omegas, *deltas, *gammas, closure_target="c2")
 
 
+def extreme_scenarios(rng, count):
+    """Seeded scenarios at signed zeros, tiny and huge magnitudes.
+
+    Rabi frequencies and rates are drawn from -0.0, 0.0, 1e-300, 2.5 and
+    1e20, detunings from those with either sign; each is completed under
+    targets a1, a2, c1 and c2.  Every fourth scenario has all four rates
+    -0.0: only then does the dissipative part hold negative zeros, which
+    leave the commutator's signed zeros in L.
+    """
+    magnitudes = np.array([-0.0, 0.0, 1e-300, 2.5, 1e20])
+    signed = np.concatenate([magnitudes, -magnitudes[2:]])
+    for target in CLOSURE_TARGETS[:4]:
+        for k in range(count):
+            omegas, gammas = rng.choice(magnitudes, (2, 4)).tolist()
+            if k % 4 == 0:
+                gammas = [-0.0] * 4
+            deltas = rng.choice(signed, 4).tolist()
+            yield closure_complete(Scenario(*omegas, *deltas, *gammas, closure_target=target))
+
+
 def test_liouvillian_is_bit_identical_to_the_kron_reference():
     scenarios = [
         closure_complete(replace(preset(name)[0], delta_c2=float(delta)))
         for name in PRESET_NAMES
         for delta in np.linspace(-25.0, 25.0, 51)
     ]
+    # The signs of zero entries of L: B's zeros and signed zeros times the
+    # Kronecker deltas' zeros, under rate sets with -0.0 among them.
+    scenarios += extreme_scenarios(np.random.default_rng(17), 250)
     # 200 distinct rate sets, more than the cache of dissipative parts holds,
     # run twice: the second run rebuilds the sums the first evicted.
     randoms = [closure_complete(s) for s in random_scenarios(np.random.default_rng(5), 200)]
