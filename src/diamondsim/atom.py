@@ -31,6 +31,7 @@ probe detuning.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
@@ -40,13 +41,11 @@ from .errors import InputError, SimulationError, echo
 __all__ = [
     "CLOSURE_TARGETS",
     "ClosureError",
-    "DecayChannel",
     "LEVELS",
     "MAX_RATE",
     "Scenario",
     "build_hamiltonian",
     "closure_complete",
-    "decay_channels",
 ]
 
 LEVELS = ("a", "b", "c", "d")
@@ -64,7 +63,25 @@ _OPEN_LOOP = (
 #: Under it the sums in B, L and the closure condition stay finite, and a
 #: detuning closure_complete derives past it (up to 3e76) is rejected.
 MAX_RATE = 1e76
-_NARROW_FLOATS = (np.float16, np.float32)
+_NOT_REAL = "be a real number"
+
+
+def _number_rule(value, signed: bool) -> str:
+    """The rule a Scenario number or sweep edge breaks, or "" if it keeps them all.
+
+    A number is real, finite, at most MAX_RATE in magnitude and, unless
+    signed, non-negative.  Integers and fractions compare exactly at any
+    size, other reals as doubles: a float16 or float32 would take the cap
+    into its own type, where it overflows.
+    """
+    if not isinstance(value, numbers.Real):
+        return _NOT_REAL
+    number = value if isinstance(value, numbers.Rational) else float(value)
+    if not -math.inf < number < math.inf:
+        return "be finite"
+    if number < 0.0 and not signed:
+        return "be non-negative"
+    return f"be at most {MAX_RATE:g} in magnitude" if abs(number) > MAX_RATE else ""
 
 
 class ClosureError(SimulationError):
@@ -75,9 +92,9 @@ class ClosureError(SimulationError):
 class Scenario:
     """Complete dimensionless parameter set for one run.
 
-    Every number must be finite and at most MAX_RATE (1e76) in magnitude,
-    and Rabi frequencies and decay rates non-negative; the first rejected
-    value in field order raises errors.InputError naming its field.
+    Every number must be real, finite and at most MAX_RATE (1e76) in
+    magnitude, and Rabi frequencies and decay rates non-negative; the first
+    rejected value in field order raises errors.InputError naming its field.
     closure_target names the detuning closure_complete is allowed to
     overwrite ("none" forbids rewriting and instead demands that fully
     driven loops already satisfy closure).
@@ -99,24 +116,16 @@ class Scenario:
 
     def __post_init__(self):
         values = vars(self)
-        high = MAX_RATE
-        low = -high
-        for name in _NUMBER_FIELDS:
+        low, high = -MAX_RATE, MAX_RATE
+        for name, signed in _NUMBER_FIELDS:
             value = values[name]
-            # One chained test passes an accepted value (NaN fails it; only
-            # detunings may be negative); a rejected one is matched below.
-            # It runs in double precision: a float16 or float32 would take
-            # the cap into its own type, where it overflows.
-            number = float(value) if type(value) in _NARROW_FLOATS else value
-            if low <= number <= high and (number >= 0.0 or name[0] == "d"):
+            # One chained test passes a Python float in range; the rest take the rule.
+            if value.__class__ is float and low <= value <= high and (value >= 0.0 or signed):
                 continue
-            if not math.isfinite(value):
-                rule = "be finite"
-            elif value < 0.0 and name[0] != "d":
-                rule = "be non-negative"
-            else:
-                rule = f"be at most {MAX_RATE:g} in magnitude"
-            raise InputError(f"{name} must {rule}, got {value!r}", (name,))
+            rule = _number_rule(value, signed)
+            if rule:
+                shown = echo(value) if isinstance(value, int) else repr(echo(value))
+                raise InputError(f"{name} must {rule}, got {shown}", (name,))
         if self.closure_target not in CLOSURE_TARGETS:
             raise InputError(
                 f"closure_target must be one of {', '.join(CLOSURE_TARGETS)}, "
@@ -125,17 +134,10 @@ class Scenario:
             )
 
 
-#: Scenario's numbers, in field order.
-_NUMBER_FIELDS = tuple(f.name for f in fields(Scenario) if f.name != "closure_target")
-
-
-@dataclass(frozen=True)
-class DecayChannel:
-    """One spontaneous-decay branch of the loop."""
-
-    from_level: str
-    to_level: str
-    rate: float
+#: Scenario's numbers in field order, each with whether it may be negative.
+_NUMBER_FIELDS = tuple(
+    (f.name, f.name[0] == "d") for f in fields(Scenario) if f.name != "closure_target"
+)
 
 
 def _closure(s: Scenario, delta_c2):
@@ -195,14 +197,4 @@ def build_hamiltonian(s: Scenario) -> np.ndarray:
         s.omega_c1, 0.0, s.delta_a1 + s.delta_c1, s.omega_c2,
         0.0, s.omega_a2, s.omega_c2, s.delta_a2,
     ]).reshape(4, 4)
-
-
-def decay_channels(s: Scenario) -> tuple[DecayChannel, ...]:
-    """The four decay branches, in fixed order (c->a, c->d, a->b, d->b)."""
-    return (
-        DecayChannel("c", "a", s.gamma1),
-        DecayChannel("c", "d", s.gamma2),
-        DecayChannel("a", "b", s.gamma3),
-        DecayChannel("d", "b", s.gamma4),
-    )
 

@@ -46,14 +46,7 @@ from .atom import LEVELS, Scenario, closure_complete
 from .dressed import dark_classification, dressed_spectrum
 from .errors import InputError, SimulationError, echo
 from .lindblad import build_liouvillian, evolve, ground_state, steady_state
-from .sweep import (
-    CSV_COLUMNS,
-    OBSERVABLE_KEYS,
-    SweepResult,
-    SweepSpec,
-    extract_observable,
-    run_sweep,
-)
+from .sweep import CSV_COLUMNS, OBSERVABLE_KEYS, SweepResult, SweepSpec, _entry, run_sweep
 
 __all__ = [
     "ConfigError",
@@ -363,11 +356,10 @@ def _load_inputs(args) -> tuple[Scenario, SweepSpec, OutputOptions]:
 def _report_state(rho: np.ndarray, observables: tuple[str, ...], out: str | None) -> int:
     """Print the chosen observables of rho; given out, also write its entries as CSV."""
     for key in observables:
-        value = extract_observable(rho, key)
-        if isinstance(value, float):
-            print(f"{key:6s} = {value: .12g}")
-        else:
-            print(f"{key:6s} = {value.real: .12g} {value.imag:+.12g}i")
+        row, col = _entry(key)
+        value = complex(rho[row, col])
+        imag = "" if row == col else f" {value.imag:+.12g}i"
+        print(f"{key:6s} = {value.real: .12g}{imag}")
     if out is not None:
         entries = [
             f"{left}{right},{rho[i, j].real:.16e},{rho[i, j].imag:.16e}"

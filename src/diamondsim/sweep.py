@@ -24,7 +24,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .atom import _OPEN_LOOP, LEVELS, MAX_RATE, ClosureError, Scenario, _closure, _open_loop
+from .atom import (
+    _NOT_REAL, _OPEN_LOOP, LEVELS, MAX_RATE, ClosureError, Scenario, _closure, _number_rule,
+    _open_loop,
+)
 from .errors import InputError, SimulationError, echo
 from .lindblad import SteadyStateError, build_liouvillian, steady_state
 
@@ -38,16 +41,13 @@ __all__ = [
     "SweepSpec",
     "detect_gain",
     "detect_windows",
-    "extract_observable",
     "run_sweep",
 ]
-
-_LEVEL_INDEX = {level: k for k, level in enumerate(LEVELS)}
 
 #: Coherence keys, named upper-level-first for the transitions they probe.
 _COHERENCE_KEYS = ("cd", "ca", "db", "cb", "ab", "ad", "bd")
 
-#: Keys accepted by extract_observable.
+#: Keys a config's observables may name: the populations, then the coherences.
 OBSERVABLE_KEYS = ("pop_a", "pop_b", "pop_c", "pop_d") + _COHERENCE_KEYS
 
 #: Column order of the CSV output and of SweepResult.column: the detuning,
@@ -81,7 +81,7 @@ class SweepSpec:
     """Grid description for a probe scan.
 
     The swept parameter is always the probe detuning delta_c2; base supplies
-    every other parameter and the closure target.  Both edges must be
+    every other parameter and the closure target.  Both edges must be real,
     finite and at most atom.MAX_RATE (1e76) in magnitude, delta_min <
     delta_max, and points an integer with 2 <= points <= MAX_POINTS (10^6);
     otherwise errors.InputError naming the fields involved.
@@ -94,10 +94,14 @@ class SweepSpec:
 
     def __post_init__(self):
         edges = ("delta_min", "delta_max")
-        grid = f"[{self.delta_min}, {self.delta_max}]"
-        if not (abs(self.delta_min) <= MAX_RATE and abs(self.delta_max) <= MAX_RATE):
-            cap = f"at most {MAX_RATE:g} in magnitude"
-            raise InputError(f"delta_min, delta_max must be finite and {cap}, got {grid}", edges)
+        grid = f"[{echo(self.delta_min)}, {echo(self.delta_max)}]"
+        for edge in edges:
+            rule = _number_rule(getattr(self, edge), signed=True)
+            if rule == _NOT_REAL:
+                raise InputError(f"{edge} must {rule}, got {echo(getattr(self, edge))!r}", (edge,))
+            if rule:
+                cap = f"finite and at most {MAX_RATE:g} in magnitude"
+                raise InputError(f"delta_min, delta_max must be {cap}, got {grid}", edges)
         if not self.delta_min < self.delta_max:
             rule = "delta_min must be below delta_max"
             raise InputError(f"sweep range {grid} is empty: {rule}", edges)
@@ -106,6 +110,16 @@ class SweepSpec:
         if not 2 <= self.points <= MAX_POINTS:
             bound = "at least 2" if self.points < 2 else f"at most {MAX_POINTS}"
             raise InputError(f"points must be {bound}, got {echo(self.points)}", ("points",))
+
+
+def _entry(key: str) -> tuple[int, int]:
+    """(row, column) of the density-matrix entry a column or observable key names.
+
+    The levels after the key's last "_" name it: two an entry, as in im_cd,
+    rho_aa or cd, and one a population, as in pop_a.
+    """
+    levels = key.rpartition("_")[2]
+    return LEVELS.index(levels[0]), LEVELS.index(levels[-1])
 
 
 @dataclass(frozen=True)
@@ -124,7 +138,8 @@ class SweepResult:
             raise ValueError(f"unknown column {key!r}; valid columns: {', '.join(CSV_COLUMNS)}")
         if key == "delta":
             return self.delta
-        entries = self.states[:, _LEVEL_INDEX[key[-2]], _LEVEL_INDEX[key[-1]]]
+        row, col = _entry(key)
+        entries = self.states[:, row, col]
         return entries.imag if key.startswith("im_") else entries.real
 
 
@@ -141,21 +156,6 @@ class EitWindow:
     center: float
     half_width: float
     depth: float
-
-
-def extract_observable(rho: np.ndarray, key: str):
-    """Read one observable from a density matrix.
-
-    pop_a..pop_d return real populations; the two-letter coherence keys
-    return the complex entry rho[upper, lower] for the named transition.
-    """
-    rho = np.asarray(rho)
-    if key.startswith("pop_") and key[4:] in _LEVEL_INDEX:
-        k = _LEVEL_INDEX[key[4:]]
-        return float(rho[k, k].real)
-    if key in _COHERENCE_KEYS:
-        return complex(rho[_LEVEL_INDEX[key[0]], _LEVEL_INDEX[key[1]]])
-    raise ValueError(f"unknown observable {key!r}; valid keys: {', '.join(OBSERVABLE_KEYS)}")
 
 
 def run_sweep(spec: SweepSpec) -> SweepResult:

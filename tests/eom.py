@@ -18,8 +18,8 @@ def eom_rhs(s: Scenario, rho: np.ndarray) -> np.ndarray:
 
     The populations and the six upper-triangle coherences are written out
     term by term; the lower triangle follows from conjugate symmetry.  For a
-    closure-completed Scenario the result equals unvec(L vec(rho)) with L
-    from build_liouvillian, and the tests hold the two routes to 1e-12.
+    closure-completed Scenario the result equals (L @ rho.reshape(16)).reshape(4, 4)
+    with L from build_liouvillian, and the tests hold the two routes to 1e-12.
     """
     rho = np.asarray(rho, dtype=np.complex128)
     if rho.shape != (4, 4):

@@ -17,7 +17,7 @@ from dataclasses import replace
 import numpy as np
 
 from diamondsim.algebra import EigenDecomposition, matrix_inf_norm
-from diamondsim.atom import LEVELS, Scenario, build_hamiltonian, closure_complete, decay_channels
+from diamondsim.atom import LEVELS, Scenario, build_hamiltonian, closure_complete
 
 # The Jacobi pins each eigenvector's phase as the package does: the
 # lowest-index component within this relative distance of the largest
@@ -30,11 +30,13 @@ def build_liouvillian(s: Scenario) -> np.ndarray:
     coupling = build_hamiltonian(s).astype(np.complex128)
     eye = np.eye(4, dtype=np.complex128)
     liouv = 1j * (np.kron(coupling, eye) - np.kron(eye, coupling.T))
-    for channel in decay_channels(s):
+    # Decay c -> a, c -> d, a -> b, d -> b at gamma1..gamma4: jumps |to><from|.
+    channels = (("c", "a"), ("c", "d"), ("a", "b"), ("d", "b"))
+    for (from_level, to_level), rate in zip(channels, (s.gamma1, s.gamma2, s.gamma3, s.gamma4)):
         op = np.zeros((4, 4), dtype=np.complex128)
-        op[LEVELS.index(channel.to_level), LEVELS.index(channel.from_level)] = 1.0
+        op[LEVELS.index(to_level), LEVELS.index(from_level)] = 1.0
         backflow = op.conj().T @ op
-        liouv += 0.5 * channel.rate * (
+        liouv += 0.5 * rate * (
             2.0 * np.kron(op, op.conj()) - np.kron(backflow, eye) - np.kron(eye, backflow.T)
         )
     return liouv

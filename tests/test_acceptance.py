@@ -23,7 +23,6 @@ from diamondsim.lindblad import (
     evolve_trajectory,
     ground_state,
     steady_state,
-    vec,
 )
 from diamondsim.sweep import detect_gain, detect_windows, run_sweep
 from diamondsim.errors import SimulationError
@@ -80,7 +79,7 @@ def test_criterion_01_generator_matches_elementwise_derivative(capfd):
         liouv = build_liouvillian(scenario)
         for _ in range(100):
             rho = random_hermitian_unit_trace(rng)
-            gap = np.abs(liouv @ vec(rho) - vec(eom_rhs(scenario, rho)))
+            gap = np.abs(liouv @ rho.reshape(16) - eom_rhs(scenario, rho).reshape(16))
             worst = max(worst, float(np.max(gap)))
     _gate(capfd, 1, worst < 1e-12, f"superoperator vs elementwise derivative, worst gap {worst:.3e}")
 

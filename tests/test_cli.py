@@ -24,7 +24,14 @@ from diamondsim.cli import (
 )
 from diamondsim.dressed import dressed_spectrum
 from diamondsim.lindblad import build_liouvillian, evolve, ground_state, steady_state
-from diamondsim.sweep import CSV_COLUMNS, MAX_POINTS, SweepResult, SweepSpec, run_sweep
+from diamondsim.sweep import (
+    CSV_COLUMNS,
+    MAX_POINTS,
+    OBSERVABLE_KEYS,
+    SweepResult,
+    SweepSpec,
+    run_sweep,
+)
 
 FULL_DOC = """\
 # demo configuration
@@ -328,6 +335,48 @@ def test_main_steady(capsys, tmp_path):
     lines = path.read_text().splitlines()
     assert lines[0] == "entry,re,im"
     assert len(lines) == 17
+
+
+# Each observable key's density-matrix entry, basis order (a, b, c, d).
+OBSERVABLE_ENTRIES = {
+    "pop_a": (0, 0), "pop_b": (1, 1), "pop_c": (2, 2), "pop_d": (3, 3), "cd": (2, 3), "ca": (2, 0),
+    "db": (3, 1), "cb": (2, 1), "ab": (0, 1), "ad": (0, 3), "bd": (1, 3),
+}
+
+
+def test_steady_and_sweep_columns_read_the_entry_each_key_names(capsys, tmp_path):
+    # All four fields drive, so every coherence is nonzero and distinct.
+    doc = (
+        "[fields]\nomega_a1 = 0.7\nomega_a2 = 1.3\nomega_c1 = 2.1\nomega_c2 = 0.4\n"
+        "delta_a2 = 0.3\ndelta_c1 = -0.5\nclosure_target = a1\n"
+        "[decays]\ngamma1 = 0.6\ngamma2 = 1.1\ngamma3 = 0.9\ngamma4 = 1.4\n"
+        f"[sweep]\nobservables = {', '.join(reversed(OBSERVABLE_ENTRIES))}\n"
+    )
+    cfg = tmp_path / "all.cfg"
+    cfg.write_text(doc)
+    assert main(["steady", "--config", str(cfg)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    rho = steady_state(build_liouvillian(closure_complete(parse_config(doc)[0])))
+    assert sorted(OBSERVABLE_ENTRIES) == sorted(OBSERVABLE_KEYS)
+    assert [line.split()[0] for line in lines] == list(reversed(OBSERVABLE_ENTRIES))
+    result = SweepResult(delta=np.zeros(1), states=rho[np.newaxis])
+    printed = {}
+    for line in lines:
+        key, _, text = line.partition(" = ")
+        key = key.strip()
+        value = complex(rho[OBSERVABLE_ENTRIES[key]])
+        if key.startswith("pop_"):
+            assert text == f"{value.real: .12g}"
+            printed[key] = complex(float(text))
+            level = key[-1]
+            assert result.column(f"rho_{level}{level}")[0] == value.real
+        else:
+            assert text == f"{value.real: .12g} {value.imag:+.12g}i"
+            printed[key] = complex(text.replace(" ", "").replace("i", "j"))
+            assert result.column(f"re_{key}")[0] == value.real
+            assert result.column(f"im_{key}")[0] == value.imag
+        assert printed[key] == pytest.approx(value, rel=1e-11, abs=1e-15)
+    assert len(set(printed.values())) == len(OBSERVABLE_ENTRIES)
 
 
 def test_main_evolve(capsys, tmp_path):

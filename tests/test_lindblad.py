@@ -21,8 +21,6 @@ from diamondsim.lindblad import (
     evolve_trajectory,
     ground_state,
     steady_state,
-    unvec,
-    vec,
 )
 from eom import eom_rhs
 
@@ -37,15 +35,6 @@ def random_hermitian_unit_trace(rng):
     raw = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
     h = 0.5 * (raw + raw.conj().T)
     return h - np.eye(4) * (np.trace(h).real - 1.0) / 4.0
-
-
-def test_vec_convention_row_major():
-    rho = np.arange(16.0).reshape(4, 4)
-    v = vec(rho)
-    for i in range(4):
-        for j in range(4):
-            assert v[4 * i + j] == rho[i, j]
-    assert np.array_equal(unvec(v), rho)
 
 
 def test_ground_state_is_pure_b():
@@ -112,6 +101,22 @@ def test_check_density_matrix_fails_closed_on_nan():
     assert info.value.index == 2
 
 
+def test_check_density_matrix_fails_closed_on_inf_without_a_warning():
+    # inf - inf in the defect is NaN, which must fail the check without
+    # numpy's warning, an error under this suite's settings.
+    message = r"^density matrix: Hermiticity defect nan >= 1e-9$"
+    inf = np.diag([np.inf, 0.0, 0.0, 0.0])
+    with pytest.raises(InvariantError, match=message) as info:
+        check_density_matrix(inf)
+    assert info.value.index is None
+    with pytest.raises(InvariantError, match=message) as info:
+        check_density_matrix(np.array([ground_state(), inf, ground_state()]))
+    assert info.value.index == 1
+    # Finite entries whose trace overflows fail the trace check the same way.
+    with pytest.raises(InvariantError, match=r"\|trace - 1\| = inf >= 1e-9$"):
+        check_density_matrix(np.diag([1e308, 1e308, 0.0, 0.0]))
+
+
 def test_random_check_stacks_raise_what_their_first_failing_matrix_raises_alone():
     rng = np.random.default_rng(808)
     not_hermitian = ground_state()
@@ -166,7 +171,7 @@ def test_generator_routes_agree():
         )
         liouv = build_liouvillian(s)
         rho = random_hermitian_unit_trace(rng)
-        gap = np.abs(liouv @ vec(rho) - vec(eom_rhs(s, rho)))
+        gap = np.abs(liouv @ rho.reshape(16) - eom_rhs(s, rho).reshape(16))
         assert np.max(gap) < 1e-12
 
 
@@ -218,7 +223,7 @@ def test_steady_state_is_physical_and_stationary():
     liouv = build_liouvillian(s)
     rho = steady_state(liouv)
     check_density_matrix(rho)
-    assert np.max(np.abs(liouv @ vec(rho))) < 1e-9
+    assert np.max(np.abs(liouv @ rho.reshape(16))) < 1e-9
 
 
 def test_steady_state_without_decay_is_rejected():
@@ -433,14 +438,14 @@ def sequential_rk4(s, rho0, t_final, dt, samples):
     step_matrix = basis + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
     n_steps = round(t_final / dt)
     wanted = {round(m) for m in np.linspace(0, n_steps, samples + 1)[1:]} - {0}
-    state = vec(rho0).copy()
+    state = np.array(rho0, dtype=complex).reshape(16)
     steps, states = [], []
     for step in range(1, n_steps + 1):
         state = step_matrix @ state
         if step in wanted:
             steps.append(step)
-            states.append(unvec(state).copy())
-    return steps, np.array(states), unvec(state)
+            states.append(state.reshape(4, 4))
+    return steps, np.array(states), state.reshape(4, 4)
 
 
 ALL_FIELDS = Scenario(

@@ -14,13 +14,11 @@ from diamondsim.errors import InputError
 from diamondsim.sweep import (
     CSV_COLUMNS,
     MAX_POINTS,
-    OBSERVABLE_KEYS,
     SweepError,
     SweepResult,
     SweepSpec,
     detect_gain,
     detect_windows,
-    extract_observable,
     run_sweep,
 )
 
@@ -243,6 +241,38 @@ def test_spec_cuts_the_echo_of_a_long_integer(points, message):
     assert str(info.value) == message
 
 
+@pytest.mark.parametrize(
+    "kwargs,fields,message",
+    [
+        (dict(delta_min=-1 + 2j), ("delta_min",), "delta_min must be a real number, got (-1+2j)"),
+        (
+            dict(delta_max=np.complex128(3j)),
+            ("delta_max",),
+            "delta_max must be a real number, got np.complex128(3j)",
+        ),
+        (dict(delta_max="25"), ("delta_max",), "delta_max must be a real number, got '25'"),
+        (
+            dict(delta_min=-(10**400)),
+            ("delta_min", "delta_max"),
+            "delta_min, delta_max must be finite and at most 1e+76 in magnitude, "
+            "got [-" + "1" + "0" * 31 + "... (401 digits), 25.0]",
+        ),
+        (
+            dict(delta_max=10**77),
+            ("delta_min", "delta_max"),
+            "got [-25.0, 1" + "0" * 31 + "... (78 digits)]",
+        ),
+    ],
+    ids=["complex", "numpy-complex", "str", "400-digit-int", "over-cap-int"],
+)
+def test_spec_edges_keep_the_number_rule(kwargs, fields, message):
+    # A non-real edge names itself; a long int edge is cut in the grid's echo.
+    with pytest.raises(InputError) as info:
+        SweepSpec(base=Scenario(), **kwargs)
+    assert info.value.fields == fields
+    assert str(info.value).endswith(message)
+
+
 def test_spec_points_accept_numpy_integers():
     spec = SweepSpec(base=preset("fig5")[0], delta_min=-1.0, delta_max=1.0, points=np.int64(3))
     assert run_sweep(spec).states.shape == (3, 4, 4)
@@ -273,19 +303,6 @@ def test_column_access():
 def test_csv_columns_cover_all_entries():
     assert CSV_COLUMNS[0] == "delta"
     assert len(CSV_COLUMNS) == 19  # grid + 4 populations + 7 complex coherences
-
-
-def test_extract_observable():
-    rng = np.random.default_rng(4)
-    raw = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-    rho = raw @ raw.conj().T
-    rho = rho / np.trace(rho).real
-    assert extract_observable(rho, "pop_b") == rho[1, 1].real
-    assert extract_observable(rho, "cd") == complex(rho[2, 3])
-    assert extract_observable(rho, "ab") == complex(rho[0, 1])
-    assert set(OBSERVABLE_KEYS) >= {"pop_a", "cd", "bd"}
-    with pytest.raises(ValueError, match="valid keys"):
-        extract_observable(rho, "qq")
 
 
 def test_window_on_a_linear_dip():
