@@ -44,8 +44,6 @@ _PIVOT_REL_TOL = 1e-14
 _HERMITICITY_REL_TOL = 1e-12
 _RESIDUAL_REL_TOL = 1e-10
 _ORTHONORMALITY_TOL = 1e-12
-# Components within this relative distance of the largest magnitude tie for the phase pin.
-_PIN_REL_TOL = 1e-8
 
 
 class SingularMatrixError(SimulationError):
@@ -82,25 +80,22 @@ def matrix_inf_norm(a: np.ndarray):
 
 
 @functools.lru_cache(maxsize=16)
-def _eye_and_columns(n: int) -> tuple[np.ndarray, np.ndarray]:
-    # herm_eigen's identity and column indices at size n, shared by every
-    # call of that size and so read-only.
-    eye, columns = np.eye(n), np.arange(n)
-    eye.flags.writeable = columns.flags.writeable = False
-    return eye, columns
+def _identity(n: int) -> np.ndarray:
+    # herm_eigen's identity at size n, shared by every call of that size and
+    # so read-only.
+    eye = np.eye(n)
+    eye.flags.writeable = False
+    return eye
 
 
 def herm_eigen(a) -> EigenDecomposition:
     """Eigendecomposition of a Hermitian matrix by LAPACK's zheevd.
 
-    Eigenvalues come back ascending; eigenvector column k pairs with
-    eigenvalue k.  Each eigenvector's phase follows one sign convention: its
-    lowest-index component whose magnitude is within a relative 1e-8 of the
-    largest is made real and positive.  Components that tie in magnitude,
-    as in (|x> + |y>)/sqrt(2), differ in the last bit from one rounding to
-    the next, and the tolerance keeps that bit from choosing the sign.
-    Inside a group of equal eigenvalues the columns are an arbitrary
-    orthonormal basis of the eigenspace.
+    Returns np.linalg.eigh's eigensystem bit for bit, once it has passed
+    the checks below: eigenvalues ascending, eigenvector column k paired
+    with eigenvalue k, and each column's phase as LAPACK leaves it.  Inside
+    a group of equal eigenvalues the columns are an arbitrary orthonormal
+    basis of the eigenspace.
 
     Raises ValueError for empty, non-square, non-Hermitian or non-finite
     input and RuntimeError if LAPACK fails or the decomposition fails its
@@ -109,33 +104,21 @@ def herm_eigen(a) -> EigenDecomposition:
     mat = np.asarray(a, dtype=np.complex128)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1] or not mat.size:
         raise ValueError(f"herm_eigen requires a non-empty square matrix, got shape {mat.shape}")
-    # Both inf-norms inline, without matrix_inf_norm's call overhead.  An
-    # inf entry fails before the defect's inf - inf could warn; a NaN scale
-    # or defect fails every comparison.
-    scale = float(np.maximum.reduce(np.add.reduce(np.abs(mat), axis=-1)))
+    # An inf entry fails before the defect's inf - inf could warn; a NaN
+    # scale or defect fails every comparison.
+    scale = matrix_inf_norm(mat)
     finite = scale < np.inf or np.isfinite(mat).all()
-    if not (
-        finite
-        and np.maximum.reduce(np.add.reduce(np.abs(mat - mat.conj().T), axis=-1))
-        < _HERMITICITY_REL_TOL * (1.0 + scale)
-    ):
+    if not (finite and matrix_inf_norm(mat - mat.conj().T) < _HERMITICITY_REL_TOL * (1.0 + scale)):
         raise ValueError("herm_eigen requires a finite Hermitian matrix")
 
     try:
         values, vectors = np.linalg.eigh(mat)
     except np.linalg.LinAlgError as exc:
         raise RuntimeError(f"eigendecomposition failed: {exc}") from exc
-    # The phase pin on every column at once; a unit column's largest
-    # magnitude is positive, so the division is safe.
-    mags = np.abs(vectors)
-    lead = (mags >= (1.0 - _PIN_REL_TOL) * np.maximum.reduce(mags)).argmax(axis=0)
-    eye, columns = _eye_and_columns(len(values))
-    vectors *= vectors[lead, columns].conj() / mags[lead, columns]
-
     residual = np.maximum.reduce(np.abs(mat @ vectors - vectors * values), axis=None)
     if residual >= _RESIDUAL_REL_TOL * (1.0 + scale):
         raise RuntimeError(f"eigendecomposition residual {residual:.3e} out of tolerance")
-    gram_defect = np.abs(vectors.conj().T @ vectors - eye)
+    gram_defect = np.abs(vectors.conj().T @ vectors - _identity(len(values)))
     if np.maximum.reduce(gram_defect, axis=None) >= _ORTHONORMALITY_TOL:
         raise RuntimeError("eigenvector columns lost orthonormality")
     return EigenDecomposition(eigenvalues=values, eigenvectors=vectors)

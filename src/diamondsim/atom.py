@@ -71,12 +71,14 @@ def _number_rule(value, signed: bool) -> str:
 
     A number is real, finite, at most MAX_RATE in magnitude and, unless
     signed, non-negative.  Integers and fractions compare exactly at any
-    size, other reals as doubles: a float16 or float32 would take the cap
-    into its own type, where it overflows.
+    size, doubles and long doubles in their own type, other reals as
+    doubles: a float16 or float32 would take the cap into its own type,
+    where it overflows.
     """
     if not isinstance(value, numbers.Real):
         return _NOT_REAL
-    number = value if isinstance(value, numbers.Rational) else float(value)
+    exact = isinstance(value, (numbers.Rational, float, np.longdouble))
+    number = value if exact else float(value)
     if not -math.inf < number < math.inf:
         return "be finite"
     if number < 0.0 and not signed:

@@ -12,6 +12,8 @@ The keys come from the dataclasses: [fields] and [decays] are Scenario's
 fields (the gamma* rates in [decays]), [sweep] is SweepSpec's grid plus
 OutputOptions.observables, and [output] is OutputOptions.out_path.  A key
 whose dataclass default is a float reads a number, an int an integer.
+Only sweep reads out_path; steady, evolve and dressed write a file only
+with --out.
 
 '#' and ';' start a comment.  Keys default as in Scenario (decay rates 1,
 all else 0) and SweepSpec (the grid [-25, 25] with 1001 points).  The

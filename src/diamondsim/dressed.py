@@ -58,6 +58,8 @@ _DEGENERACY_REL_TOL = 1e-12
 _C_RANK_TOL = 1e-10
 #: Numerical and closed-form eigenvalues agree within 1e-10 * (1 + max|eigenvalue|).
 _CLOSED_FORM_REL_TOL = 1e-10
+#: Components within this relative distance of the largest magnitude tie for the phase pin.
+_PIN_REL_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -110,10 +112,23 @@ def dressed_spectrum(s: Scenario) -> DressedSpectrum:
     coupling omega_c2 is excluded.  The numerical eigenvalues are
     cross-checked against closed_form_eigenvalues to
     1e-10 * (1 + max|eigenvalue|) before returning.
+
+    Each eigenvector's phase follows one sign convention: its lowest-index
+    component whose magnitude is within a relative 1e-8 of the largest is
+    made real and positive.  Components that tie in magnitude, as in
+    (|x> + |y>)/sqrt(2), differ in the last bit from one rounding to the
+    next, and the tolerance keeps that bit from choosing the sign.
     """
     reference = closed_form_eigenvalues(s)
     drive = build_hamiltonian(replace(s, omega_c2=0.0))
     eig = herm_eigen(drive)
+    # The phase pin on every column at once; a unit column's largest
+    # magnitude is positive, so the division is safe.
+    vectors = eig.eigenvectors
+    mags = np.abs(vectors)
+    lead = (mags >= (1.0 - _PIN_REL_TOL) * np.maximum.reduce(mags)).argmax(axis=0)
+    columns = np.arange(len(mags))
+    vectors *= vectors[lead, columns].conj() / mags[lead, columns]
     mismatch = float(np.max(np.abs(eig.eigenvalues - reference)))
     if mismatch > _CLOSED_FORM_REL_TOL * (1.0 + float(np.max(np.abs(eig.eigenvalues)))):
         raise RuntimeError(
@@ -132,7 +147,7 @@ def dressed_spectrum(s: Scenario) -> DressedSpectrum:
     groups.append(tuple(current))
     return DressedSpectrum(
         eigenvalues=eig.eigenvalues,
-        eigenvectors=eig.eigenvectors,
+        eigenvectors=vectors,
         groups=tuple(groups),
     )
 

@@ -167,11 +167,12 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
     generator, and the steady states are solved a block of points at a time.
     Any other per-point failure aborts the sweep, and the error names the
     first detuning that fails on its own: each point is built once, and a
-    failing block's lowest failure comes from steady_state's `index` or, for
-    an open loop under closure_target "none", from solving the points before
-    it.  Note that closure_target "c2" pins the probe detuning right back,
-    making the scan flat; targets naming an inactive field give the intended
-    probe spectroscopy.  Output is deterministic: identical specs produce
+    failing block's lowest failure comes from steady_state's `index`.  Under
+    closure_target "none" only the points before the first open loop are
+    solved; that open loop names the error if they all succeed.  Note that
+    closure_target "c2" pins the probe detuning right back, making the scan
+    flat; targets naming an inactive field give the intended probe
+    spectroscopy.  Output is deterministic: identical specs produce
     bit-identical results, equal to solving each point on its own.
     """
 
@@ -181,40 +182,36 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
     base = spec.base
     grid = np.linspace(spec.delta_min, spec.delta_max, spec.points)
     target, completed = _closure(base, grid)
-    open_at = spec.points
+    stop = spec.points
     if not target:
         # Target "none" keeps the probe detuning and returns the defect.
         defect, target, completed = completed, "delta_c2", grid
         open_loop = _open_loop(base, defect)
         if np.any(open_loop):
-            open_at = int(np.argmax(open_loop))
+            stop = int(np.argmax(open_loop))
     # Target "c2" completes to one value for the whole grid.
     completed = np.broadcast_to(completed, grid.shape)
     values = dict(vars(base))
     states = np.empty((spec.points, 4, 4), dtype=np.complex128)
     liouv = np.empty((min(_BLOCK, spec.points), 16, 16), dtype=np.complex128)
-    for start in range(0, spec.points, _BLOCK):
-        block = grid[start : start + _BLOCK]
-        # The points of an open loop are built up to its first open one.
-        built = min(len(block), open_at - start)
+    for start in range(0, stop, _BLOCK):
+        end = min(start + _BLOCK, stop)
+        block = grid[start:end]
         # Python floats, a block at a time: a Scenario echoes them with repr.
-        points = zip(block[:built].tolist(), completed[start : start + built].tolist())
+        points = zip(block.tolist(), completed[start:end].tolist())
         for k, (delta, value) in enumerate(points):
             values["delta_c2"] = delta
             values[target] = value
             liouv[k] = build_liouvillian(Scenario(**values))
-        # The points built before an open one are solved first: a point
-        # that fails alone before it names the sweep's error instead.
         try:
-            states[start : start + built] = steady_state(liouv[:built])
+            states[start:end] = steady_state(liouv[: end - start])
         except SteadyStateError as exc:
-            if exc.index is not None:
-                raise aborted(block[exc.index], exc) from exc
-            if built == len(block):
+            if exc.index is None:
                 raise
-        if built < len(block):
-            failure = ClosureError(_OPEN_LOOP.format(defect[open_at]))
-            raise aborted(block[built], failure) from failure
+            raise aborted(block[exc.index], exc) from exc
+    if stop < spec.points:
+        failure = ClosureError(_OPEN_LOOP.format(defect[stop]))
+        raise aborted(grid[stop], failure) from failure
     return SweepResult(delta=grid, states=states)
 
 

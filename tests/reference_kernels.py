@@ -19,7 +19,7 @@ import numpy as np
 from diamondsim.algebra import EigenDecomposition, matrix_inf_norm
 from diamondsim.atom import LEVELS, Scenario, build_hamiltonian, closure_complete
 
-# The Jacobi pins each eigenvector's phase as the package does: the
+# The Jacobi pins each eigenvector's phase as dressed_spectrum does: the
 # lowest-index component within this relative distance of the largest
 # magnitude is made real and positive.
 _PIN_REL_TOL = 1e-8

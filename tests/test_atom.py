@@ -227,6 +227,12 @@ def test_scenario_validation():
             "gamma1",
             "gamma1 must be at most 1e+76 in magnitude, got 1" + "0" * 31 + "... (78 digits)",
         ),
+        # A long double compares in its own type, past the double range too.
+        (
+            dict(delta_a1=np.longdouble("1e400")),
+            "delta_a1",
+            "delta_a1 must be at most 1e+76 in magnitude, got np.longdouble('1e+400')",
+        ),
     ],
 )
 def test_scenario_rejections_name_their_field(kwargs, field, fragment):

@@ -5,7 +5,10 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from diamondsim.algebra import herm_eigen
 from diamondsim.atom import MAX_RATE, Scenario, build_hamiltonian
 from diamondsim.dressed import (
     DarkReport,
@@ -110,6 +113,27 @@ def test_spectrum_deterministic():
     second = dressed_spectrum(drive_scenario(2.0, 3.0, 4.0))
     assert np.array_equal(first.eigenvalues, second.eigenvalues)
     assert np.array_equal(first.eigenvectors, second.eigenvectors)
+
+
+#: A Rabi frequency: zero, where eigenvector components tie in magnitude, or
+#: anything from 1e-3 to 1e3.
+RABI = st.one_of(st.just(0.0), st.floats(min_value=1e-3, max_value=1e3))
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(RABI, RABI, RABI)
+def test_dressed_columns_are_herm_eigen_columns_with_a_pinned_phase(oa1, oc1, oa2):
+    s = drive_scenario(oa1, oc1, oa2)
+    pinned = dressed_spectrum(s).eigenvectors
+    raw = herm_eigen(build_hamiltonian(replace(s, omega_c2=0.0))).eigenvectors
+    for k in range(4):
+        mags = np.abs(raw[:, k])
+        lead = int(np.argmax(mags >= (1.0 - 1e-8) * mags.max()))
+        phase = pinned[lead, k] / raw[lead, k]
+        assert abs(abs(phase) - 1.0) <= 1e-15
+        assert np.max(np.abs(pinned[:, k] - phase * raw[:, k])) <= 1e-15
+        assert pinned[lead, k].real > 0.0
+        assert abs(pinned[lead, k].imag) <= 1e-15
 
 
 def brute_force_census(s):

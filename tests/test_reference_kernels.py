@@ -14,7 +14,9 @@ Stated tolerances:
   Jacobi, and the eigenvector residual inside herm_eigen's own bound,
   1e-10 * (1 + ||A||_inf), on the Hermitian cases below and on 500 drive
   matrices with a fifth of their Rabi frequencies zero;
-- herm_eigen: on 2010 such drive matrices, every eigenvector column of a
+- herm_eigen: np.linalg.eigh's eigenvalues and eigenvectors bit for bit,
+  on the same matrices;
+- dressed_spectrum: on 2010 such drives, every eigenvector column of a
   non-degenerate eigenvalue within 1e-8 of the Jacobi's, so that no
   last-bit difference between the two flips a column's sign through the
   phase pin;
@@ -213,30 +215,44 @@ def test_herm_eigen_agrees_with_the_numpy_slice_jacobi():
             assert residual < 1e-10 * (1.0 + scale)
 
 
-def drive_matrices(rng, count):
+def drive_scenarios(rng, count):
     # Drive-only couplings as dressed_spectrum builds them; a zero Rabi
     # frequency gives eigenvectors (|x> +- |y>)/sqrt(2), whose two largest
     # components tie in magnitude.
     for _ in range(count):
         omegas = rng.uniform(0.0, 20.0, 3)
         omegas[rng.random(3) < 0.2] = 0.0
-        s = Scenario(omega_a1=omegas[0], omega_c1=omegas[1], omega_a2=omegas[2], omega_c2=1.0)
+        yield Scenario(omega_a1=omegas[0], omega_c1=omegas[1], omega_a2=omegas[2], omega_c2=1.0)
+
+
+def drive_matrices(rng, count):
+    for s in drive_scenarios(rng, count):
         yield build_hamiltonian(replace(s, omega_c2=0.0))
 
 
-def test_herm_eigen_sign_does_not_hang_on_the_last_bit():
+def test_herm_eigen_returns_lapacks_eigensystem_bit_for_bit():
+    rng = np.random.default_rng(17)
+    for a in [*hermitian_cases(rng), *drive_matrices(rng, 500)]:
+        eig = herm_eigen(a)
+        values, vectors = np.linalg.eigh(np.asarray(a, dtype=np.complex128))
+        assert eig.eigenvalues.tobytes() == values.tobytes()
+        assert eig.eigenvectors.tobytes() == vectors.tobytes()
+
+
+def test_dressed_sign_does_not_hang_on_the_last_bit():
     # Components that tie in magnitude come out of LAPACK and the Jacobi a
     # bit apart; the phase pin must pick the same one in both.  Degenerate
     # columns are left out: any unitary mix of them is an eigenbasis too.
-    drives = np.array(list(drive_matrices(np.random.default_rng(2010), 2010)))
+    scenarios = list(drive_scenarios(np.random.default_rng(2010), 2010))
+    drives = np.array([build_hamiltonian(replace(s, omega_c2=0.0)) for s in scenarios])
     flips = columns = 0
-    for a, slow_vectors in zip(drives, ref.herm_eigen(drives).eigenvectors):
-        fast = herm_eigen(a)
-        values = fast.eigenvalues
-        split = np.diff(values) >= 1e-12 * (1.0 + np.max(np.abs(values)))
-        for k in np.flatnonzero(np.r_[True, split] & np.r_[split, True]):
-            columns += 1
-            flips += np.max(np.abs(fast.eigenvectors[:, k] - slow_vectors[:, k])) > 1e-8
+    for s, slow_vectors in zip(scenarios, ref.herm_eigen(drives).eigenvectors):
+        fast = dressed_spectrum(s)
+        for group in fast.groups:
+            if len(group) == 1:
+                columns += 1
+                k = group[0]
+                flips += np.max(np.abs(fast.eigenvectors[:, k] - slow_vectors[:, k])) > 1e-8
     assert (flips, columns) == (0, 6576)
 
 
