@@ -24,14 +24,12 @@ inside a group of equal eigenvalues.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import SimulationError
 
 __all__ = [
-    "EigenDecomposition",
     "SingularMatrixError",
     "herm_eigen",
     "matrix_inf_norm",
@@ -47,29 +45,16 @@ _ORTHONORMALITY_TOL = 1e-12
 
 
 class SingularMatrixError(SimulationError):
-    """Linear system is numerically singular.
-
-    Attributes:
-        pivot_index: elimination column whose pivot fell under the threshold.
-    """
+    """Linear system is numerically singular; the message names the failing pivot."""
 
     def __init__(
         self, pivot_index: int, pivot_magnitude: float, threshold: float, index: int | None = None
     ):
-        self.pivot_index = pivot_index
         super().__init__(
             f"matrix is numerically singular at pivot {pivot_index} "
             f"(|pivot| = {pivot_magnitude:.3e}, threshold = {threshold:.3e})",
             index=index,
         )
-
-
-@dataclass(frozen=True)
-class EigenDecomposition:
-    """Eigenvalues in ascending order and matching orthonormal eigenvector columns."""
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
 
 
 def matrix_inf_norm(a: np.ndarray):
@@ -88,40 +73,43 @@ def _identity(n: int) -> np.ndarray:
     return eye
 
 
-def herm_eigen(a) -> EigenDecomposition:
+def herm_eigen(a):
     """Eigendecomposition of a Hermitian matrix by LAPACK's zheevd.
 
-    Returns np.linalg.eigh's eigensystem bit for bit, once it has passed
-    the checks below: eigenvalues ascending, eigenvector column k paired
-    with eigenvalue k, and each column's phase as LAPACK leaves it.  Inside
-    a group of equal eigenvalues the columns are an arbitrary orthonormal
-    basis of the eigenspace.
+    Returns np.linalg.eigh's own EighResult (eigenvalues, eigenvectors)
+    once it has passed the checks below: eigenvalues ascending, eigenvector
+    column k paired with eigenvalue k, and each column's phase as LAPACK
+    leaves it.  Inside a group of equal eigenvalues the columns are an
+    arbitrary orthonormal basis of the eigenspace.
 
-    Raises ValueError for empty, non-square, non-Hermitian or non-finite
-    input and RuntimeError if LAPACK fails or the decomposition fails its
-    own residual checks.
+    Raises ValueError for empty, non-square or non-Hermitian input and for
+    input that is not finite or whose inf-norm overflows, and RuntimeError
+    if LAPACK fails or the decomposition fails its own residual checks.
     """
     mat = np.asarray(a, dtype=np.complex128)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1] or not mat.size:
         raise ValueError(f"herm_eigen requires a non-empty square matrix, got shape {mat.shape}")
-    # An inf entry fails before the defect's inf - inf could warn; a NaN
-    # scale or defect fails every comparison.
-    scale = matrix_inf_norm(mat)
-    finite = scale < np.inf or np.isfinite(mat).all()
-    if not (finite and matrix_inf_norm(mat - mat.conj().T) < _HERMITICITY_REL_TOL * (1.0 + scale)):
+    # An inf or NaN entry, or a row sum past the double range, leaves the
+    # scale inf or NaN, which fails before the defect's inf - inf could warn.
+    with np.errstate(over="ignore"):
+        scale = matrix_inf_norm(mat)
+        defect = matrix_inf_norm(mat - mat.conj().T) if scale < np.inf else np.nan
+    if not defect < _HERMITICITY_REL_TOL * (1.0 + scale):
         raise ValueError("herm_eigen requires a finite Hermitian matrix")
 
     try:
-        values, vectors = np.linalg.eigh(mat)
+        eig = np.linalg.eigh(mat)
     except np.linalg.LinAlgError as exc:
         raise RuntimeError(f"eigendecomposition failed: {exc}") from exc
+    values, vectors = eig
+    # Written as `not x < bound`, so a NaN fails too.
     residual = np.maximum.reduce(np.abs(mat @ vectors - vectors * values), axis=None)
-    if residual >= _RESIDUAL_REL_TOL * (1.0 + scale):
+    if not residual < _RESIDUAL_REL_TOL * (1.0 + scale):
         raise RuntimeError(f"eigendecomposition residual {residual:.3e} out of tolerance")
     gram_defect = np.abs(vectors.conj().T @ vectors - _identity(len(values)))
-    if np.maximum.reduce(gram_defect, axis=None) >= _ORTHONORMALITY_TOL:
+    if not np.maximum.reduce(gram_defect, axis=None) < _ORTHONORMALITY_TOL:
         raise RuntimeError("eigenvector columns lost orthonormality")
-    return EigenDecomposition(eigenvalues=values, eigenvectors=vectors)
+    return eig
 
 
 def solve_linear(a, b) -> np.ndarray:
@@ -130,15 +118,16 @@ def solve_linear(a, b) -> np.ndarray:
     a is (n, n) with b of shape (n,), or a stack (m, n, n) with b of shape
     (m, n); x has the shape of b.  Gaussian elimination with partial
     pivoting runs once over the whole stack, on the augmented [a | b].  A
-    pivot whose magnitude falls below 1e-14 * ||a||_inf raises
-    SingularMatrixError carrying the pivot index; the computed solution is
-    verified against the residual bound
-    ||a x - b||_inf < 1e-10 * (1 + ||a||_inf * ||x||_inf).  A system whose
-    pivot fails is carried on with a pivot of 1.0 and a zero right-hand
-    side, so it cannot disturb the others or overflow; on a stack the error
-    raised is that of the lowest-index failing system, with its position as
-    `index`.  No system's arithmetic depends on the rest of the stack, so a
-    stacked solve equals one-system solves bit for bit.
+    non-finite entry of a or b raises ValueError first.  A pivot whose
+    magnitude falls below 1e-14 * ||a||_inf raises SingularMatrixError
+    naming the pivot's column; the computed solution is verified against
+    the residual bound ||a x - b||_inf < 1e-10 * (1 + ||a||_inf * ||x||_inf)
+    (a NaN residual fails it).  A system whose pivot fails is carried on
+    with a pivot of 1.0 and a zero right-hand side, so it cannot disturb
+    the others or overflow; on a stack the error raised is that of the
+    lowest-index failing system, with its position as `index`.  No system's
+    arithmetic depends on the rest of the stack, so a stacked solve equals
+    one-system solves bit for bit.
     """
     a0 = np.asarray(a, dtype=np.complex128)
     rhs0 = np.asarray(b, dtype=np.complex128)
@@ -150,6 +139,8 @@ def solve_linear(a, b) -> np.ndarray:
         raise ValueError(
             f"solve_linear needs a right-hand side of shape {a0.shape[:-1]}, got {rhs0.shape}"
         )
+    if not (np.isfinite(a0).all() and np.isfinite(rhs0).all()):
+        raise ValueError("solve_linear requires finite a and b")
     stacked = a0.ndim == 3
     if not stacked:
         a0 = a0[np.newaxis]
@@ -196,7 +187,7 @@ def solve_linear(a, b) -> np.ndarray:
 
     residual = np.max(np.abs(a0 @ x - rhs0[:, :, np.newaxis]), axis=(1, 2), initial=0.0)
     bound = _RESIDUAL_REL_TOL * (1.0 + norm_a * np.max(np.abs(x), axis=(1, 2), initial=0.0))
-    failing = np.flatnonzero(pivot_failed | (residual >= bound))
+    failing = np.flatnonzero(pivot_failed | ~(residual < bound))
     if failing.size:
         j = int(failing[0])
         index = j if stacked else None

@@ -146,8 +146,10 @@ def _closure(s: Scenario, delta_c2):
     """Closure completion's arithmetic at probe detuning(s) delta_c2.
 
     A float or an ndarray runs the same float operations in the same order.
-    Returns the field closure_target overwrites and its completed value; for
-    "none", "" and the defect delta_a1 + delta_c1 - delta_a2 - delta_c2.
+    Returns the field closure_target overwrites and its completed value;
+    "none" keeps delta_c2, but a fully driven loop left open there raises
+    ClosureError, for an array at its first open point, with that point's
+    position as `index`.
     """
     target = s.closure_target
     if target == "a1":
@@ -158,30 +160,28 @@ def _closure(s: Scenario, delta_c2):
         return "delta_c1", s.delta_a2 + delta_c2 - s.delta_a1
     if target == "c2":
         return "delta_c2", s.delta_a1 + s.delta_c1 - s.delta_a2
-    return "", s.delta_a1 + s.delta_c1 - s.delta_a2 - delta_c2
-
-
-def _open_loop(s: Scenario, defect):
-    """Whether the defect leaves a fully driven loop open (elementwise for an array)."""
-    return min(s.omega_a1, s.omega_a2, s.omega_c1, s.omega_c2) > 0.0 and abs(defect) >= _CLOSURE_TOL
+    defect = s.delta_a1 + s.delta_c1 - s.delta_a2 - delta_c2
+    drives = min(s.omega_a1, s.omega_a2, s.omega_c1, s.omega_c2) > 0.0
+    open_loop = drives and abs(defect) >= _CLOSURE_TOL
+    if np.any(open_loop):
+        index = int(np.argmax(open_loop)) if np.ndim(open_loop) else None
+        shown = defect if index is None else defect[index]
+        raise ClosureError(_OPEN_LOOP.format(shown), index=index)
+    return "delta_c2", delta_c2
 
 
 def closure_complete(s: Scenario) -> Scenario:
     """Return a Scenario whose detunings satisfy the closure condition.
 
     The detuning named by closure_target is overwritten with the value the
-    other three impose.  With closure_target "none" the input is returned
-    unchanged, but a fully driven loop (all four Rabi frequencies > 0) that
-    violates closure raises ClosureError: such a configuration would need a
+    other three impose.  With closure_target "none" the detunings are kept,
+    but a fully driven loop (all four Rabi frequencies > 0) that violates
+    closure raises ClosureError: such a configuration would need a
     time-dependent Hamiltonian, which this package does not model.
     Idempotent: completing a completed Scenario reproduces it bit for bit.
     """
     name, value = _closure(s, s.delta_c2)
-    if name:
-        return replace(s, **{name: value})
-    if _open_loop(s, value):
-        raise ClosureError(_OPEN_LOOP.format(value))
-    return s
+    return replace(s, **{name: value})
 
 
 def build_hamiltonian(s: Scenario) -> np.ndarray:

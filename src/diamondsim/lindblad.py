@@ -71,12 +71,13 @@ def ground_state() -> np.ndarray:
 
 def check_density_matrix(
     rho: np.ndarray, context: str | Sequence[str] = "density matrix"
-) -> None:
+) -> np.ndarray:
     """Enforce Hermiticity, unit trace, and positivity within tolerances.
 
-    rho is one 4x4 matrix or a stack of shape (m, 4, 4).  Raises
-    InvariantError when the Hermiticity defect or trace error is not below
-    1e-9 (so a NaN entry fails), or the smallest eigenvalue of the
+    rho is one 4x4 matrix or a stack of shape (m, 4, 4); returns the
+    symmetrized state 0.5 (rho + rho^H) in rho's shape.  Raises
+    InvariantError when rho's own Hermiticity defect or trace error is not
+    below 1e-9 (so a NaN entry fails), or the smallest eigenvalue of the
     symmetrized matrix drops below -1e-8.  The message starts with context;
     for a stack, context may also be one label per matrix.  The matrices
     are checked in order, each for Hermiticity, then trace, then
@@ -108,6 +109,7 @@ def check_density_matrix(
                 continue
             message = f"minimum eigenvalue {lowest:.3e} < -1e-8"
         raise InvariantError(f"{labels[k]}: {message}", index=k if rho.ndim == 3 else None)
+    return symmetric if rho.ndim == 3 else symmetric[0]
 
 
 _EYE = np.eye(4, dtype=np.complex128)
@@ -154,8 +156,10 @@ def _dissipative_part(rates: bytes) -> np.ndarray:
 def build_liouvillian(s: Scenario) -> np.ndarray:
     """Assemble the 16x16 generator L with drho/dt = L vec(rho).
 
-    Expects a closure-completed Scenario.  The four rows at the population
-    positions sum to the zero row exactly, so L conserves the trace.
+    Expects a closure-completed Scenario.  L conserves the trace: its four
+    population rows sum to the zero row but in the rho_cc column (10), where
+    gamma1 + gamma2 is rounded once and at most 2^-52 * max(gamma1, gamma2)
+    is left.
     """
     coupling = build_hamiltonian(s).astype(np.complex128).ravel()
     # B (x) I - I (x) B^T, gathered entry by entry.
@@ -175,12 +179,12 @@ def steady_state(liouv: np.ndarray) -> np.ndarray:
     states come back as (4, 4) or (m, 4, 4).  The row of L at the (a, a)
     population position is replaced by the trace condition and the
     resulting system solved.  The solution must satisfy
-    ||L vec(rho)||_inf < 1e-10 * (1 + ||L||_inf) including the replaced row;
-    it is then symmetrized and checked against the density-matrix
-    invariants.  Any failure raises SteadyStateError ("non-unique or absent
-    steady state"), e.g. when every decay rate vanishes.  A stack runs each
-    step on all its generators at once; if any step fails, the generators
-    are solved again one at a time, in order, and the first one that fails
+    ||L vec(rho)||_inf < 1e-10 * (1 + ||L||_inf) including the replaced row
+    and pass check_density_matrix unsymmetrized, which returns the result.
+    Any failure raises SteadyStateError ("non-unique or absent steady
+    state"), e.g. when every decay rate vanishes.  A stack runs each step on
+    all its generators at once; if any step fails, the generators are
+    solved again one at a time, in order, and the first one that fails
     alone raises its own error, with its position as `index`.
     """
     liouv = np.asarray(liouv, dtype=np.complex128)
@@ -200,9 +204,7 @@ def steady_state(liouv: np.ndarray) -> np.ndarray:
         if over.any():
             k = over.argmax()
             raise SimulationError(f"residual {residual[k]:.3e} exceeds {bound[k]:.3e}")
-        rho = solution.reshape(-1, 4, 4)
-        rho = 0.5 * (rho + rho.conj().transpose(0, 2, 1))
-        check_density_matrix(rho, context="steady state")
+        rho = check_density_matrix(solution.reshape(-1, 4, 4), context="steady state")
     except SimulationError as exc:
         if liouv.ndim == 3:
             for k, generator in enumerate(liouv):
@@ -252,11 +254,11 @@ def _propagate(
     # time, with the products taken in another order.
     #
     # S is built from the generator in trace coordinates, where position 0
-    # holds the trace.  A generator that keeps the trace has a zero first
-    # row there, so S has first row (1, 0, ..., 0) and every power of it
-    # keeps the trace to rounding.  Powers of S in the plain basis drift by
-    # about 2e-17 per step instead: each squaring doubles the rounding in
-    # S's unit eigenvalue.
+    # holds the trace.  L's population rows sum to zero but for one rounding
+    # (see build_liouvillian), so S's first row is (1, 0, ..., 0) up to it
+    # and every power of S keeps the trace to rounding.  Powers of S in the
+    # plain basis drift by about 2e-17 per step instead: each squaring
+    # doubles the rounding in S's unit eigenvalue.
     if not (math.isfinite(dt) and dt > 0.0):
         raise ValueError(f"dt must be finite and positive, got {dt!r}")
     if not (math.isfinite(t_final) and t_final >= 0.0):
@@ -274,6 +276,8 @@ def _propagate(
         raise StabilityError(
             f"dt * ||L||_inf = {dt * norm:.3e} >= 0.5; reduce dt below {0.5 / norm:.3e}"
         )
+    if np.shape(rho0) != (4, 4):
+        raise ValueError(f"rho0 must be one 4x4 density matrix, got shape {np.shape(rho0)}")
     check_density_matrix(rho0, context="initial state")
     # Past one sample a step, further marks would only repeat steps.
     samples = min(samples, n_steps)
@@ -320,14 +324,13 @@ def evolve(
     squaring.  dt must be finite and positive, t_final finite and
     non-negative, and the step count at most MAX_STEPS (10^9); otherwise
     ValueError.  The step must satisfy the stability guard
-    dt * ||L||_inf < 0.5.  The final state is symmetrized and validated
-    before being returned.  Expects a closure-completed Scenario.
+    dt * ||L||_inf < 0.5, and rho0 must be one 4x4 density matrix.  The
+    final state is checked as stepped and returned as check_density_matrix
+    symmetrizes it.  Expects a closure-completed Scenario.
     """
     liouv = build_liouvillian(s)
     final, _, _ = _propagate(liouv, rho0, t_final, dt)
-    final = 0.5 * (final + final.conj().T)
-    check_density_matrix(final, context="final state")
-    return final
+    return check_density_matrix(final, context="final state")
 
 
 def evolve_trajectory(

@@ -24,10 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .atom import (
-    _NOT_REAL, _OPEN_LOOP, LEVELS, MAX_RATE, ClosureError, Scenario, _closure, _number_rule,
-    _open_loop,
-)
+from .atom import _NOT_REAL, LEVELS, MAX_RATE, ClosureError, Scenario, _closure, _number_rule
 from .errors import InputError, SimulationError, echo
 from .lindblad import SteadyStateError, build_liouvillian, steady_state
 
@@ -181,14 +178,12 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
 
     base = spec.base
     grid = np.linspace(spec.delta_min, spec.delta_max, spec.points)
-    target, completed = _closure(base, grid)
-    stop = spec.points
-    if not target:
-        # Target "none" keeps the probe detuning and returns the defect.
-        defect, target, completed = completed, "delta_c2", grid
-        open_loop = _open_loop(base, defect)
-        if np.any(open_loop):
-            stop = int(np.argmax(open_loop))
+    stop, open_loop = spec.points, None
+    try:
+        target, completed = _closure(base, grid)
+    except ClosureError as exc:
+        # Target "none" keeps the probe detuning; solve up to the first open loop.
+        target, completed, stop, open_loop = "delta_c2", grid, exc.index, exc
     # Target "c2" completes to one value for the whole grid.
     completed = np.broadcast_to(completed, grid.shape)
     values = dict(vars(base))
@@ -209,9 +204,8 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
             if exc.index is None:
                 raise
             raise aborted(block[exc.index], exc) from exc
-    if stop < spec.points:
-        failure = ClosureError(_OPEN_LOOP.format(defect[stop]))
-        raise aborted(grid[stop], failure) from failure
+    if open_loop is not None:
+        raise aborted(grid[stop], open_loop) from open_loop
     return SweepResult(delta=grid, states=states)
 
 
@@ -251,10 +245,9 @@ def _has_interior_minimum(values: np.ndarray, start: int, end: int) -> bool:
 def _crossing(x: np.ndarray, y: np.ndarray, inside: int, outside: int, threshold: float) -> float:
     # Linear interpolation of the threshold crossing between an outside
     # sample (>= threshold) and the adjacent inside sample (< threshold).
-    rise = y[inside] - y[outside]
-    if rise == 0.0:
-        return float(x[inside])
-    frac = (threshold - y[outside]) / rise
+    # inside < threshold <= outside, so the two samples differ and so does
+    # their difference from zero.
+    frac = (threshold - y[outside]) / (y[inside] - y[outside])
     return float(x[outside] + frac * (x[inside] - x[outside]))
 
 

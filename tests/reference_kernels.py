@@ -12,17 +12,21 @@ together: L and the sweep states bit for bit, the eigenvalues to
 1e-13 * (1 + ||A||_inf).  Test-only code; the package never imports it.
 """
 
+from collections import namedtuple
 from dataclasses import replace
 
 import numpy as np
 
-from diamondsim.algebra import EigenDecomposition, matrix_inf_norm
+from diamondsim.algebra import matrix_inf_norm
 from diamondsim.atom import LEVELS, Scenario, build_hamiltonian, closure_complete
 
 # The Jacobi pins each eigenvector's phase as dressed_spectrum does: the
 # lowest-index component within this relative distance of the largest
 # magnitude is made real and positive.
 _PIN_REL_TOL = 1e-8
+
+#: herm_eigen's result fields, as np.linalg.eigh names them.
+Eigensystem = namedtuple("Eigensystem", "eigenvalues eigenvectors")
 
 
 def build_liouvillian(s: Scenario) -> np.ndarray:
@@ -42,7 +46,7 @@ def build_liouvillian(s: Scenario) -> np.ndarray:
     return liouv
 
 
-def herm_eigen(a) -> EigenDecomposition:
+def herm_eigen(a) -> Eigensystem:
     """Cyclic complex Jacobi on numpy arrays; ascending, phase-pinned columns.
 
     a is one Hermitian matrix or a stack of them; the rotations run on the
@@ -59,9 +63,7 @@ def herm_eigen(a) -> EigenDecomposition:
         mag = mags[lead]
         if mag > 0.0:
             col *= col[lead].conjugate() / mag
-    return EigenDecomposition(
-        eigenvalues=values.reshape(work.shape[:-1]), eigenvectors=vectors.reshape(work.shape)
-    )
+    return Eigensystem(values.reshape(work.shape[:-1]), vectors.reshape(work.shape))
 
 
 def _jacobi(work: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

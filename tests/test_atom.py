@@ -4,9 +4,12 @@ from dataclasses import fields, replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from diamondsim import atom
 from diamondsim.atom import (
+    CLOSURE_TARGETS,
     MAX_RATE,
     ClosureError,
     Scenario,
@@ -20,15 +23,16 @@ SCENARIO_NUMBERS = tuple(f.name for f in fields(Scenario) if f.name != "closure_
 
 
 def closure_defect(s):
-    """The open-loop defect closure completion computes for target "none"."""
-    name, defect = atom._closure(replace(s, closure_target="none"), s.delta_c2)
-    assert name == ""
-    return defect
+    """The open-loop defect delta_a1 + delta_c1 - delta_a2 - delta_c2."""
+    return s.delta_a1 + s.delta_c1 - s.delta_a2 - s.delta_c2
 
 
 def test_closure_defect_formula():
-    s = Scenario(delta_a1=1.0, delta_c1=2.0, delta_a2=0.5, delta_c2=-3.0)
-    assert closure_defect(s) == 1.0 + 2.0 - 0.5 - (-3.0)
+    drives = dict(omega_a1=1.0, omega_a2=1.0, omega_c1=1.0, omega_c2=1.0)
+    s = Scenario(**drives, delta_a1=1.0, delta_c1=2.0, delta_a2=0.5, delta_c2=-3.0)
+    with pytest.raises(ClosureError, match=r"delta_a2 - delta_c2 = 5\.500e\+00$") as info:
+        closure_complete(s)
+    assert info.value.index is None
 
 
 @pytest.mark.parametrize("target", ["a1", "a2", "c1", "c2"])
@@ -54,6 +58,33 @@ def test_completion_idempotent(target):
     s = Scenario(delta_a1=0.3, delta_a2=1.9, delta_c1=-0.8, delta_c2=5.0, closure_target=target)
     once = closure_complete(s)
     assert closure_complete(once) == once
+
+
+#: Rabi frequencies zero or not, and detunings whose completions stay far
+#: under MAX_RATE.
+RABI = st.one_of(st.just(0.0), st.floats(min_value=1e-3, max_value=1e3))
+DETUNING = st.floats(min_value=-1e6, max_value=1e6)
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(st.tuples(*[RABI] * 4), st.tuples(*[DETUNING] * 4), st.sampled_from(CLOSURE_TARGETS))
+def test_completion_is_idempotent_bit_for_bit_under_every_target(omegas, deltas, target):
+    s = Scenario(*omegas, *deltas, closure_target=target)
+    try:
+        once = closure_complete(s)
+    except ClosureError:
+        assert target == "none" and min(omegas) > 0.0
+        return
+    assert repr(closure_complete(once)) == repr(once)
+
+
+def test_open_loop_on_a_grid_names_its_first_open_point():
+    s = Scenario(omega_a1=1.0, omega_a2=1.0, omega_c1=1.0, omega_c2=1.0, delta_a1=-1.0)
+    # The defect -1 - delta_c2 closes the loop at delta_c2 = -1 only.
+    with pytest.raises(ClosureError, match=r"delta_c2 = 1\.000e\+00$") as info:
+        atom._closure(s, np.array([-1.0, -2.0, 0.0]))
+    assert info.value.index == 1
+    assert atom._closure(replace(s, omega_c2=0.0), np.array([-2.0, 0.0]))[0] == "delta_c2"
 
 
 def test_completion_formulas():

@@ -9,9 +9,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import diamondsim
-from diamondsim.atom import MAX_RATE, Scenario, closure_complete
+from diamondsim.atom import CLOSURE_TARGETS, MAX_RATE, Scenario, closure_complete
 from diamondsim.cli import (
     ConfigError,
     OutputOptions,
@@ -184,6 +186,28 @@ def test_render_round_trip_numpy_scalars():
     text = render_config(scenario, spec)
     assert "np." not in text
     assert parse_config(text)[:2] == (scenario, spec)
+
+
+MAGNITUDE = st.floats(min_value=0.0, max_value=MAX_RATE)
+SIGNED = st.floats(min_value=-MAX_RATE, max_value=MAX_RATE)
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(
+    st.tuples(*[MAGNITUDE] * 4),
+    st.tuples(*[SIGNED] * 4),
+    st.tuples(*[MAGNITUDE] * 4),
+    st.sampled_from(CLOSURE_TARGETS),
+    st.tuples(SIGNED, SIGNED),
+    st.integers(min_value=2, max_value=MAX_POINTS),
+)
+def test_parse_inverts_render_bit_for_bit(omegas, deltas, gammas, target, edges, points):
+    assume(edges[0] < edges[1])
+    scenario = Scenario(*omegas, *deltas, *gammas, closure_target=target)
+    spec = SweepSpec(scenario, *edges, points)
+    back, back_spec, _ = parse_config(render_config(scenario, spec))
+    # repr tells -0.0 from 0.0, which == does not.
+    assert repr((back, back_spec)) == repr((scenario, spec))
 
 
 def test_render_scenario_only():

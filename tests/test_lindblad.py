@@ -6,10 +6,12 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from diamondsim import lindblad
 from diamondsim.algebra import herm_eigen
-from diamondsim.atom import Scenario, closure_complete
+from diamondsim.atom import MAX_RATE, Scenario, closure_complete
 from diamondsim.cli import PRESET_NAMES, preset
 from diamondsim.lindblad import (
     InvariantError,
@@ -81,6 +83,19 @@ def test_stacked_check_names_the_lowest_failing_matrix():
     assert stacked.value.index == 1
     with pytest.raises(ValueError):
         check_density_matrix(np.zeros((2, 3, 3)))
+    with pytest.raises(ValueError, match="expected 5 context labels, got 4"):
+        check_density_matrix(stack, context=labels[:4])
+
+
+def test_check_density_matrix_returns_the_symmetrized_state():
+    rng = np.random.default_rng(8)
+    rho = random_density_matrix(rng)
+    rho[0, 1] += 1e-12  # a Hermiticity defect inside the tolerance
+    assert check_density_matrix(rho).tobytes() == (0.5 * (rho + rho.conj().T)).tobytes()
+    stack = np.array([rho, random_density_matrix(rng)])
+    symmetric = check_density_matrix(stack)
+    assert symmetric.shape == (2, 4, 4)
+    assert symmetric.tobytes() == (0.5 * (stack + stack.conj().transpose(0, 2, 1))).tobytes()
 
 
 def nan_pair_state():
@@ -151,6 +166,19 @@ def test_liouvillian_shape_and_trace_preservation():
     assert liouv.shape == (16, 16)
     population_rows = liouv[0] + liouv[5] + liouv[10] + liouv[15]
     assert np.max(np.abs(population_rows)) < 1e-13
+
+
+MAGNITUDE = st.floats(min_value=0.0, max_value=MAX_RATE)
+SIGNED = st.floats(min_value=-MAX_RATE, max_value=MAX_RATE)
+
+
+@settings(derandomize=True, database=None, max_examples=500, deadline=None)
+@given(st.tuples(*[MAGNITUDE] * 4), st.tuples(*[SIGNED] * 4), st.tuples(*[MAGNITUDE] * 4))
+def test_population_rows_sum_to_zero_up_to_one_rounding_in_the_cc_column(omegas, deltas, gammas):
+    # Summed as _propagate sums them into the trace row.
+    total = build_liouvillian(Scenario(*omegas, *deltas, *gammas))[[0, 5, 10, 15]].sum(axis=0)
+    assert np.count_nonzero(np.delete(total, 10)) == 0
+    assert abs(total[10]) <= 2.0**-52 * max(gammas[:2])
 
 
 def test_generator_routes_agree():
@@ -279,6 +307,23 @@ def test_steady_state_rejects_a_generator_that_leaks_trace():
         steady_state(liouv)
 
 
+def test_steady_state_checks_the_raw_solution():
+    # P L P^-1, with P = 2 at the rho_ab position, has the steady state
+    # P vec(rho): its rho_ab is doubled and no longer rho_ba's conjugate.
+    liouv = build_liouvillian(closure_complete(preset("fig5")[0]))
+    scale = np.ones(16)
+    scale[1] = 2.0
+    with pytest.raises(SteadyStateError, match=r"Hermiticity defect 1\.007e-02 >= 1e-9$"):
+        steady_state(scale[:, None] * liouv / scale[None, :])
+
+
+def test_steady_state_rejects_a_non_finite_generator():
+    liouv = build_liouvillian(preset("fig5")[0])
+    liouv[3, 7] = np.nan
+    with pytest.raises(ValueError, match="solve_linear requires finite a and b"):
+        steady_state(liouv)
+
+
 def test_stacked_steady_state_raises_what_the_lowest_failing_generator_raises_alone():
     fig5 = build_liouvillian(preset("fig5")[0])
     leaky = fig5.copy()
@@ -365,6 +410,9 @@ def test_step_validation():
         evolve(s, ground_state(), t_final=-1.0, dt=1e-3)
     with pytest.raises(InvariantError):
         evolve(s, np.eye(4, dtype=complex), t_final=1.0, dt=1e-3)
+    # A stack of initial states passes check_density_matrix but is not one state.
+    with pytest.raises(ValueError, match=r"one 4x4 density matrix, got shape \(2, 4, 4\)"):
+        evolve(s, np.array([np.eye(4) / 4] * 2), t_final=1.0, dt=1e-3)
 
 
 @pytest.mark.parametrize(
@@ -537,6 +585,8 @@ def test_trajectory_validation():
         evolve_trajectory(s, ground_state(), t_final=1.0, dt=1e-3, samples=0)
     with pytest.raises(ValueError):
         evolve_trajectory(s, ground_state(), t_final=1e-6, dt=1e-3)
+    with pytest.raises(ValueError, match=r"got shape \(2, 4, 4\)"):
+        evolve_trajectory(s, np.array([np.eye(4) / 4] * 2), t_final=1.0, dt=1e-3)
 
 
 def test_trajectory_samples_must_be_an_integer():
