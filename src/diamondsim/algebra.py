@@ -11,8 +11,8 @@ of every steady state and trajectory sample) or feed the dressed census,
 whose degenerate groups do not depend on the basis chosen inside them, so
 no sweep, steady or evolve output byte depends on its last bits.
 solve_linear stays hand-written: its solutions are the sweep's output bit
-for bit, it reports the pivot that fell under its own threshold, and it
-eliminates a whole stack of systems in one pass.
+for bit, it stops at the first pivot under its threshold, before dividing
+by it, and it eliminates a whole stack of systems in one pass.
 
 At these sizes both are bit-reproducible across runs and BLAS thread
 counts on one machine and numpy build.  Across machines or builds the last
@@ -27,7 +27,7 @@ import functools
 
 import numpy as np
 
-from .errors import SimulationError
+from .errors import SimulationError, first_alone
 
 __all__ = [
     "SingularMatrixError",
@@ -46,15 +46,6 @@ _ORTHONORMALITY_TOL = 1e-12
 
 class SingularMatrixError(SimulationError):
     """Linear system is numerically singular; the message names the failing pivot."""
-
-    def __init__(
-        self, pivot_index: int, pivot_magnitude: float, threshold: float, index: int | None = None
-    ):
-        super().__init__(
-            f"matrix is numerically singular at pivot {pivot_index} "
-            f"(|pivot| = {pivot_magnitude:.3e}, threshold = {threshold:.3e})",
-            index=index,
-        )
 
 
 def matrix_inf_norm(a: np.ndarray):
@@ -118,16 +109,15 @@ def solve_linear(a, b) -> np.ndarray:
     a is (n, n) with b of shape (n,), or a stack (m, n, n) with b of shape
     (m, n); x has the shape of b.  Gaussian elimination with partial
     pivoting runs once over the whole stack, on the augmented [a | b].  A
-    non-finite entry of a or b raises ValueError first.  A pivot whose
-    magnitude falls below 1e-14 * ||a||_inf raises SingularMatrixError
-    naming the pivot's column; the computed solution is verified against
-    the residual bound ||a x - b||_inf < 1e-10 * (1 + ||a||_inf * ||x||_inf)
-    (a NaN residual fails it).  A system whose pivot fails is carried on
-    with a pivot of 1.0 and a zero right-hand side, so it cannot disturb
-    the others or overflow; on a stack the error raised is that of the
-    lowest-index failing system, with its position as `index`.  No system's
-    arithmetic depends on the rest of the stack, so a stacked solve equals
-    one-system solves bit for bit.
+    NaN or inf entry of a or b, or an inf-norm of a past the double range,
+    raises ValueError first.  A pivot whose magnitude falls below
+    1e-14 * ||a||_inf raises SingularMatrixError naming the pivot's column,
+    before it divides anything; the solution is verified against the bound
+    ||a x - b||_inf < 1e-10 * (1 + ||a||_inf * ||x||_inf), which a NaN
+    residual fails.  A failing stack raises what its first failing system
+    raises alone (errors.first_alone).  No system's arithmetic depends on
+    the rest of the stack, so a stacked solve equals one-system solves bit
+    for bit.
     """
     a0 = np.asarray(a, dtype=np.complex128)
     rhs0 = np.asarray(b, dtype=np.complex128)
@@ -139,23 +129,29 @@ def solve_linear(a, b) -> np.ndarray:
         raise ValueError(
             f"solve_linear needs a right-hand side of shape {a0.shape[:-1]}, got {rhs0.shape}"
         )
-    if not (np.isfinite(a0).all() and np.isfinite(rhs0).all()):
-        raise ValueError("solve_linear requires finite a and b")
-    stacked = a0.ndim == 3
-    if not stacked:
-        a0 = a0[np.newaxis]
-        rhs0 = rhs0[np.newaxis]
-    m, n = rhs0.shape
+    if a0.ndim == 2:
+        return _eliminate(a0[np.newaxis], rhs0[np.newaxis])[0]
+    try:
+        return _eliminate(a0, rhs0)
+    except SimulationError:
+        first_alone(lambda k: _eliminate(a0[k : k + 1], rhs0[k : k + 1]), range(len(a0)))
+        raise
 
-    norm_a = matrix_inf_norm(a0)
+
+def _eliminate(a0: np.ndarray, rhs0: np.ndarray) -> np.ndarray:
+    # solve_linear on a stack, (m, n, n) and (m, n).  A NaN entry leaves a
+    # norm NaN, an inf one or a row sum past the double range leaves it inf.
+    with np.errstate(over="ignore"):
+        norm_a = matrix_inf_norm(a0)
+    if not ((norm_a < np.inf).all() and np.isfinite(rhs0).all()):
+        raise ValueError("solve_linear requires finite a and b")
+    m, n = rhs0.shape
     threshold = _PIVOT_REL_TOL * norm_a
     # Eliminate on [a | b]: the right-hand side rides along as column n.
     work = np.empty((m, n, n + 1), dtype=np.complex128)
     work[:, :, :n] = a0
     work[:, :, n] = rhs0
     rows = np.arange(m)
-    # pivots[k, i]: |pivot| of system i at column k, after its row swap.
-    pivots = np.empty((n, m))
     for k in range(n):
         lead = k + np.abs(work[:, k:, k]).argmax(axis=1)
         # Swap rows k and lead of every system; where lead == k it is a no-op.
@@ -164,20 +160,17 @@ def solve_linear(a, b) -> np.ndarray:
         upper = work[rows, lead, k:]
         work[rows, lead, k:] = work[:, k, k:]
         work[:, k, k:] = upper
-        diagonal = work[:, k, k]
-        np.abs(diagonal, out=pivots[k])
-        np.copyto(diagonal, 1.0, where=pivots[k] <= threshold)
+        pivot = np.abs(work[:, k, k])
+        j = (pivot <= threshold).argmax()
+        if pivot[j] <= threshold[j]:
+            raise SingularMatrixError(
+                f"matrix is numerically singular at pivot {k} "
+                f"(|pivot| = {pivot[j]:.3e}, threshold = {threshold[j]:.3e})"
+            )
         # Multipliers as a column times the pivot row: their outer product.
         work[:, k + 1 :, k + 1 :] -= (
             work[:, k + 1 :, k : k + 1] / work[:, k : k + 1, k : k + 1] * work[:, k : k + 1, k + 1 :]
         )
-
-    small = pivots <= threshold
-    pivot_failed = small.any(axis=0)
-    # A system whose pivot failed raises below whatever its solution is; a
-    # zero right-hand side keeps that solution zero, so substituting back
-    # through its carried-on pivots of 1.0 cannot overflow.
-    work[pivot_failed, :, n] = 0.0
 
     # x as (m, n, 1) columns: each row dot below is a (1, r) @ (r, 1) matmul.
     x = np.zeros((m, n, 1), dtype=np.complex128)
@@ -187,16 +180,10 @@ def solve_linear(a, b) -> np.ndarray:
 
     residual = np.max(np.abs(a0 @ x - rhs0[:, :, np.newaxis]), axis=(1, 2), initial=0.0)
     bound = _RESIDUAL_REL_TOL * (1.0 + norm_a * np.max(np.abs(x), axis=(1, 2), initial=0.0))
-    failing = np.flatnonzero(pivot_failed | ~(residual < bound))
-    if failing.size:
-        j = int(failing[0])
-        index = j if stacked else None
-        if pivot_failed[j]:
-            k = int(small[:, j].argmax())
-            raise SingularMatrixError(k, float(pivots[k, j]), float(threshold[j]), index)
+    j = (residual < bound).argmin()
+    if not residual[j] < bound[j]:
         raise SimulationError(
             f"linear solve residual {residual[j]:.3e} exceeds bound {bound[j]:.3e}; "
-            "system is ill-conditioned",
-            index=index,
+            "system is ill-conditioned"
         )
-    return x[:, :, 0] if stacked else x[0, :, 0]
+    return x[:, :, 0]

@@ -50,10 +50,23 @@ class SimulationError(Exception):
     reported separately with exit status 1.
 
     Attributes:
-        index: for a call on a stack of inputs, the position of the failing
-            item (the lowest one, when several fail); None otherwise.
+        index: for a call on a stack of inputs, the position of the first
+            item that fails alone (see first_alone); None otherwise.
     """
 
     def __init__(self, *args, index: int | None = None):
         super().__init__(*args)
         self.index = index
+
+
+def first_alone(run, items) -> None:
+    """Run a failed stack's items alone, in order, as run(item).
+
+    The first SimulationError gets its item's position as `index` and propagates.
+    """
+    for k, item in enumerate(items):
+        try:
+            run(item)
+        except SimulationError as exc:
+            exc.index = k
+            raise

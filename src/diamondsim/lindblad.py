@@ -23,7 +23,7 @@ import numpy as np
 
 from .algebra import herm_eigen, matrix_inf_norm, solve_linear
 from .atom import LEVELS, Scenario, build_hamiltonian
-from .errors import SimulationError
+from .errors import SimulationError, first_alone
 
 __all__ = [
     "InvariantError",
@@ -176,21 +176,26 @@ def steady_state(liouv: np.ndarray) -> np.ndarray:
     """Unique steady state of the generator, as a valid density matrix.
 
     liouv is one 16x16 generator or a stack of shape (m, 16, 16); the
-    states come back as (4, 4) or (m, 4, 4).  The row of L at the (a, a)
-    population position is replaced by the trace condition and the
-    resulting system solved.  The solution must satisfy
-    ||L vec(rho)||_inf < 1e-10 * (1 + ||L||_inf) including the replaced row
-    and pass check_density_matrix unsymmetrized, which returns the result.
-    Any failure raises SteadyStateError ("non-unique or absent steady
-    state"), e.g. when every decay rate vanishes.  A stack runs each step on
-    all its generators at once; if any step fails, the generators are
-    solved again one at a time, in order, and the first one that fails
-    alone raises its own error, with its position as `index`.
+    states come back as (4, 4) or (m, 4, 4).  An inf-norm of L past the
+    double range is a ValueError.  The row of L at the (a, a) population
+    position is replaced by the trace condition and the resulting system
+    solved.  The solution must satisfy ||L vec(rho)||_inf < 1e-10 *
+    (1 + ||L||_inf) including the replaced row and pass
+    check_density_matrix unsymmetrized, which returns the result.  Any
+    failure raises SteadyStateError ("non-unique or absent steady state"),
+    e.g. when every decay rate vanishes.  A stack runs each step on all its
+    generators at once; if a step fails, it raises what its first failing
+    generator raises alone, with its position as `index` (errors.first_alone).
     """
     liouv = np.asarray(liouv, dtype=np.complex128)
     if liouv.ndim not in (2, 3) or liouv.shape[-2:] != (16, 16):
         raise ValueError(f"expected a 16x16 generator or a stack of them, got shape {liouv.shape}")
     stack = liouv.reshape(-1, 16, 16)
+    # An inf norm makes the residual bound, the replaced row's one guard, inf.
+    with np.errstate(over="ignore"):
+        norm = matrix_inf_norm(stack)
+    if (norm == np.inf).any():
+        raise ValueError("steady_state requires a generator whose inf-norm is finite")
     modified = stack.copy()
     modified[:, 0, :] = 0.0
     modified[:, 0, list(_DIAGONAL_POSITIONS)] = 1.0
@@ -199,20 +204,14 @@ def steady_state(liouv: np.ndarray) -> np.ndarray:
     try:
         solution = solve_linear(modified, rhs)
         residual = np.max(np.abs(stack @ solution[:, :, np.newaxis]), axis=(1, 2))
-        bound = _STEADY_RESIDUAL_REL_TOL * (1.0 + matrix_inf_norm(stack))
-        over = residual >= bound
-        if over.any():
-            k = over.argmax()
+        bound = _STEADY_RESIDUAL_REL_TOL * (1.0 + norm)
+        k = (residual < bound).argmin()
+        if not residual[k] < bound[k]:
             raise SimulationError(f"residual {residual[k]:.3e} exceeds {bound[k]:.3e}")
         rho = check_density_matrix(solution.reshape(-1, 4, 4), context="steady state")
     except SimulationError as exc:
         if liouv.ndim == 3:
-            for k, generator in enumerate(liouv):
-                try:
-                    steady_state(generator)
-                except SteadyStateError as alone:
-                    alone.index = k
-                    raise
+            first_alone(steady_state, liouv)
         raise SteadyStateError(f"non-unique or absent steady state: {exc}") from exc
     return rho if liouv.ndim == 3 else rho[0]
 

@@ -191,6 +191,23 @@ def test_stacked_solve_reports_the_lowest_failing_system_without_warnings():
             solve_linear(a, b)
     assert str(stacked.value) == str(alone.value)
     assert stacked.value.index == 1
+    # Partial pivoting doubles the last column of Wilkinson's matrix at every
+    # step: at n = 32 every pivot is 1 and the residual fails.  The singular
+    # system after it fails a pivot first, so the stack must be run again.
+    n = 32
+    growth = np.eye(n) - np.tril(np.ones((n, n)), -1)
+    growth[:, -1] = 1.0
+    singular = np.eye(n)
+    singular[1] = singular[0]
+    a = np.array([np.eye(n), growth, singular])
+    b = np.tile(np.linspace(0.1, 1.0, n), (3, 1))
+    with pytest.raises(SimulationError, match=r"^linear solve residual \S+ exceeds") as alone:
+        solve_linear(growth, b[1])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SimulationError) as stacked:
+            solve_linear(a, b)
+    assert (str(stacked.value), stacked.value.index) == (str(alone.value), 1)
 
 
 def test_stacked_solve_shape_validation():
@@ -214,7 +231,11 @@ def test_solve_rejects_non_finite_input_before_eliminating():
     nan_rhs = (np.eye(2), np.array([np.nan, 1.0]))
     inf_matrix = (np.array([[1.0, np.inf], [0.0, 1.0]]), np.ones(2))
     nan_stack = (np.array([np.eye(2), np.full((2, 2), np.nan)]), np.ones((2, 2)))
-    for a, b in (nan_rhs, inf_matrix, nan_stack):
+    # Finite, but its first row sums past the double range; pytest makes the
+    # overflow warning an error.
+    overflow = (np.array([[1e308, 1e308], [0.0, 1.0]]), np.ones(2))
+    overflow_stack = (np.array([np.eye(2), overflow[0]]), np.ones((2, 2)))
+    for a, b in (nan_rhs, inf_matrix, nan_stack, overflow, overflow_stack):
         with pytest.raises(ValueError, match="solve_linear requires finite a and b"):
             solve_linear(a, b)
 

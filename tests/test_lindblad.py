@@ -9,8 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from diamondsim import lindblad
-from diamondsim.algebra import herm_eigen
+from diamondsim import algebra, lindblad
+from diamondsim.algebra import herm_eigen, solve_linear
 from diamondsim.atom import MAX_RATE, Scenario, closure_complete
 from diamondsim.cli import PRESET_NAMES, preset
 from diamondsim.lindblad import (
@@ -322,6 +322,46 @@ def test_steady_state_rejects_a_non_finite_generator():
     liouv[3, 7] = np.nan
     with pytest.raises(ValueError, match="solve_linear requires finite a and b"):
         steady_state(liouv)
+
+
+@pytest.mark.parametrize(
+    "value, error, fragment",
+    [
+        (1e308, ValueError, "steady_state requires a generator whose inf-norm is finite"),
+        (np.inf, ValueError, "steady_state requires a generator whose inf-norm is finite"),
+        (np.nan, SteadyStateError, "residual nan exceeds nan"),
+    ],
+    ids=["overflow", "inf", "nan"],
+)
+def test_steady_state_fails_closed_on_a_bad_replaced_row(value, error, fragment):
+    # The trace condition replaces row 0, so no solve sees it.  A row sum past
+    # the double range, or an inf entry, would make the residual bound inf,
+    # and a NaN entry makes the residual NaN.
+    fig5 = build_liouvillian(preset("fig5")[0])
+    bad = fig5.copy()
+    bad[0, :] = value
+    for liouv, index in ((bad, None), (np.array([fig5, bad]), 1)):
+        with pytest.raises(error, match=fragment) as info:
+            steady_state(liouv)
+        if error is SteadyStateError:
+            assert info.value.index == index
+
+
+def test_a_good_stack_makes_one_solve_and_no_retry(monkeypatch):
+    calls, retries = [], []
+
+    def counting(a, b):
+        calls.append(a.shape)
+        return solve_linear(a, b)
+
+    def retry(run, items):
+        retries.append(run)
+
+    monkeypatch.setattr(lindblad, "solve_linear", counting)
+    monkeypatch.setattr(lindblad, "first_alone", retry)
+    monkeypatch.setattr(algebra, "first_alone", retry)
+    steady_state(np.array([build_liouvillian(preset(name)[0]) for name in PRESET_NAMES]))
+    assert calls == [(10, 16, 16)] and retries == []
 
 
 def test_stacked_steady_state_raises_what_the_lowest_failing_generator_raises_alone():
