@@ -176,10 +176,10 @@ def steady_state(liouv: np.ndarray) -> np.ndarray:
     """Unique steady state of the generator, as a valid density matrix.
 
     liouv is one 16x16 generator or a stack of shape (m, 16, 16); the
-    states come back as (4, 4) or (m, 4, 4).  An inf-norm of L past the
-    double range is a ValueError.  The row of L at the (a, a) population
-    position is replaced by the trace condition and the resulting system
-    solved.  The solution must satisfy ||L vec(rho)||_inf < 1e-10 *
+    states come back as (4, 4) or (m, 4, 4).  A NaN or inf entry in L, or
+    an inf-norm of L past the double range, is a ValueError.  The row of L
+    at the (a, a) population position is replaced by the trace condition
+    and the resulting system solved.  The solution must satisfy ||L vec(rho)||_inf < 1e-10 *
     (1 + ||L||_inf) including the replaced row and pass
     check_density_matrix unsymmetrized, which returns the result.  Any
     failure raises SteadyStateError ("non-unique or absent steady state"),
@@ -191,10 +191,11 @@ def steady_state(liouv: np.ndarray) -> np.ndarray:
     if liouv.ndim not in (2, 3) or liouv.shape[-2:] != (16, 16):
         raise ValueError(f"expected a 16x16 generator or a stack of them, got shape {liouv.shape}")
     stack = liouv.reshape(-1, 16, 16)
-    # An inf norm makes the residual bound, the replaced row's one guard, inf.
+    # A NaN or inf entry or a row sum past the double range makes the norm
+    # non-finite, and with it the residual bound, the replaced row's one guard.
     with np.errstate(over="ignore"):
         norm = matrix_inf_norm(stack)
-    if (norm == np.inf).any():
+    if not (norm < np.inf).all():
         raise ValueError("steady_state requires a generator whose inf-norm is finite")
     modified = stack.copy()
     modified[:, 0, :] = 0.0
@@ -243,14 +244,16 @@ def _propagate(
     rho0: np.ndarray,
     t_final: float,
     dt: float,
-    samples: int = 0,
-) -> tuple[np.ndarray, list[int], np.ndarray]:
-    # Runs round(t_final / dt) RK4 steps and returns the final state, the
-    # sampled steps and the (m, 4, 4) states at them.  With samples > 0 the
-    # raw state is recorded at `samples` evenly spaced steps, the last one on
-    # the final step.  The state jumps from one checkpoint to the next by a
-    # power of the step matrix S: the same iterate as stepping one at a
-    # time, with the products taken in another order.
+    samples: int,
+) -> tuple[list[int], np.ndarray]:
+    # Runs round(t_final / dt) RK4 steps and returns the sampled steps and
+    # the raw states: rho0 (through trace coordinates and back), then the
+    # state at each of `samples` evenly spaced steps, the last one on the
+    # final step.  evolve is the one-sample run: its final state is
+    # states[-1], which is rho0 after zero steps.  The state jumps from one
+    # checkpoint to the next by a power of the step matrix S: the same
+    # iterate as stepping one at a time, with the products taken in another
+    # order.
     #
     # S is built from the generator in trace coordinates, where position 0
     # holds the trace.  L's population rows sum to zero but for one rounding
@@ -268,8 +271,6 @@ def _propagate(
             f"t_final / dt = {ratio:.3e} steps exceeds the cap of {MAX_STEPS:.0e} steps"
         )
     n_steps = int(round(ratio))
-    if samples and n_steps < 1:
-        raise ValueError("t_final is too short for the requested dt")
     norm = matrix_inf_norm(liouv)
     if dt * norm >= 0.5:
         raise StabilityError(
@@ -279,9 +280,8 @@ def _propagate(
         raise ValueError(f"rho0 must be one 4x4 density matrix, got shape {np.shape(rho0)}")
     check_density_matrix(rho0, context="initial state")
     # Past one sample a step, further marks would only repeat steps.
-    samples = min(samples, n_steps)
-    marks = np.linspace(0, n_steps, samples + 1)[1:] if samples else []
-    targets = {int(round(m)) for m in marks}
+    marks = np.linspace(0, n_steps, min(samples, n_steps) + 1)[1:]
+    steps = sorted({int(round(m)) for m in marks})
     generator = liouv.copy()
     generator[0] = liouv[list(_DIAGONAL_POSITIONS)].sum(axis=0)
     generator[:, _LATER_POPULATIONS] -= generator[:, :1]
@@ -289,24 +289,17 @@ def _propagate(
     powers: dict[int, np.ndarray] = {}
     state = np.array(rho0, dtype=np.complex128).reshape(16)
     state[0] += state[_LATER_POPULATIONS].sum()
-    steps: list[int] = []
-    recorded: list[np.ndarray] = []
-    reached = 0
-    for step in sorted((targets | {n_steps}) - {0}):
-        gap = step - reached
+    recorded = [state]
+    for gap in np.diff(steps, prepend=0).tolist():
         if gap not in powers:
             powers[gap] = _power(squares, gap)
         state = powers[gap] @ state
-        reached = step
-        if step in targets:
-            steps.append(step)
-            recorded.append(state)
-    # Back from trace coordinates, the final state and every sample at once:
-    # position 0 holds the trace, so take the populations at 5, 10, 15 out.
-    raw = np.array([state, *recorded])
+        recorded.append(state)
+    # Back from trace coordinates, every state at once: position 0 holds
+    # the trace, so take the populations at 5, 10, 15 out.
+    raw = np.array(recorded)
     raw[:, 0] -= raw[:, _LATER_POPULATIONS].sum(axis=1)
-    rho = raw.reshape(-1, 4, 4)
-    return rho[0], steps, rho[1:]
+    return steps, raw.reshape(-1, 4, 4)
 
 
 def evolve(
@@ -327,9 +320,8 @@ def evolve(
     final state is checked as stepped and returned as check_density_matrix
     symmetrizes it.  Expects a closure-completed Scenario.
     """
-    liouv = build_liouvillian(s)
-    final, _, _ = _propagate(liouv, rho0, t_final, dt)
-    return check_density_matrix(final, context="final state")
+    _, states = _propagate(build_liouvillian(s), rho0, t_final, dt, samples=1)
+    return check_density_matrix(states[-1], context="final state")
 
 
 def evolve_trajectory(
@@ -350,14 +342,17 @@ def evolve_trajectory(
     (as samples do once the state settles at its steady state) would pass
     or fail the check as that one does.  A violation raises InvariantError
     naming the first failing step, with that sample's position as `index`.
-    samples must be a positive integer; otherwise ValueError.
+    samples must be a positive integer, and round(t_final / dt) at least 1
+    after the checks evolve makes; otherwise ValueError.
     """
     if not isinstance(samples, numbers.Integral):
         raise ValueError(f"samples must be an integer, got {samples!r}")
     if samples < 1:
         raise ValueError(f"samples must be positive, got {samples!r}")
-    liouv = build_liouvillian(s)
-    _, steps, states = _propagate(liouv, rho0, t_final, dt, samples=samples)
+    steps, states = _propagate(build_liouvillian(s), rho0, t_final, dt, samples=samples)
+    if not steps:
+        raise ValueError("t_final is too short for the requested dt")
+    states = states[1:]
     first: dict[bytes, int] = {}
     for k, state in enumerate(states):
         first.setdefault(state.tobytes(), k)

@@ -10,11 +10,12 @@ same column keys the CSV output uses (rho_aa, re_cd, im_cd, ...).
 
 Feature detectors operate on the imaginary parts of the coherences, which
 carry the absorption information: for the probe transition Im rho_cd > 0 is
-absorption and Im rho_cd < 0 is gain.  A transparency window is a maximal
-sub-threshold stretch of an absorption profile that actually dips (contains
-an interior local minimum); isolated single-sample spikes do not split a
-window, and structureless below-threshold tails at the scan edges do not
-count as windows.
+absorption and Im rho_cd < 0 is gain.  Both detectors read intervals off
+one boolean mask of the profile, as its maximal runs.  For windows it marks
+the sub-threshold samples and each lone sample between two of them, so a
+one-sample spike does not split a window; a run that holds no interior dip
+(a sample no higher than either neighbour), such as a tail at a scan edge,
+is not a window.  For gain it marks the samples below -1e-9.
 """
 
 from __future__ import annotations
@@ -64,9 +65,6 @@ MAX_POINTS = 10**6
 _BLOCK = 64
 
 _GAIN_THRESHOLD = -1e-9
-# Below-threshold runs separated by fewer than this many above-threshold
-# samples merge into one window.
-_MERGE_GAP = 2
 
 
 class SweepError(SimulationError):
@@ -209,37 +207,10 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
     return SweepResult(delta=grid, states=states)
 
 
-def _below_runs(values: np.ndarray, threshold: float) -> list[list[int]]:
-    runs: list[list[int]] = []
-    start = None
-    for k, value in enumerate(values):
-        if value < threshold:
-            if start is None:
-                start = k
-        elif start is not None:
-            runs.append([start, k - 1])
-            start = None
-    if start is not None:
-        runs.append([start, len(values) - 1])
-    return runs
-
-
-def _merge_runs(runs: list[list[int]]) -> list[list[int]]:
-    merged: list[list[int]] = []
-    for run in runs:
-        if merged and run[0] - merged[-1][1] - 1 < _MERGE_GAP:
-            merged[-1][1] = run[1]
-        else:
-            merged.append(run)
-    return merged
-
-
-def _has_interior_minimum(values: np.ndarray, start: int, end: int) -> bool:
-    last = len(values) - 1
-    for k in range(max(start, 1), min(end, last - 1) + 1):
-        if values[k] <= values[k - 1] and values[k] <= values[k + 1]:
-            return True
-    return False
+def _runs(mask: np.ndarray) -> list[list[int]]:
+    # [first, last] index pairs of mask's maximal True runs, in order.
+    edges = np.flatnonzero(np.diff(mask, prepend=False, append=False))
+    return (edges.reshape(-1, 2) - (0, 1)).tolist()
 
 
 def _crossing(x: np.ndarray, y: np.ndarray, inside: int, outside: int, threshold: float) -> float:
@@ -257,12 +228,12 @@ def detect_windows(
     """Find transparency windows of an absorption column.
 
     The threshold is threshold_fraction times the maximum of the observable
-    over the sweep.  Maximal below-threshold runs are merged across gaps of
-    a single above-threshold sample; a run only counts as a window if it
-    contains an interior local minimum, which drops monotone tails at the
-    scan edges.  Windows come back ordered by center.  A column that never
-    absorbs (maximum <= 0) has no windows: its threshold would lie above
-    every sample.
+    over the sweep.  The mask marks the samples below it and each single
+    sample between two of them; each maximal run of it that holds an
+    interior dip, a sample k with y[k] <= min(y[k-1], y[k+1]), is a window.
+    That drops monotone tails at the scan edges.  Windows come back ordered
+    by center.  A column that never absorbs (maximum <= 0) has no windows:
+    its threshold would lie above every sample.
     """
     if not observable.startswith("im_"):
         raise ValueError(f"windows are defined on im_* columns, got {observable!r}")
@@ -274,10 +245,13 @@ def detect_windows(
     if peak <= 0.0:
         return []
     threshold = threshold_fraction * peak
-    runs = _merge_runs(_below_runs(y, threshold))
+    below = y < threshold
+    below[1:-1] |= below[:-2] & below[2:]
+    dip = np.zeros(len(y), dtype=bool)
+    dip[1:-1] = (y[1:-1] <= y[:-2]) & (y[1:-1] <= y[2:])
     windows = []
-    for start, end in runs:
-        if not _has_interior_minimum(y, start, end):
+    for start, end in _runs(below):
+        if not dip[start : end + 1].any():
             continue
         segment = y[start : end + 1]
         deepest = start + int(np.argmin(segment))
@@ -304,5 +278,5 @@ def detect_gain(result: SweepResult, observable: str) -> list[tuple[float, float
     y = result.column(observable)
     return [
         (float(result.delta[start]), float(result.delta[end]))
-        for start, end in _below_runs(y, _GAIN_THRESHOLD)
+        for start, end in _runs(y < _GAIN_THRESHOLD)
     ]

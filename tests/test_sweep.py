@@ -330,6 +330,14 @@ def test_non_absorbing_column_has_no_window():
     assert detect_windows(synthetic_result(delta, touching_zero), "im_cd") == []
 
 
+def test_nan_sample_leaves_no_window():
+    # The maximum, and with it the threshold, is NaN, so no sample is below it.
+    delta = np.linspace(-5.0, 5.0, 101)
+    y = np.minimum(1.0, 0.02 + 0.7 * np.abs(delta))
+    y[80] = np.nan
+    assert detect_windows(synthetic_result(delta, y), "im_cd") == []
+
+
 def test_single_sample_gap_merges():
     delta = np.arange(31.0)
     y = np.ones(31)
@@ -339,6 +347,32 @@ def test_single_sample_gap_merges():
     windows = detect_windows(synthetic_result(delta, y), "im_cd")
     assert len(windows) == 1
     assert windows[0].center == 11.0
+    # A third run behind a second one-sample gap joins too.
+    y[17] = 0.5
+    y[18:21] = (0.05, 0.01, 0.05)
+    windows = detect_windows(synthetic_result(delta, y), "im_cd")
+    assert [(w.center, w.depth) for w in windows] == [(19.0, 0.01)]
+    assert windows[0].half_width == pytest.approx(0.5 * (12.0 - 2 * 0.9 / 0.95))
+
+
+@pytest.mark.parametrize("start, center", [(0, 1.0), (28, 29.0)], ids=["left-edge", "right-edge"])
+def test_window_touching_a_scan_edge_ends_there(start, center):
+    delta = np.arange(31.0)
+    y = np.ones(31)
+    y[start : start + 3] = (0.05, 0.02, 0.05)
+    windows = detect_windows(synthetic_result(delta, y), "im_cd")
+    assert [(w.center, w.depth) for w in windows] == [(center, 0.02)]
+    # One end at x[0] or x[-1], the other 0.9 / 0.95 short of the first
+    # sample at 1.0 (threshold 0.1).
+    assert windows[0].half_width == pytest.approx(0.5 * (3.0 - 0.9 / 0.95))
+
+
+def test_flat_bottomed_window_is_centred_on_its_first_lowest_sample():
+    delta = np.arange(31.0)
+    y = np.ones(31)
+    y[10:15] = (0.05, 0.02, 0.02, 0.02, 0.05)
+    windows = detect_windows(synthetic_result(delta, y), "im_cd")
+    assert [(w.center, w.depth) for w in windows] == [(11.0, 0.02)]
 
 
 def test_two_sample_gap_stays_split():
@@ -365,6 +399,11 @@ def test_gain_intervals():
     delta = np.arange(5.0)
     result = synthetic_result(delta, [0.1, -0.2, -0.3, 0.0, 0.5])
     assert detect_gain(result, "im_cd") == [(1.0, 2.0)]
+    result = synthetic_result(delta, [-0.1, -0.2, -0.3, -1e-8, -0.5])
+    assert detect_gain(result, "im_cd") == [(0.0, 4.0)]
+    # A NaN sample is not below the threshold, so it ends a run.
+    result = synthetic_result(delta, [-0.1, np.nan, -0.3, -0.2, 0.0])
+    assert detect_gain(result, "im_cd") == [(0.0, 0.0), (2.0, 3.0)]
 
 
 def test_gain_ignores_rounding_noise():
