@@ -23,8 +23,6 @@ inside a group of equal eigenvalues.
 
 from __future__ import annotations
 
-import functools
-
 import numpy as np
 
 from .errors import SimulationError, first_alone
@@ -53,15 +51,6 @@ def matrix_inf_norm(a: np.ndarray):
     a = np.asarray(a)
     norms = np.maximum.reduce(np.add.reduce(np.abs(a), axis=-1), axis=-1, initial=0.0)
     return float(norms) if a.ndim == 2 else norms
-
-
-@functools.lru_cache(maxsize=16)
-def _identity(n: int) -> np.ndarray:
-    # herm_eigen's identity at size n, shared by every call of that size and
-    # so read-only.
-    eye = np.eye(n)
-    eye.flags.writeable = False
-    return eye
 
 
 def herm_eigen(a):
@@ -97,8 +86,10 @@ def herm_eigen(a):
     residual = np.maximum.reduce(np.abs(mat @ vectors - vectors * values), axis=None)
     if not residual < _RESIDUAL_REL_TOL * (1.0 + scale):
         raise RuntimeError(f"eigendecomposition residual {residual:.3e} out of tolerance")
-    gram_defect = np.abs(vectors.conj().T @ vectors - _identity(len(values)))
-    if not np.maximum.reduce(gram_defect, axis=None) < _ORTHONORMALITY_TOL:
+    # V^H V - I, with the identity taken off the diagonal in place.
+    gram = vectors.conj().T @ vectors
+    gram.reshape(-1)[:: len(values) + 1] -= 1.0
+    if not np.maximum.reduce(np.abs(gram), axis=None) < _ORTHONORMALITY_TOL:
         raise RuntimeError("eigenvector columns lost orthonormality")
     return eig
 

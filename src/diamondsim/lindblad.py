@@ -245,15 +245,15 @@ def _propagate(
     t_final: float,
     dt: float,
     samples: int,
-) -> tuple[list[int], np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray]:
     # Runs round(t_final / dt) RK4 steps and returns the sampled steps and
-    # the raw states: rho0 (through trace coordinates and back), then the
-    # state at each of `samples` evenly spaced steps, the last one on the
-    # final step.  evolve is the one-sample run: its final state is
-    # states[-1], which is rho0 after zero steps.  The state jumps from one
-    # checkpoint to the next by a power of the step matrix S: the same
-    # iterate as stepping one at a time, with the products taken in another
-    # order.
+    # the raw states: rho0 as given, then the state at each of `samples`
+    # evenly spaced steps, the last one on the final step.  evolve is the
+    # one-sample run: its final state is states[-1], rho0's own bits after
+    # zero steps, since only the stepped states leave trace coordinates.
+    # The state jumps from one checkpoint to the next by a power of the
+    # step matrix S: the same iterate as stepping one at a time, with the
+    # products taken in another order.
     #
     # S is built from the generator in trace coordinates, where position 0
     # holds the trace.  L's population rows sum to zero but for one rounding
@@ -279,9 +279,9 @@ def _propagate(
     if np.shape(rho0) != (4, 4):
         raise ValueError(f"rho0 must be one 4x4 density matrix, got shape {np.shape(rho0)}")
     check_density_matrix(rho0, context="initial state")
-    # Past one sample a step, further marks would only repeat steps.
-    marks = np.linspace(0, n_steps, min(samples, n_steps) + 1)[1:]
-    steps = sorted({int(round(m)) for m in marks})
+    # At most one mark a step; the marks ascend, so repeated steps are adjacent.
+    marks = np.rint(np.linspace(0, n_steps, min(samples, n_steps) + 1)[1:])
+    steps = marks[np.diff(marks, prepend=0.0) > 0].astype(int)
     generator = liouv.copy()
     generator[0] = liouv[list(_DIAGONAL_POSITIONS)].sum(axis=0)
     generator[:, _LATER_POPULATIONS] -= generator[:, :1]
@@ -289,16 +289,16 @@ def _propagate(
     powers: dict[int, np.ndarray] = {}
     state = np.array(rho0, dtype=np.complex128).reshape(16)
     state[0] += state[_LATER_POPULATIONS].sum()
-    recorded = [state]
+    recorded = [np.ravel(rho0)]
     for gap in np.diff(steps, prepend=0).tolist():
         if gap not in powers:
             powers[gap] = _power(squares, gap)
         state = powers[gap] @ state
         recorded.append(state)
-    # Back from trace coordinates, every state at once: position 0 holds
-    # the trace, so take the populations at 5, 10, 15 out.
-    raw = np.array(recorded)
-    raw[:, 0] -= raw[:, _LATER_POPULATIONS].sum(axis=1)
+    # Back from trace coordinates, every stepped state at once: position 0
+    # holds the trace, so take the populations at 5, 10, 15 out.
+    raw = np.array(recorded, dtype=np.complex128)
+    raw[1:, 0] -= raw[1:, _LATER_POPULATIONS].sum(axis=1)
     return steps, raw.reshape(-1, 4, 4)
 
 
@@ -315,9 +315,9 @@ def evolve(
     fixed matrix S, so the run is one power of S, formed by repeated
     squaring.  dt must be finite and positive, t_final finite and
     non-negative, and the step count at most MAX_STEPS (10^9); otherwise
-    ValueError.  The step must satisfy the stability guard
-    dt * ||L||_inf < 0.5, and rho0 must be one 4x4 density matrix.  The
-    final state is checked as stepped and returned as check_density_matrix
+    ValueError.  The step must pass the stability guard dt * ||L||_inf < 0.5,
+    and rho0 must be one 4x4 density matrix.  The final state (rho0 as given
+    after zero steps) is checked and returned as check_density_matrix
     symmetrizes it.  Expects a closure-completed Scenario.
     """
     _, states = _propagate(build_liouvillian(s), rho0, t_final, dt, samples=1)
@@ -334,23 +334,23 @@ def evolve_trajectory(
     """Integrate as evolve does, recording evenly spaced raw samples.
 
     Returns (times, states) with states[k] the unsymmetrized state at
-    times[k] = step * dt; the steps are round(j * n / samples) for
-    j = 1..samples and n = round(t_final / dt), without repeats or step 0,
-    so the last sample falls on the final step.  The samples are checked
-    against the density-matrix invariants in one stack after stepping,
-    each distinct sample once: a sample whose bytes repeat an earlier one
-    (as samples do once the state settles at its steady state) would pass
-    or fail the check as that one does.  A violation raises InvariantError
-    naming the first failing step, with that sample's position as `index`.
-    samples must be a positive integer, and round(t_final / dt) at least 1
-    after the checks evolve makes; otherwise ValueError.
+    times[k] = step * dt; the steps are round(j * n / samples), halves to
+    even, for j = 1..samples and n = round(t_final / dt), without repeats
+    or step 0, so the last sample falls on the final step.  The samples are
+    checked against the density-matrix invariants in one stack after
+    stepping, each distinct sample once: a sample whose bytes repeat an
+    earlier one (as samples do once the state settles at its steady state)
+    would pass or fail the check as that one does.  A violation raises
+    InvariantError naming the first failing step, with that sample's
+    position as `index`.  samples must be a positive integer, and
+    round(t_final / dt) at least 1 after evolve's checks, else ValueError.
     """
     if not isinstance(samples, numbers.Integral):
         raise ValueError(f"samples must be an integer, got {samples!r}")
     if samples < 1:
         raise ValueError(f"samples must be positive, got {samples!r}")
     steps, states = _propagate(build_liouvillian(s), rho0, t_final, dt, samples=samples)
-    if not steps:
+    if not len(steps):
         raise ValueError("t_final is too short for the requested dt")
     states = states[1:]
     first: dict[bytes, int] = {}
@@ -364,5 +364,4 @@ def evolve_trajectory(
     except InvariantError as exc:
         exc.index = distinct[exc.index]
         raise
-    times = np.array([step * dt for step in steps])
-    return times, states
+    return np.asarray(steps) * dt, states

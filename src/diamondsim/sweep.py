@@ -207,6 +207,13 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
     return SweepResult(delta=grid, states=states)
 
 
+def _profile(result: SweepResult, observable: str) -> np.ndarray:
+    y = result.column(observable)
+    if not np.isfinite(y).all():
+        raise ValueError(f"{observable} has a non-finite sample")
+    return y
+
+
 def _runs(mask: np.ndarray) -> list[list[int]]:
     # [first, last] index pairs of mask's maximal True runs, in order.
     edges = np.flatnonzero(np.diff(mask, prepend=False, append=False))
@@ -233,11 +240,12 @@ def detect_windows(
     interior dip, a sample k with y[k] <= min(y[k-1], y[k+1]), is a window.
     That drops monotone tails at the scan edges.  Windows come back ordered
     by center.  A column that never absorbs (maximum <= 0) has no windows:
-    its threshold would lie above every sample.
+    its threshold would lie above every sample.  A NaN or inf sample is a
+    ValueError naming the observable.
     """
     if not observable.startswith("im_"):
         raise ValueError(f"windows are defined on im_* columns, got {observable!r}")
-    y = result.column(observable)
+    y = _profile(result, observable)
     x = result.delta
     if len(y) < 3:
         raise ValueError("window detection needs at least 3 grid points")
@@ -273,9 +281,10 @@ def detect_gain(result: SweepResult, observable: str) -> list[tuple[float, float
     """Detuning intervals where the observable drops below -1e-9.
 
     Intended for im_* columns, where a strictly negative value means the
-    medium amplifies the field instead of absorbing it.
+    medium amplifies the field instead of absorbing it.  A NaN or inf sample
+    is a ValueError naming the observable, as in detect_windows.
     """
-    y = result.column(observable)
+    y = _profile(result, observable)
     return [
         (float(result.delta[start]), float(result.delta[end]))
         for start, end in _runs(y < _GAIN_THRESHOLD)

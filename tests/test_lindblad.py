@@ -472,16 +472,24 @@ def test_step_cap_itself_is_accepted():
     t_final = lindblad.MAX_STEPS * 1e-3
     final = evolve(Scenario(), ground_state(), t_final=t_final, dt=1e-3)
     assert np.max(np.abs(final - ground_state())) < 1e-10
+    # Sample steps near the cap, one with a mark exactly halfway between
+    # two steps (499999998.5, rounded to even).
+    for n_steps, samples in [(10**9, 200), (10**9 - 1, 7), (999_999_997, 2)]:
+        times, _ = evolve_trajectory(Scenario(), ground_state(), n_steps * 1e-3, 1e-3, samples)
+        assert times.tolist() == [step * 1e-3 for step in sampled_steps(n_steps, samples)]
 
 
 @pytest.mark.parametrize("t_final", [0.0, 4e-4])
 def test_evolve_without_steps_returns_the_checked_initial_state(t_final):
-    # round(t_final / dt) = 0 steps.  The populations (1/2, 1/4, 1/8, 1/8)
-    # sum exactly in trace coordinates, so the state comes back bit for bit.
+    # round(t_final / dt) = 0 steps.  rho0 never enters trace coordinates,
+    # so it comes back bit for bit also when its populations would not sum
+    # exactly there, as for most random states.
     rho0 = np.diag([0.5, 0.25, 0.125, 0.125]).astype(complex)
     rho0[0, 2], rho0[2, 0] = 0.1 + 0.05j, 0.1 - 0.05j
-    final = evolve(preset("fig5")[0], rho0, t_final=t_final, dt=1e-3)
-    assert final.tobytes() == check_density_matrix(rho0).tobytes()
+    rng = np.random.default_rng(24)
+    for state in [rho0] + [random_density_matrix(rng) for _ in range(60)]:
+        final = evolve(preset("fig5")[0], state, t_final=t_final, dt=1e-3)
+        assert final.tobytes() == check_density_matrix(state).tobytes()
 
 
 def test_integrator_fourth_order():
@@ -516,6 +524,11 @@ def test_trajectory_sampling():
 SEQUENTIAL_TOL = 1e-10
 
 
+def sampled_steps(n_steps, samples):
+    """evolve_trajectory's sample steps, one Python round per mark."""
+    return sorted({round(m) for m in np.linspace(0, n_steps, samples + 1)[1:]} - {0})
+
+
 def sequential_rk4(s, rho0, t_final, dt, samples):
     """Raw states at evolve_trajectory's sample steps, and the final state."""
     liouv = build_liouvillian(s)
@@ -526,7 +539,7 @@ def sequential_rk4(s, rho0, t_final, dt, samples):
     k4 = liouv @ (basis + dt * k3)
     step_matrix = basis + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
     n_steps = round(t_final / dt)
-    wanted = {round(m) for m in np.linspace(0, n_steps, samples + 1)[1:]} - {0}
+    wanted = set(sampled_steps(n_steps, samples))
     state = np.array(rho0, dtype=complex).reshape(16)
     steps, states = [], []
     for step in range(1, n_steps + 1):
@@ -612,6 +625,7 @@ def test_samples_beyond_the_step_count_give_every_step(extra):
     more = evolve_trajectory(s, ground_state(), n_steps * 1e-3, 1e-3, samples=n_steps + extra)
     assert every[0].tobytes() == more[0].tobytes()
     assert every[1].tobytes() == more[1].tobytes()
+    assert more[0].tolist() == [step * 1e-3 for step in sampled_steps(n_steps, n_steps + extra)]
 
 
 def test_one_step_with_a_million_samples_returns_one_sample():

@@ -330,12 +330,14 @@ def test_non_absorbing_column_has_no_window():
     assert detect_windows(synthetic_result(delta, touching_zero), "im_cd") == []
 
 
-def test_nan_sample_leaves_no_window():
-    # The maximum, and with it the threshold, is NaN, so no sample is below it.
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_sample_is_rejected(bad):
+    # A NaN maximum would make the threshold NaN and erase every window.
     delta = np.linspace(-5.0, 5.0, 101)
-    y = np.minimum(1.0, 0.02 + 0.7 * np.abs(delta))
-    y[80] = np.nan
-    assert detect_windows(synthetic_result(delta, y), "im_cd") == []
+    result = synthetic_result(delta, np.minimum(1.0, 0.02 + 0.7 * np.abs(delta)))
+    result.states[80, 2, 3] = complex(0.0, bad)
+    with pytest.raises(ValueError, match="^im_cd has a non-finite sample$"):
+        detect_windows(result, "im_cd")
 
 
 def test_single_sample_gap_merges():
@@ -401,9 +403,10 @@ def test_gain_intervals():
     assert detect_gain(result, "im_cd") == [(1.0, 2.0)]
     result = synthetic_result(delta, [-0.1, -0.2, -0.3, -1e-8, -0.5])
     assert detect_gain(result, "im_cd") == [(0.0, 4.0)]
-    # A NaN sample is not below the threshold, so it ends a run.
+    # A NaN sample is rejected, as in detect_windows.
     result = synthetic_result(delta, [-0.1, np.nan, -0.3, -0.2, 0.0])
-    assert detect_gain(result, "im_cd") == [(0.0, 0.0), (2.0, 3.0)]
+    with pytest.raises(ValueError, match="^im_cd has a non-finite sample$"):
+        detect_gain(result, "im_cd")
 
 
 def test_gain_ignores_rounding_noise():
