@@ -11,7 +11,8 @@ Configuration files are flat INI-style text with four sections:
 The keys come from the dataclasses: [fields] and [decays] are Scenario's
 fields (the gamma* rates in [decays]), [sweep] is SweepSpec's grid plus
 OutputOptions.observables, and [output] is OutputOptions.out_path.  A key
-whose dataclass default is a float reads a number, an int an integer.
+whose dataclass default is a float reads a number, an int an integer, a
+tuple a comma list of observable names, and None (out_path) text.
 Only sweep reads out_path; steady, evolve and dressed write a file only
 with --out.
 
@@ -66,10 +67,19 @@ _NUMBER_RE = re.compile(r"[+-]?([0-9]+\.?[0-9]*|\.[0-9]+)([eE][+-]?[0-9]+)?$")
 _INT_RE = re.compile(r"[+-]?[0-9]+$")
 _COMMENT_RE = re.compile(r"[#;]")
 
+
+@dataclass(frozen=True)
+class OutputOptions:
+    """Output-related settings from a config document."""
+
+    observables: tuple[str, ...] = OBSERVABLE_KEYS
+    out_path: str | None = None
+
+
 _GRID_FIELDS = tuple(f for f in fields(SweepSpec) if f.name != "base")
 _GRID_KEYS = tuple(f.name for f in _GRID_FIELDS)
-#: Scenario and grid keys in field order, each with the type its value reads as.
-_KINDS = {f.name: type(f.default) for f in fields(Scenario) + _GRID_FIELDS}
+#: Scenario, grid and output keys in field order, each with the type its value reads as.
+_KINDS = {f.name: type(f.default) for f in fields(Scenario) + _GRID_FIELDS + fields(OutputOptions)}
 _SECTIONS = {
     "fields": tuple(f.name for f in fields(Scenario) if not f.name.startswith("gamma")),
     "decays": tuple(f.name for f in fields(Scenario) if f.name.startswith("gamma")),
@@ -80,14 +90,6 @@ _SECTIONS = {
 
 class ConfigError(ValueError):
     """A configuration document could not be accepted."""
-
-
-@dataclass(frozen=True)
-class OutputOptions:
-    """Output-related settings from a config document."""
-
-    observables: tuple[str, ...] = OBSERVABLE_KEYS
-    out_path: str | None = None
 
 
 def _parse_value(key: str, text: str, lineno: int):
@@ -108,6 +110,15 @@ def _parse_value(key: str, text: str, lineno: int):
             raise ConfigError(
                 f"line {lineno}: {key} is too long to read: {len(text)} characters"
             ) from None
+    if kind is tuple:
+        chosen = tuple(item.strip() for item in text.split(","))
+        for item in chosen:
+            if item not in OBSERVABLE_KEYS:
+                raise ConfigError(
+                    f"line {lineno}: unknown observable {echo(item)!r}; "
+                    f"valid keys: {', '.join(OBSERVABLE_KEYS)}"
+                )
+        return chosen
     return text
 
 
@@ -157,20 +168,7 @@ def parse_config(text: str) -> tuple[Scenario, SweepSpec, OutputOptions]:
 
     values = {key: _parse_value(key, *entries[key]) for key in _KINDS if key in entries}
     grid = {key: values.pop(key) for key in _GRID_KEYS if key in values}
-
-    observables: tuple[str, ...] = OBSERVABLE_KEYS
-    if "observables" in entries:
-        value, lineno = entries["observables"]
-        chosen = tuple(item.strip() for item in value.split(","))
-        for item in chosen:
-            if item not in OBSERVABLE_KEYS:
-                raise ConfigError(
-                    f"line {lineno}: unknown observable {echo(item)!r}; "
-                    f"valid keys: {', '.join(OBSERVABLE_KEYS)}"
-                )
-        observables = chosen
-    out_path = entries["out_path"][0] if "out_path" in entries else None
-
+    output = {f.name: values.pop(f.name) for f in fields(OutputOptions) if f.name in values}
     if "closure_target" not in values:
         values["closure_target"] = _auto_closure_target(values)
     try:
@@ -179,7 +177,7 @@ def parse_config(text: str) -> tuple[Scenario, SweepSpec, OutputOptions]:
     except InputError as exc:
         lineno = min(entries[key][1] for key in exc.fields if key in entries)
         raise ConfigError(f"line {lineno}: {exc}") from exc
-    return scenario, spec, OutputOptions(observables=observables, out_path=out_path)
+    return scenario, spec, OutputOptions(**output)
 
 
 def _auto_closure_target(values: dict[str, float]) -> str:

@@ -135,20 +135,14 @@ def dressed_spectrum(s: Scenario) -> DressedSpectrum:
             f"numerical eigenvalues deviate {mismatch:.3e} from the closed form; this is a bug"
         )
 
+    # A new group starts at each gap of at least tol between ascending
+    # neighbours, so closer eigenvalues chain into one group.
     tol = _DEGENERACY_REL_TOL * (1.0 + float(np.max(np.abs(eig.eigenvalues))))
-    groups: list[tuple[int, ...]] = []
-    current = [0]
-    for k in range(1, len(eig.eigenvalues)):
-        if eig.eigenvalues[k] - eig.eigenvalues[k - 1] < tol:
-            current.append(k)
-        else:
-            groups.append(tuple(current))
-            current = [k]
-    groups.append(tuple(current))
+    bounds = [0, *(np.flatnonzero(np.diff(eig.eigenvalues) >= tol) + 1).tolist(), len(vectors)]
     return DressedSpectrum(
         eigenvalues=eig.eigenvalues,
         eigenvectors=vectors,
-        groups=tuple(groups),
+        groups=tuple(tuple(range(a, b)) for a, b in zip(bounds, bounds[1:])),
     )
 
 

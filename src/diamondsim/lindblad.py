@@ -227,18 +227,6 @@ def _rk4_step_matrix(liouv: np.ndarray, dt: float) -> np.ndarray:
     return np.eye(16, dtype=np.complex128) + hl + hl2 / 2.0 + hl3 / 6.0 + hl4 / 24.0
 
 
-def _power(squares: list[np.ndarray], n: int) -> np.ndarray:
-    # S^n for n >= 1 by binary powering; squares holds S, S^2, S^4, ... and
-    # grows on demand, so every power taken from it shares the squarings.
-    result = None
-    for bit in range(n.bit_length()):
-        if bit == len(squares):
-            squares.append(squares[-1] @ squares[-1])
-        if n >> bit & 1:
-            result = squares[bit] if result is None else result @ squares[bit]
-    return result
-
-
 def _propagate(
     liouv: np.ndarray,
     rho0: np.ndarray,
@@ -253,7 +241,8 @@ def _propagate(
     # zero steps, since only the stepped states leave trace coordinates.
     # The state jumps from one checkpoint to the next by a power of the
     # step matrix S: the same iterate as stepping one at a time, with the
-    # products taken in another order.
+    # products taken in another order.  np.linalg.matrix_power forms S^gap
+    # by binary powering, once per distinct gap; a run has at most two.
     #
     # S is built from the generator in trace coordinates, where position 0
     # holds the trace.  L's population rows sum to zero but for one rounding
@@ -285,14 +274,14 @@ def _propagate(
     generator = liouv.copy()
     generator[0] = liouv[list(_DIAGONAL_POSITIONS)].sum(axis=0)
     generator[:, _LATER_POPULATIONS] -= generator[:, :1]
-    squares = [_rk4_step_matrix(generator, dt)]
+    step_matrix = _rk4_step_matrix(generator, dt)
     powers: dict[int, np.ndarray] = {}
     state = np.array(rho0, dtype=np.complex128).reshape(16)
     state[0] += state[_LATER_POPULATIONS].sum()
     recorded = [np.ravel(rho0)]
     for gap in np.diff(steps, prepend=0).tolist():
         if gap not in powers:
-            powers[gap] = _power(squares, gap)
+            powers[gap] = np.linalg.matrix_power(step_matrix, gap)
         state = powers[gap] @ state
         recorded.append(state)
     # Back from trace coordinates, every stepped state at once: position 0

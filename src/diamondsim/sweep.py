@@ -241,8 +241,11 @@ def detect_windows(
     That drops monotone tails at the scan edges.  Windows come back ordered
     by center.  A column that never absorbs (maximum <= 0) has no windows:
     its threshold would lie above every sample.  A NaN or inf sample is a
-    ValueError naming the observable.
+    ValueError naming the observable.  A threshold_fraction outside the
+    open interval (0, 1), NaN included, is a ValueError naming it.
     """
+    if not 0.0 < threshold_fraction < 1.0:
+        raise ValueError(f"threshold_fraction must lie in (0, 1), got {threshold_fraction!r}")
     if not observable.startswith("im_"):
         raise ValueError(f"windows are defined on im_* columns, got {observable!r}")
     y = _profile(result, observable)

@@ -160,6 +160,7 @@ CENSUS_CASES = [
     ((2.0, 3.0, 4.0), (0, 0, 0, 0), 0, False),
     ((0.1, 5.0, 0.0), (0, 1, 0), 1, True),
     ((0.1, 0.0, 10.0), (1, 1, 1), 3, True),
+    ((0.0, 0.0, 0.0), (3,), 3, True),
 ]
 
 

@@ -311,6 +311,11 @@ def test_window_threshold_fraction_parameter():
     wide = detect_windows(synthetic_result(delta, y), "im_cd", threshold_fraction=0.5)
     assert len(wide) == 1
     assert wide[0].half_width > narrow[0].half_width
+    # Outside (0, 1) the threshold lies at or below zero or at or above the
+    # peak, so the mask would mark no sample or the whole scan.
+    for outside in (math.nan, -0.5, 0.0, 1.0, 2.0, math.inf):
+        with pytest.raises(ValueError, match="threshold_fraction must lie in"):
+            detect_windows(synthetic_result(delta, y), "im_cd", threshold_fraction=outside)
 
 
 def test_edge_tail_is_not_a_window():
