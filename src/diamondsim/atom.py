@@ -58,8 +58,9 @@ _OPEN_LOOP = (
 )
 
 #: Largest magnitude of any Scenario number and sweep edge.  At 1e76 the
-#: dressed-state closed form succeeds on all 64 drive patterns with each of
-#: omega_a1, omega_a2, omega_c1 in {0, 1, w/2, w}; at 1e77 eight overflow.
+#: closed-form drive eigenvalues that the dressed-state tests check against
+#: stay finite on all 64 drive patterns with each of omega_a1, omega_a2,
+#: omega_c1 in {0, 1, w/2, w}, as a test pins; at 1e77 eight overflow.
 #: Under it the sums in B, L and the closure condition stay finite, and a
 #: detuning closure_complete derives past it (up to 3e76) is rejected.
 MAX_RATE = 1e76

@@ -19,14 +19,14 @@ with --out.
 '#' and ';' start a comment.  Keys default as in Scenario (decay rates 1,
 all else 0) and SweepSpec (the grid [-25, 25] with 1001 points).  The
 parser checks the text: sections, keys, duplicates, empty values, number
-and integer syntax, numbers that overflow to infinity, integers too long
-to read, and observable names.  Range rules (signs, atom.MAX_RATE,
-sweep.MAX_POINTS, the closure targets, the grid order) belong to Scenario
-and SweepSpec; the parser reports the errors.InputError they raise with
-the lowest line among the keys the rule involves, so every rejected value
-carries its line number.  When closure_target is not given it defaults to
-the first inactive field in the order a1, c1, a2, c2, or "none" when all
-four fields drive.
+and integer syntax, numbers that overflow to infinity, and integers too
+long to read.  Range rules (signs, atom.MAX_RATE, sweep.MAX_POINTS, the
+closure targets, the grid order) belong to Scenario and SweepSpec, and the
+observable names and out_path's text to OutputOptions; the parser reports
+the errors.InputError they raise with the lowest line among the keys the
+rule involves, so every rejected value carries its line number.  When
+closure_target is not given it defaults to the first inactive field in the
+order a1, c1, a2, c2, or "none" when all four fields drive.
 
 Exit status: 0 on success, 1 for usage and configuration errors (any
 ValueError), 2 when a computation fails (no steady state, broken closure,
@@ -70,10 +70,29 @@ _COMMENT_RE = re.compile(r"[#;]")
 
 @dataclass(frozen=True)
 class OutputOptions:
-    """Output-related settings from a config document."""
+    """Output-related settings from a config document.
+
+    observables must be keys of sweep.OBSERVABLE_KEYS, at least one, and
+    out_path, if set, text that a config line carries unchanged; otherwise
+    errors.InputError naming the field.
+    """
 
     observables: tuple[str, ...] = OBSERVABLE_KEYS
     out_path: str | None = None
+
+    def __post_init__(self):
+        unknown = [item for item in self.observables if item not in OBSERVABLE_KEYS]
+        if unknown or not self.observables:
+            shown = f"unknown observable {echo(unknown[0])!r}" if unknown else "no observables"
+            raise InputError(f"{shown}; valid keys: {', '.join(OBSERVABLE_KEYS)}", ("observables",))
+        path = self.out_path
+        # splitlines() is what parse_config splits a document with; "" gives no line.
+        if path is not None and (
+            not isinstance(path, str) or path != path.strip() or _COMMENT_RE.search(path)
+            or len(path.splitlines()) != 1
+        ):
+            rule = "non-empty text without '#', ';', a line break or surrounding blanks"
+            raise InputError(f"out_path must be {rule}, got {echo(path)!r}", ("out_path",))
 
 
 _GRID_FIELDS = tuple(f for f in fields(SweepSpec) if f.name != "base")
@@ -86,6 +105,8 @@ _SECTIONS = {
     "sweep": _GRID_KEYS + ("observables",),
     "output": ("out_path",),
 }
+#: How render_config writes a value of each kind; any other kind is written by str.
+_RENDER = {float: lambda value: repr(float(value)), tuple: ", ".join}
 
 
 class ConfigError(ValueError):
@@ -111,14 +132,7 @@ def _parse_value(key: str, text: str, lineno: int):
                 f"line {lineno}: {key} is too long to read: {len(text)} characters"
             ) from None
     if kind is tuple:
-        chosen = tuple(item.strip() for item in text.split(","))
-        for item in chosen:
-            if item not in OBSERVABLE_KEYS:
-                raise ConfigError(
-                    f"line {lineno}: unknown observable {echo(item)!r}; "
-                    f"valid keys: {', '.join(OBSERVABLE_KEYS)}"
-                )
-        return chosen
+        return tuple(item.strip() for item in text.split(","))
     return text
 
 
@@ -172,12 +186,13 @@ def parse_config(text: str) -> tuple[Scenario, SweepSpec, OutputOptions]:
     if "closure_target" not in values:
         values["closure_target"] = _auto_closure_target(values)
     try:
+        options = OutputOptions(**output)
         scenario = Scenario(**values)
         spec = SweepSpec(base=scenario, **grid)
     except InputError as exc:
         lineno = min(entries[key][1] for key in exc.fields if key in entries)
         raise ConfigError(f"line {lineno}: {exc}") from exc
-    return scenario, spec, OutputOptions(**output)
+    return scenario, spec, options
 
 
 def _auto_closure_target(values: dict[str, float]) -> str:
@@ -192,25 +207,21 @@ def render_config(
     spec: SweepSpec | None = None,
     output: OutputOptions | None = None,
 ) -> str:
-    """Canonical config document; parse_config(render_config(s)) round-trips."""
+    """Canonical config document; parse_config(render_config(s)) round-trips.
 
-    def section(name, source, keys):
-        return [f"[{name}]"] + [
-            f"{key} = {float(getattr(source, key))!r}"
-            if _KINDS[key] is float
-            else f"{key} = {getattr(source, key)}"
-            for key in keys
-        ]
-
-    lines = section("fields", scenario, _SECTIONS["fields"])
-    lines += ["", *section("decays", scenario, _SECTIONS["decays"])]
-    if spec is not None:
-        lines += ["", *section("sweep", spec, _GRID_KEYS)]
-        if output is not None:
-            lines.append(f"observables = {', '.join(output.observables)}")
-    if output is not None and output.out_path is not None:
-        lines += ["", "[output]", f"out_path = {output.out_path}"]
-    return "\n".join(lines) + "\n"
+    A section appears when one of its values is given: [sweep] with spec or
+    output, [output] with output.out_path.
+    """
+    values = {}
+    for source in (scenario, spec, output):
+        values.update(vars(source) if source is not None else ())
+    blocks = []
+    for name, keys in _SECTIONS.items():
+        lines = [f"{key} = {_RENDER.get(_KINDS[key], str)(values[key])}"
+                 for key in keys if values.get(key) is not None]
+        if lines:
+            blocks.append("\n".join([f"[{name}]", *lines]))
+    return "\n\n".join(blocks) + "\n"
 
 
 # Drives (omega_a1, omega_a2, omega_c1, omega_c2), Scenario's first four

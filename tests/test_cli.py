@@ -25,6 +25,7 @@ from diamondsim.cli import (
     write_csv,
 )
 from diamondsim.dressed import dressed_spectrum
+from diamondsim.errors import InputError
 from diamondsim.lindblad import build_liouvillian, evolve, ground_state, steady_state
 from diamondsim.sweep import (
     CSV_COLUMNS,
@@ -103,7 +104,8 @@ def test_defaults_from_empty_sections():
         ("[sweep]\ndelta_min = 5\ndelta_max = -5\n", "sweep range"),
         ("[fields]\ndelta_a1 = 1e999\n", "finite"),
         ("[sweep]\ndelta_max = 1e999\n", "finite"),
-        ("[sweep]\nobservables = pop_q\n", "unknown observable"),
+        ("[sweep]\nobservables = pop_q\n", "line 2: unknown observable 'pop_q'"),
+        ("[fields]\nomega_a1 = -1\n[sweep]\nobservables = cd,\n", "line 4: unknown observable ''"),
         ("[fields]\nomega_a1 = 1e999\n", "line 2: omega_a1 must be finite, got 1e999"),
         ("[sweep]\ndelta_min = -1e308\ndelta_max = 1e308\n", "line 2: delta_min, delta_max"),
         ("[sweep]\ndelta_max = -30\n", "line 2: sweep range"),
@@ -159,7 +161,16 @@ def test_explicit_closure_target_wins():
     assert parse_config(doc)[0].closure_target == "c1"
 
 
-def test_render_round_trip():
+@pytest.mark.parametrize(
+    "output",
+    [
+        OutputOptions(observables=("pop_a", "cd"), out_path="x.csv"),
+        OutputOptions(observables=("db",)),
+        OutputOptions(out_path="out dir/run=1 [a].csv"),
+    ],
+)
+@pytest.mark.parametrize("with_spec", [True, False])
+def test_render_round_trip(output, with_spec):
     scenario = Scenario(
         omega_a1=1.0 / 3.0,
         omega_c1=2.0,
@@ -167,10 +178,32 @@ def test_render_round_trip():
         gamma3=0.1,
         closure_target="c1",
     )
-    spec = SweepSpec(base=scenario, delta_min=-1.25, delta_max=3.75, points=17)
-    output = OutputOptions(observables=("pop_a", "cd"), out_path="x.csv")
+    spec = SweepSpec(base=scenario, delta_min=-1.25, delta_max=3.75, points=17) if with_spec else None
     parsed = parse_config(render_config(scenario, spec, output))
-    assert parsed == (scenario, spec, output)
+    assert parsed == (scenario, spec or SweepSpec(base=scenario), output)
+
+
+@pytest.mark.parametrize(
+    "options,fragment",
+    [
+        (dict(observables=("nope",)), "unknown observable 'nope'; valid keys: pop_a"),
+        (dict(observables=()), "no observables; valid keys: pop_a"),
+        (dict(out_path="run#1.csv"), "out_path must be non-empty text"),
+        (dict(out_path="run;1.csv"), "out_path must be non-empty text"),
+        (dict(out_path=" x.csv"), "out_path must be non-empty text"),
+        (dict(out_path="x.csv\t"), "out_path must be non-empty text"),
+        (dict(out_path="a\nb"), "out_path must be non-empty text"),
+        (dict(out_path="a\u2028b"), "out_path must be non-empty text"),
+        (dict(out_path=""), "out_path must be non-empty text"),
+        (dict(out_path=Path("x.csv")), "out_path must be non-empty text"),
+    ],
+)
+def test_output_options_reject_what_a_config_cannot_carry(options, fragment):
+    # No config line carries any of these unchanged.
+    with pytest.raises(InputError) as info:
+        OutputOptions(**options)
+    assert fragment in str(info.value)
+    assert info.value.fields == tuple(options)
 
 
 def test_render_round_trip_numpy_scalars():
@@ -492,9 +525,17 @@ def test_main_dressed(capsys, tmp_path):
     assert lines[0].startswith("index,eigenvalue,group,re_a,im_a")
     assert len(lines) == 5
 
+
+@pytest.mark.parametrize(
+    "doc",
+    ["[fields]\nomega_a2 = 1.0\ndelta_a1 = 0.5\n", "[fields]\nomega_c1 = 1\ndelta_a1 = 0.5\n"],
+)
+def test_main_dressed_rejects_detunings_as_a_usage_error(doc, tmp_path, capsys):
     cfg = tmp_path / "detuned.cfg"
-    cfg.write_text("[fields]\nomega_a2 = 1.0\ndelta_a1 = 0.5\n")
-    assert main(["dressed", "--config", str(cfg)]) == 2
+    cfg.write_text(doc)
+    assert main(["dressed", "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: the dressed spectrum is defined at zero detunings only\n"
 
 
 def test_main_dressed_at_widely_split_drives(capsys, tmp_path):
@@ -667,9 +708,10 @@ def test_overflowing_configs_exit_1_with_one_error_line(name, message, tmp_path,
         # A sweep completes with delta_c2 on its grid: 1e76 + delta + 1e76.
         expected = message.replace("3e+76", "2e+76") if command[0] == "sweep" else message
         assert capsys.readouterr().err == f"error: {expected}\n"
-    # dressed rejects the in-cap detunings as nonzero, a computation failure.
-    assert main(["dressed", "--config", str(cfg)]) == (2 if name == "closure-past-the-cap" else 1)
-    capsys.readouterr()
+    # dressed rejects the in-cap detunings as nonzero, a usage error too.
+    assert main(["dressed", "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_python_dash_m_prints_only_the_error_line(tmp_path):

@@ -10,14 +10,11 @@ from hypothesis import strategies as st
 
 from diamondsim.algebra import herm_eigen
 from diamondsim.atom import MAX_RATE, Scenario, build_hamiltonian
-from diamondsim.dressed import (
-    DarkReport,
-    DressedSpectrum,
-    closed_form_eigenvalues,
-    dark_classification,
-    dressed_spectrum,
-)
+from diamondsim.cli import preset
+from diamondsim.dressed import DarkReport, DressedSpectrum, dark_classification, dressed_spectrum
 from diamondsim.errors import SimulationError
+from diamondsim.sweep import SweepSpec, run_sweep
+from closed_form import closed_form_eigenvalues
 
 
 def drive_scenario(oa1, oc1, oa2):
@@ -34,8 +31,8 @@ def test_closed_form_matches_numpy_eigvalsh():
 
 def test_closed_form_check_holds_from_weak_to_strong_drives():
     # The small pair once came from (S - sqrt(Z)) / 2, which cancels at
-    # large drives, and the cross-check was absolute; both raised on valid
-    # drives such as this one.
+    # large drives, and dressed_spectrum's cross-check against it was
+    # absolute; both raised on valid drives such as this one.
     dressed_spectrum(Scenario(omega_a1=793.90666874, omega_a2=1.35717288, omega_c1=79.22734692))
     rng = np.random.default_rng(2718)
     for scale in 10.0 ** np.arange(-3, 8):
@@ -74,7 +71,7 @@ def test_requires_zero_detunings():
     s = Scenario(omega_c1=1.0, delta_a1=0.5)
     with pytest.raises(SimulationError, match="zero detunings only"):
         closed_form_eigenvalues(s)
-    with pytest.raises(SimulationError, match="zero detunings only"):
+    with pytest.raises(ValueError, match="zero detunings only"):
         dressed_spectrum(s)
 
 
@@ -199,8 +196,9 @@ def test_dressed_spectrum_ignores_the_probe_coupling():
 
 def test_dressed_spectrum_holds_up_to_the_rabi_cap():
     # Every drive pattern with each Rabi frequency in {0, 1, w/2, w}: the
-    # closed-form cross-check must pass at w = MAX_RATE, the cap Scenario
-    # enforces; at 10 * MAX_RATE some patterns overflow.
+    # closed form stays finite and agrees with dressed_spectrum at
+    # w = MAX_RATE, the cap Scenario enforces; at 10 * MAX_RATE some
+    # patterns overflow.
     levels = (0.0, 1.0, MAX_RATE / 2, MAX_RATE)
     for oa1 in levels:
         for oa2 in levels:
@@ -238,3 +236,31 @@ def test_exact_degeneracies_group_from_weak_to_strong_drives():
             assert balanced.groups == ((0, 1), (2, 3)), (scale, w)
             for s in (Scenario(omega_a1=w, omega_c1=v), Scenario(omega_a1=w, omega_a2=v)):
                 assert dressed_spectrum(s).groups == ((0,), (1, 2), (3,)), (scale, s)
+
+
+@pytest.mark.parametrize("name", ["fig5", "fig6a", "fig6b"])
+def test_weak_probe_lines_sit_where_dressed_pairs_are_resonant(name):
+    """Every weak-probe im_cd peak lies on a dressed-state line, and every line has a peak.
+
+    With omega_a1 = 0 the drive chain splits into the c-a pair
+    +-omega_c1 and the b-d pair +-omega_a2, and the d-c probe absorbs
+    where their difference, +-omega_a2 +- omega_c1, meets its detuning.
+    On the 2001-point grid over [-30, 30] (step 0.03), at omega_c2 = 0.01,
+    the peaks sit at fig5 -24.99, -4.98, 4.98, 24.99; fig6a -19.98, 0
+    (its two inner lines coincide), 19.98; fig6b +-12.96, +-7.08.  fig5's
+    and fig6a's lines are 0.02 from grid points; fig6b's lines at 7 and
+    13, six apart, pull each other's peaks 0.08 and 0.04 toward each
+    other, the worst offset.  The bound is 0.1.
+    """
+    s = replace(preset(name)[0], omega_c2=0.01)
+    ca = closed_form_eigenvalues(replace(s, omega_a2=0.0))[[0, 3]]
+    bd = closed_form_eigenvalues(replace(s, omega_c1=0.0))[[0, 3]]
+    assert np.sort(np.concatenate([ca, bd])).tolist() == closed_form_eigenvalues(s).tolist()
+    lines = np.unique(np.subtract.outer(ca, bd))
+    result = run_sweep(SweepSpec(base=s, delta_min=-30.0, delta_max=30.0, points=2001))
+    v = result.column("im_cd")
+    is_peak = (v[1:-1] > v[:-2]) & (v[1:-1] >= v[2:]) & (v[1:-1] > 0.01 * v.max())
+    peaks = result.delta[1:-1][is_peak]
+    offsets = np.abs(np.subtract.outer(peaks, lines))
+    assert offsets.min(axis=1).max() <= 0.1, (peaks, lines)  # every peak on a line
+    assert offsets.min(axis=0).max() <= 0.1, (peaks, lines)  # every line with a peak
