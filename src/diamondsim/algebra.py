@@ -63,7 +63,7 @@ def herm_eigen(a):
     arbitrary orthonormal basis of the eigenspace.
 
     Raises ValueError for empty, non-square or non-Hermitian input and for
-    input that is not finite or whose inf-norm overflows, and RuntimeError
+    input that is not finite or whose inf-norm overflows, and SimulationError
     if LAPACK fails or the decomposition fails its own residual checks.
     """
     mat = np.asarray(a, dtype=np.complex128)
@@ -80,17 +80,17 @@ def herm_eigen(a):
     try:
         eig = np.linalg.eigh(mat)
     except np.linalg.LinAlgError as exc:
-        raise RuntimeError(f"eigendecomposition failed: {exc}") from exc
+        raise SimulationError(f"eigendecomposition failed: {exc}") from exc
     values, vectors = eig
     # Written as `not x < bound`, so a NaN fails too.
     residual = np.maximum.reduce(np.abs(mat @ vectors - vectors * values), axis=None)
     if not residual < _RESIDUAL_REL_TOL * (1.0 + scale):
-        raise RuntimeError(f"eigendecomposition residual {residual:.3e} out of tolerance")
+        raise SimulationError(f"eigendecomposition residual {residual:.3e} out of tolerance")
     # V^H V - I, with the identity taken off the diagonal in place.
     gram = vectors.conj().T @ vectors
     gram.reshape(-1)[:: len(values) + 1] -= 1.0
     if not np.maximum.reduce(np.abs(gram), axis=None) < _ORTHONORMALITY_TOL:
-        raise RuntimeError("eigenvector columns lost orthonormality")
+        raise SimulationError("eigenvector columns lost orthonormality")
     return eig
 
 

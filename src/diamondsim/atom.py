@@ -64,27 +64,38 @@ _OPEN_LOOP = (
 #: Under it the sums in B, L and the closure condition stay finite, and a
 #: detuning closure_complete derives past it (up to 3e76) is rejected.
 MAX_RATE = 1e76
-_NOT_REAL = "be a real number"
 
 
-def _number_rule(value, signed: bool) -> str:
-    """The rule a Scenario number or sweep edge breaks, or "" if it keeps them all.
+def _check_numbers(obj, names) -> None:
+    """The number rule: raise errors.InputError naming obj's first number that breaks it.
 
-    A number is real, finite, at most MAX_RATE in magnitude and, unless
-    signed, non-negative.  Integers and fractions compare exactly at any
-    size, doubles and long doubles in their own type, other reals as
-    doubles: a float16 or float32 would take the cap into its own type,
-    where it overflows.
+    names lists (name, signed) pairs in order.  A number is real, finite, at
+    most MAX_RATE in magnitude and, unless signed, non-negative.  Integers
+    and fractions compare exactly at any size, doubles and long doubles in
+    their own type, other reals as doubles (a float32 would overflow on the cap).
     """
-    if not isinstance(value, numbers.Real):
-        return _NOT_REAL
-    exact = isinstance(value, (numbers.Rational, float, np.longdouble))
-    number = value if exact else float(value)
-    if not -math.inf < number < math.inf:
-        return "be finite"
-    if number < 0.0 and not signed:
-        return "be non-negative"
-    return f"be at most {MAX_RATE:g} in magnitude" if abs(number) > MAX_RATE else ""
+    values = vars(obj)
+    low, high = -MAX_RATE, MAX_RATE
+    for name, signed in names:
+        value = values[name]
+        # One chained test passes a Python float in range; the rest take the rule.
+        if value.__class__ is float and low <= value <= high and (value >= 0.0 or signed):
+            continue
+        real = isinstance(value, numbers.Real)
+        exact = isinstance(value, (numbers.Rational, float, np.longdouble))
+        number = value if exact or not real else float(value)
+        if not real:
+            rule = "be a real number"
+        elif not -math.inf < number < math.inf:
+            rule = "be finite"
+        elif number < 0.0 and not signed:
+            rule = "be non-negative"
+        elif abs(number) > MAX_RATE:
+            rule = f"be at most {MAX_RATE:g} in magnitude"
+        else:
+            continue
+        shown = echo(value) if isinstance(value, int) else repr(echo(value))
+        raise InputError(f"{name} must {rule}, got {shown}", (name,))
 
 
 class ClosureError(SimulationError):
@@ -96,11 +107,11 @@ class Scenario:
     """Complete dimensionless parameter set for one run.
 
     Every number must be real, finite and at most MAX_RATE (1e76) in
-    magnitude, and Rabi frequencies and decay rates non-negative; the first
-    rejected value in field order raises errors.InputError naming its field.
-    closure_target names the detuning closure_complete is allowed to
-    overwrite ("none" forbids rewriting and instead demands that fully
-    driven loops already satisfy closure).
+    magnitude, and Rabi frequencies and decay rates non-negative, the rule
+    SweepSpec's edges keep too; the first value in field order that breaks
+    it raises errors.InputError naming that field alone.  closure_target
+    names the detuning closure_complete may overwrite ("none" forbids it
+    and demands that a fully driven loop already satisfies closure).
     """
 
     omega_a1: float = 0.0
@@ -118,17 +129,7 @@ class Scenario:
     closure_target: str = "none"
 
     def __post_init__(self):
-        values = vars(self)
-        low, high = -MAX_RATE, MAX_RATE
-        for name, signed in _NUMBER_FIELDS:
-            value = values[name]
-            # One chained test passes a Python float in range; the rest take the rule.
-            if value.__class__ is float and low <= value <= high and (value >= 0.0 or signed):
-                continue
-            rule = _number_rule(value, signed)
-            if rule:
-                shown = echo(value) if isinstance(value, int) else repr(echo(value))
-                raise InputError(f"{name} must {rule}, got {shown}", (name,))
+        _check_numbers(self, _NUMBER_FIELDS)
         if self.closure_target not in CLOSURE_TARGETS:
             raise InputError(
                 f"closure_target must be one of {', '.join(CLOSURE_TARGETS)}, "

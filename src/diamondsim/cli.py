@@ -18,15 +18,16 @@ with --out.
 
 '#' and ';' start a comment.  Keys default as in Scenario (decay rates 1,
 all else 0) and SweepSpec (the grid [-25, 25] with 1001 points).  The
-parser checks the text: sections, keys, duplicates, empty values, number
-and integer syntax, numbers that overflow to infinity, and integers too
-long to read.  Range rules (signs, atom.MAX_RATE, sweep.MAX_POINTS, the
-closure targets, the grid order) belong to Scenario and SweepSpec, and the
-observable names and out_path's text to OutputOptions; the parser reports
-the errors.InputError they raise with the lowest line among the keys the
-rule involves, so every rejected value carries its line number.  When
-closure_target is not given it defaults to the first inactive field in the
-order a1, c1, a2, c2, or "none" when all four fields drive.
+parser checks the text only: sections, keys, duplicates, empty values,
+number and integer syntax, and integers too long to read; a number that
+overflows reads as inf.  Range rules (finiteness, signs, atom.MAX_RATE,
+sweep.MAX_POINTS, the closure targets, the grid order) belong to Scenario
+and SweepSpec, and the observable names and out_path's text to
+OutputOptions; the parser reports the errors.InputError they raise with
+the lowest line among the keys the rule involves, so every rejected value
+carries its line number.  When closure_target is not given it defaults to
+the first inactive field in the order a1, c1, a2, c2, or "none" when all
+four fields drive.
 
 Exit status: 0 on success, 1 for usage and configuration errors (any
 ValueError), 2 when a computation fails (no steady state, broken closure,
@@ -37,7 +38,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import math
 import re
 import sys
 from dataclasses import dataclass, fields, replace
@@ -72,15 +72,18 @@ _COMMENT_RE = re.compile(r"[#;]")
 class OutputOptions:
     """Output-related settings from a config document.
 
-    observables must be keys of sweep.OBSERVABLE_KEYS, at least one, and
-    out_path, if set, text that a config line carries unchanged; otherwise
-    errors.InputError naming the field.
+    observables must be a tuple of keys of sweep.OBSERVABLE_KEYS, at least
+    one, and out_path, if set, text that a config line carries unchanged;
+    otherwise errors.InputError naming the field.
     """
 
     observables: tuple[str, ...] = OBSERVABLE_KEYS
     out_path: str | None = None
 
     def __post_init__(self):
+        if not isinstance(self.observables, tuple):
+            kind = type(self.observables).__name__
+            raise InputError(f"observables must be a tuple, got {kind}", ("observables",))
         unknown = [item for item in self.observables if item not in OBSERVABLE_KEYS]
         if unknown or not self.observables:
             shown = f"unknown observable {echo(unknown[0])!r}" if unknown else "no observables"
@@ -118,10 +121,7 @@ def _parse_value(key: str, text: str, lineno: int):
     if kind is float:
         if not _NUMBER_RE.fullmatch(text):
             raise ConfigError(f"line {lineno}: malformed number for {key}: {echo(text)!r}")
-        value = float(text)
-        if not math.isfinite(value):
-            raise ConfigError(f"line {lineno}: {key} must be finite, got {echo(text)}")
-        return value
+        return float(text)
     if kind is int:
         if not _INT_RE.fullmatch(text):
             raise ConfigError(f"line {lineno}: {key} must be an integer, got {echo(text)!r}")

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .atom import _NOT_REAL, LEVELS, MAX_RATE, ClosureError, Scenario, _closure, _number_rule
+from .atom import LEVELS, ClosureError, Scenario, _check_numbers, _closure
 from .errors import InputError, SimulationError, echo
 from .lindblad import SteadyStateError, build_liouvillian, steady_state
 
@@ -76,10 +76,10 @@ class SweepSpec:
     """Grid description for a probe scan.
 
     The swept parameter is always the probe detuning delta_c2; base supplies
-    every other parameter and the closure target.  Both edges must be real,
-    finite and at most atom.MAX_RATE (1e76) in magnitude, delta_min <
-    delta_max, and points an integer with 2 <= points <= MAX_POINTS (10^6);
-    otherwise errors.InputError naming the fields involved.
+    every other parameter and the closure target.  Each edge must be real,
+    finite and at most atom.MAX_RATE (1e76) in magnitude (errors.InputError
+    naming it alone, as Scenario names a detuning), delta_min < delta_max
+    (naming both), and points an integer in [2, MAX_POINTS = 10^6] (naming it).
     """
 
     base: Scenario
@@ -88,18 +88,11 @@ class SweepSpec:
     points: int = 1001
 
     def __post_init__(self):
-        edges = ("delta_min", "delta_max")
-        grid = f"[{echo(self.delta_min)}, {echo(self.delta_max)}]"
-        for edge in edges:
-            rule = _number_rule(getattr(self, edge), signed=True)
-            if rule == _NOT_REAL:
-                raise InputError(f"{edge} must {rule}, got {echo(getattr(self, edge))!r}", (edge,))
-            if rule:
-                cap = f"finite and at most {MAX_RATE:g} in magnitude"
-                raise InputError(f"delta_min, delta_max must be {cap}, got {grid}", edges)
+        _check_numbers(self, (("delta_min", True), ("delta_max", True)))
         if not self.delta_min < self.delta_max:
+            grid = f"[{echo(self.delta_min)}, {echo(self.delta_max)}]"
             rule = "delta_min must be below delta_max"
-            raise InputError(f"sweep range {grid} is empty: {rule}", edges)
+            raise InputError(f"sweep range {grid} is empty: {rule}", ("delta_min", "delta_max"))
         if not isinstance(self.points, numbers.Integral):
             raise InputError(f"points must be an integer, got {echo(self.points)!r}", ("points",))
         if not 2 <= self.points <= MAX_POINTS:

@@ -112,12 +112,13 @@ def test_eigen_rejects_nan_and_empty_input():
         herm_eigen(np.zeros((0, 0)))
 
 
-def test_eigen_reports_a_lapack_failure_as_runtime_error(monkeypatch):
+def test_eigen_reports_a_lapack_failure_as_simulation_error(monkeypatch):
     def fail(_):
         raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
     monkeypatch.setattr(np.linalg, "eigh", fail)
-    with pytest.raises(RuntimeError, match="eigendecomposition failed: Eigenvalues did not converge"):
+    message = "eigendecomposition failed: Eigenvalues did not converge"
+    with pytest.raises(SimulationError, match=message):
         herm_eigen(np.eye(2))
 
 
@@ -262,5 +263,5 @@ def test_solve_rejects_a_nan_residual():
 def test_eigen_checks_lapacks_result(monkeypatch, values, vectors, message):
     result = EighResult(np.array(values), np.array(vectors, dtype=complex))
     monkeypatch.setattr(np.linalg, "eigh", lambda mat: result)
-    with pytest.raises(RuntimeError, match=f"^{re.escape(message)}"):
+    with pytest.raises(SimulationError, match=f"^{re.escape(message)}"):
         herm_eigen(np.eye(2))
