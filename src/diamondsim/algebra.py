@@ -152,8 +152,8 @@ def _eliminate(a0: np.ndarray, rhs0: np.ndarray) -> np.ndarray:
         work[rows, lead, k:] = work[:, k, k:]
         work[:, k, k:] = upper
         pivot = np.abs(work[:, k, k])
-        j = (pivot <= threshold).argmax()
-        if pivot[j] <= threshold[j]:
+        if (singular := pivot <= threshold).any():
+            j = singular.argmax()
             raise SingularMatrixError(
                 f"matrix is numerically singular at pivot {k} "
                 f"(|pivot| = {pivot[j]:.3e}, threshold = {threshold[j]:.3e})"
@@ -171,8 +171,8 @@ def _eliminate(a0: np.ndarray, rhs0: np.ndarray) -> np.ndarray:
 
     residual = np.max(np.abs(a0 @ x - rhs0[:, :, np.newaxis]), axis=(1, 2), initial=0.0)
     bound = _RESIDUAL_REL_TOL * (1.0 + norm_a * np.max(np.abs(x), axis=(1, 2), initial=0.0))
-    j = (residual < bound).argmin()
-    if not residual[j] < bound[j]:
+    if not (solved := residual < bound).all():
+        j = solved.argmin()
         raise SimulationError(
             f"linear solve residual {residual[j]:.3e} exceeds bound {bound[j]:.3e}; "
             "system is ill-conditioned"

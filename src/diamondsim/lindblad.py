@@ -78,12 +78,15 @@ def check_density_matrix(
     symmetrized state 0.5 (rho + rho^H) in rho's shape.  Raises
     InvariantError when rho's own Hermiticity defect or trace error is not
     below 1e-9 (so a NaN entry fails), or the smallest eigenvalue of the
-    symmetrized matrix drops below -1e-8.  The message starts with context;
-    for a stack, context may also be one label per matrix.  The matrices
-    are checked in order, each for Hermiticity, then trace, then
-    positivity, so a stack raises what its first failing matrix raises
-    alone, with its position as `index`; matrices after it are not
-    eigensolved.
+    symmetrized matrix drops below -1e-8 or its eigensolve fails (with
+    herm_eigen's text).  The message starts with context; for a stack,
+    context may also be one label per matrix.  The matrices are checked in
+    order, each for Hermiticity, then trace, then positivity, so a stack
+    raises what its first failing matrix raises alone, with its position as
+    `index`; matrices after it are not eigensolved.  Each distinct matrix is
+    eigensolved once: one whose bytes repeat an earlier one's (as a
+    trajectory's samples do once the state settles) passes as that one
+    did, since a failure would have raised there.
     """
     rho = np.asarray(rho)
     if rho.ndim not in (2, 3) or rho.shape[-2:] != (4, 4):
@@ -98,17 +101,25 @@ def check_density_matrix(
         defect = matrix_inf_norm(stack - adjoint).tolist()
         trace_err = np.abs(np.trace(stack, axis1=1, axis2=2) - 1.0).tolist()
         symmetric = 0.5 * (stack + adjoint)
+    passed: set[bytes] = set()
     for k in range(len(stack)):
+        index = k if rho.ndim == 3 else None
         if not defect[k] < _HERMITICITY_TOL:
             message = f"Hermiticity defect {defect[k]:.3e} >= 1e-9"
         elif not trace_err[k] < _TRACE_TOL:
             message = f"|trace - 1| = {trace_err[k]:.3e} >= 1e-9"
+        elif (key := stack[k].tobytes()) in passed:
+            continue
         else:
-            lowest = float(herm_eigen(symmetric[k]).eigenvalues[0])
+            try:
+                lowest = float(herm_eigen(symmetric[k]).eigenvalues[0])
+            except SimulationError as exc:
+                raise InvariantError(f"{labels[k]}: {exc}", index=index) from exc
             if lowest >= _POSITIVITY_FLOOR:
+                passed.add(key)
                 continue
             message = f"minimum eigenvalue {lowest:.3e} < -1e-8"
-        raise InvariantError(f"{labels[k]}: {message}", index=k if rho.ndim == 3 else None)
+        raise InvariantError(f"{labels[k]}: {message}", index=index)
     return symmetric if rho.ndim == 3 else symmetric[0]
 
 
@@ -206,8 +217,8 @@ def steady_state(liouv: np.ndarray) -> np.ndarray:
         solution = solve_linear(modified, rhs)
         residual = np.max(np.abs(stack @ solution[:, :, np.newaxis]), axis=(1, 2))
         bound = _STEADY_RESIDUAL_REL_TOL * (1.0 + norm)
-        k = (residual < bound).argmin()
-        if not residual[k] < bound[k]:
+        if not (stationary := residual < bound).all():
+            k = stationary.argmin()
             raise SimulationError(f"residual {residual[k]:.3e} exceeds {bound[k]:.3e}")
         rho = check_density_matrix(solution.reshape(-1, 4, 4), context="steady state")
     except SimulationError as exc:
@@ -233,16 +244,17 @@ def _propagate(
     t_final: float,
     dt: float,
     samples: int,
-) -> tuple[np.ndarray, np.ndarray]:
-    # Runs round(t_final / dt) RK4 steps and returns the sampled steps and
-    # the raw states: rho0 as given, then the state at each of `samples`
-    # evenly spaced steps, the last one on the final step.  evolve is the
+) -> tuple[list[int], np.ndarray]:
+    # Runs round(t_final / dt) RK4 steps and returns the sampled steps as
+    # Python ints (labels format them faster than numpy's) and the raw
+    # states: rho0 as given, then the state at each of `samples` evenly
+    # spaced steps, the last one on the final step.  evolve is the
     # one-sample run: its final state is states[-1], rho0's own bits after
     # zero steps, since only the stepped states leave trace coordinates.
-    # The state jumps from one checkpoint to the next by a power of the
-    # step matrix S: the same iterate as stepping one at a time, with the
-    # products taken in another order.  np.linalg.matrix_power forms S^gap
-    # by binary powering, once per distinct gap; a run has at most two.
+    # The state jumps from one checkpoint to the next by a power of the step
+    # matrix S: the same iterate as stepping one at a time, with the products
+    # taken in another order.  np.linalg.matrix_power forms S^gap by binary
+    # powering, once per distinct gap; a run has at most two.
     #
     # S is built from the generator in trace coordinates, where position 0
     # holds the trace.  L's population rows sum to zero but for one rounding
@@ -288,7 +300,7 @@ def _propagate(
     # holds the trace, so take the populations at 5, 10, 15 out.
     raw = np.array(recorded, dtype=np.complex128)
     raw[1:, 0] -= raw[1:, _LATER_POPULATIONS].sum(axis=1)
-    return steps, raw.reshape(-1, 4, 4)
+    return steps.tolist(), raw.reshape(-1, 4, 4)
 
 
 def evolve(
@@ -326,12 +338,9 @@ def evolve_trajectory(
     times[k] = step * dt; the steps are round(j * n / samples), halves to
     even, for j = 1..samples and n = round(t_final / dt), without repeats
     or step 0, so the last sample falls on the final step.  The samples are
-    checked against the density-matrix invariants in one stack after
-    stepping, each distinct sample once: a sample whose bytes repeat an
-    earlier one (as samples do once the state settles at its steady state)
-    would pass or fail the check as that one does.  A violation raises
-    InvariantError naming the first failing step, with that sample's
-    position as `index`.  samples must be a positive integer, and
+    checked in one check_density_matrix stack after stepping; a violation
+    raises InvariantError naming the first failing step, with that
+    sample's position as `index`.  samples must be a positive integer, and
     round(t_final / dt) at least 1 after evolve's checks, else ValueError.
     """
     if not isinstance(samples, numbers.Integral):
@@ -342,15 +351,5 @@ def evolve_trajectory(
     if not len(steps):
         raise ValueError("t_final is too short for the requested dt")
     states = states[1:]
-    first: dict[bytes, int] = {}
-    for k, state in enumerate(states):
-        first.setdefault(state.tobytes(), k)
-    distinct = list(first.values())
-    try:
-        check_density_matrix(
-            states[distinct], context=[f"state at step {steps[k]}" for k in distinct]
-        )
-    except InvariantError as exc:
-        exc.index = distinct[exc.index]
-        raise
+    check_density_matrix(states, context=[f"state at step {step}" for step in steps])
     return np.asarray(steps) * dt, states

@@ -620,13 +620,16 @@ def test_main_steady_at_mixed_extremes_exits_2_with_one_error_line(tmp_path, cap
 @pytest.mark.parametrize(
     "command,message",
     [
-        ("steady", "non-unique or absent steady state: eigendecomposition failed: no"),
+        (
+            "steady",
+            "non-unique or absent steady state: steady state: eigendecomposition failed: no",
+        ),
         (
             "sweep",
             "sweep aborted at probe detuning -25.0: "
-            "non-unique or absent steady state: eigendecomposition failed: no",
+            "non-unique or absent steady state: steady state: eigendecomposition failed: no",
         ),
-        ("evolve", "eigendecomposition failed: no"),
+        ("evolve", "initial state: eigendecomposition failed: no"),
         ("dressed", "eigendecomposition failed: no"),
     ],
 )

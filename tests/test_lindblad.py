@@ -15,6 +15,7 @@ from diamondsim import algebra, lindblad
 from diamondsim.algebra import herm_eigen, solve_linear
 from diamondsim.atom import MAX_RATE, Scenario, closure_complete
 from diamondsim.cli import PRESET_NAMES, preset
+from diamondsim.errors import SimulationError
 from diamondsim.lindblad import (
     InvariantError,
     StabilityError,
@@ -163,6 +164,82 @@ def test_random_check_stacks_raise_what_their_first_failing_matrix_raises_alone(
     assert raised >= 25
 
 
+def checked_one_at_a_time(stack, labels):
+    """What a loop of single-matrix checks raises first, with its position."""
+    for k, (rho, label) in enumerate(zip(stack, labels)):
+        try:
+            check_density_matrix(rho, context=label)
+        except InvariantError as exc:
+            return str(exc), k
+    return None
+
+
+@pytest.mark.parametrize(
+    "pattern, eigensolves",
+    [
+        ("GGBOB", 2),  # stops at the first B: G and B are eigensolved
+        ("GOGOG", 2),  # passes: G and O once each
+        ("GOOGT", 2),  # T fails on its trace, before any eigensolve of its own
+        ("OGOOGGB", 3),
+    ],
+)
+def test_check_eigensolves_each_distinct_matrix_once(pattern, eigensolves, monkeypatch):
+    pool = {
+        "G": ground_state(),
+        "O": np.diag([0.5, 0.5, 0.0, 0.0]).astype(complex),
+        "B": np.diag([1.2, -0.2, 0.0, 0.0]).astype(complex),
+        "T": 2.0 * ground_state(),
+    }
+    stack = np.array([pool[name] for name in pattern])
+    labels = [f"matrix {k}" for k in range(len(pattern))]
+    expected = checked_one_at_a_time(stack, labels)
+    calls = []
+
+    def counting(matrix):
+        calls.append(matrix.tobytes())
+        return herm_eigen(matrix)
+
+    monkeypatch.setattr(lindblad, "herm_eigen", counting)
+    if expected is None:
+        assert check_density_matrix(stack, context=labels).shape == stack.shape
+    else:
+        with pytest.raises(InvariantError) as info:
+            check_density_matrix(stack, context=labels)
+        assert (str(info.value), info.value.index) == expected
+    assert len(calls) == len(set(calls)) == eigensolves
+
+
+#: A valid state that fail_eigh_on makes the eigensolver refuse.
+UNSOLVABLE = np.diag([0.25, 0.25, 0.5, 0.0]).astype(complex)
+
+
+def fail_eigh_on(monkeypatch, unsolvable):
+    """Make np.linalg.eigh raise LinAlgError("no") on this one matrix only."""
+    eigh = np.linalg.eigh
+
+    def flaky(matrix):
+        if np.array_equal(matrix, unsolvable):
+            raise np.linalg.LinAlgError("no")
+        return eigh(matrix)
+
+    monkeypatch.setattr(np.linalg, "eigh", flaky)
+
+
+def test_an_eigensolver_failure_names_the_matrix(monkeypatch):
+    # The check fails closed: a state whose positivity cannot be verified is
+    # rejected with its label and, in a stack, its position.
+    fail_eigh_on(monkeypatch, UNSOLVABLE)
+    message = "eigendecomposition failed: no"
+    with pytest.raises(InvariantError, match=f"^density matrix: {message}$") as info:
+        check_density_matrix(UNSOLVABLE)
+    assert info.value.index is None
+    assert isinstance(info.value.__cause__, SimulationError)
+    stack = np.array([ground_state(), ground_state(), UNSOLVABLE, ground_state()])
+    with pytest.raises(InvariantError, match=f"^matrix 2: {message}$") as info:
+        check_density_matrix(stack, context=[f"matrix {k}" for k in range(4)])
+    assert info.value.index == 2
+
+
 def test_liouvillian_shape_and_trace_preservation():
     s = Scenario(omega_a1=1.0, omega_a2=2.0, omega_c1=3.0, omega_c2=4.0, delta_a1=0.5)
     liouv = build_liouvillian(s)
@@ -215,6 +292,57 @@ def test_mirror_map_commutes_with_the_steady_state_solve(s):
     rho = steady_state(build_liouvillian(s))
     mirrored = steady_state(build_liouvillian(mirror_scenario(s)))
     assert np.max(np.abs(p @ rho @ p.T - mirrored)) < MIRROR_TOL
+
+
+#: The ten presets and the benchmark's seeded range: drives in [0, 20],
+#: zero detunings, decay rates in [0.5, 2], targets a1, a2 or c1.
+WEAK_PROBE_BASES = st.one_of(
+    st.sampled_from([preset(name)[0] for name in PRESET_NAMES]),
+    st.builds(
+        lambda omegas, gammas, target: Scenario(
+            *omegas, 0.0, 0.0, 0.0, 0.0, 0.0, *gammas, closure_target=target
+        ),
+        st.tuples(*[st.floats(min_value=0.0, max_value=20.0)] * 3),
+        st.tuples(*[st.floats(min_value=0.5, max_value=2.0)] * 4),
+        st.sampled_from(["a1", "a2", "c1"]),
+    ),
+)
+_PROBE = np.zeros((4, 4))
+_PROBE[2, 3] = _PROBE[3, 2] = 1.0
+#: L_p, the probe's part of L per unit omega_c2: vec of +i[B_p, rho] for
+#: B_p = |c><d| + |d><c|, built with np.kron apart from build_liouvillian.
+PROBE_GENERATOR = 1j * (np.kron(_PROBE, np.eye(4)) - np.kron(np.eye(4), _PROBE.T))
+# (rho - rho0)/w - rho1 is w rho2 + O(w^2).  Its largest entry over the
+# presets was 0.283 w (fig10-right), over 2000 uniform draws from the seeded
+# range 0.235 w, and over a corner scan of that range 1.71 w (omega_a2 =
+# 0.216, the other drives 0, every decay rate 0.5), the same at w = 1e-2,
+# 1e-3 and 1e-4; over this test's 100 examples 0.928 w.
+WEAK_PROBE_TOL = 2.0
+
+
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(WEAK_PROBE_BASES, st.floats(min_value=0.0, max_value=20.0))
+def test_the_weak_probe_limit_is_the_linear_response(s, omega):
+    s = closure_complete(s)
+    base = build_liouvillian(replace(s, omega_c2=0.0))
+    probed = build_liouvillian(replace(s, omega_c2=omega))
+    assert probed.tobytes() == (base + omega * PROBE_GENERATOR).tobytes()
+    rho0 = steady_state(base).reshape(16)
+    # rho1 from np.linalg.solve, with the trace condition in row 0 as the
+    # population rows are linearly dependent.
+    system = base.copy()
+    system[0] = 0.0
+    system[0, [0, 5, 10, 15]] = 1.0
+    drive = -(PROBE_GENERATOR @ rho0)
+    drive[0] = 0.0
+    rho1 = np.linalg.solve(system, drive)
+    # Both were below 5e-17 (relative to 1 + max|L0| for the residual).
+    residual = np.max(np.abs(base @ rho1 + PROBE_GENERATOR @ rho0))
+    assert residual < 1e-12 * (1.0 + np.max(np.abs(base)))
+    assert abs(rho1[[0, 5, 10, 15]].sum()) < 1e-12
+    for w in (1e-2, 1e-3, 1e-4):
+        rho = steady_state(build_liouvillian(replace(s, omega_c2=w))).reshape(16)
+        assert np.max(np.abs((rho - rho0) / w - rho1)) < WEAK_PROBE_TOL * w
 
 
 def test_generator_routes_agree():
@@ -419,7 +547,10 @@ def test_an_eigensolver_failure_is_a_steady_state_error(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "eigh", fail)
     fig5 = build_liouvillian(preset("fig5")[0])
-    message = "non-unique or absent steady state: eigendecomposition failed: Eigenvalues did not"
+    message = (
+        "non-unique or absent steady state: steady state: "
+        "eigendecomposition failed: Eigenvalues did not"
+    )
     for liouv, index in ((fig5, None), (np.array([fig5, fig5]), 0)):
         with pytest.raises(SteadyStateError, match=f"^{message}") as info:
             steady_state(liouv)
@@ -474,6 +605,21 @@ def test_steady_state_shape_validation():
         steady_state(np.eye(4))
     with pytest.raises(ValueError):
         steady_state(np.zeros((2, 16, 4)))
+
+
+@pytest.mark.parametrize(
+    "call, shape",
+    [
+        pytest.param(
+            lambda: solve_linear(np.zeros((0, 3, 3)), np.zeros((0, 3))), (0, 3), id="solve"
+        ),
+        pytest.param(lambda: steady_state(np.zeros((0, 16, 16))), (0, 4, 4), id="steady"),
+        pytest.param(lambda: check_density_matrix(np.zeros((0, 4, 4))), (0, 4, 4), id="check"),
+        pytest.param(lambda: algebra.matrix_inf_norm(np.zeros((0, 3, 3))), (0,), id="norm"),
+    ],
+)
+def test_an_empty_stack_gives_an_empty_result(call, shape):
+    assert call().shape == shape
 
 
 def test_stability_guard():
@@ -684,6 +830,20 @@ def test_trajectory_names_the_first_bad_sample_among_repeats(monkeypatch):
     assert str(info.value) == str(whole.value)
     assert str(info.value).startswith("state at step 30: minimum eigenvalue -2.000e-01")
     assert info.value.index == whole.value.index == 2
+
+
+def test_trajectory_names_the_sample_whose_eigensolve_fails(monkeypatch):
+    good, other = ground_state(), np.diag([0.5, 0.5, 0.0, 0.0]).astype(complex)
+    samples = [good, good, other, UNSOLVABLE, good, UNSOLVABLE]
+    steps = [10 * (k + 1) for k in range(len(samples))]
+    monkeypatch.setattr(
+        lindblad, "_propagate", lambda *args, **kwargs: (steps, np.array([good, *samples]))
+    )
+    fail_eigh_on(monkeypatch, UNSOLVABLE)
+    with pytest.raises(InvariantError) as info:
+        evolve_trajectory(Scenario(), ground_state(), t_final=1.0, dt=1e-3, samples=6)
+    assert str(info.value) == "state at step 40: eigendecomposition failed: no"
+    assert info.value.index == 3
 
 
 def test_trajectory_eigensolves_each_distinct_sample_once(monkeypatch):
