@@ -65,6 +65,9 @@ _OPEN_LOOP = (
 #: detuning closure_complete derives past it (up to 3e76) is rejected.
 MAX_RATE = 1e76
 
+#: Most states one call returns (sweep points, trajectory samples): 256 MB of them.
+MAX_POINTS = 10**6
+
 
 def _check_numbers(obj, names) -> None:
     """The number rule: raise errors.InputError naming obj's first number that breaks it.
@@ -96,6 +99,15 @@ def _check_numbers(obj, names) -> None:
             continue
         shown = echo(value) if isinstance(value, int) else repr(echo(value))
         raise InputError(f"{name} must {rule}, got {shown}", (name,))
+
+
+def _check_count(name: str, value, low: int) -> None:
+    """The count rule: an integer in [low, MAX_POINTS], else errors.InputError naming name."""
+    if not isinstance(value, numbers.Integral):
+        raise InputError(f"{name} must be an integer, got {echo(value)!r}", (name,))
+    if not low <= value <= MAX_POINTS:
+        bound = f"at least {low}" if value < low else f"at most {MAX_POINTS}"
+        raise InputError(f"{name} must be {bound}, got {echo(value)}", (name,))
 
 
 class ClosureError(SimulationError):

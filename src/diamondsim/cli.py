@@ -286,8 +286,8 @@ def write_csv(result: SweepResult, destination) -> None:
 
 
 class _Parser(argparse.ArgumentParser):
-    # argparse's own messages repeat an unknown subcommand and unrecognized
-    # arguments in full; the two overrides below cut them by errors.echo.
+    # argparse's own messages repeat unrecognized arguments, an unknown subcommand
+    # and a flag value its type cannot read in full; the overrides cut them by errors.echo.
     def error(self, message):
         raise ValueError(message)
 
@@ -303,18 +303,12 @@ class _Parser(argparse.ArgumentParser):
             message = f"invalid choice: {echo(value)!r} (choose from {choices})"
             raise argparse.ArgumentError(action, message)
 
-
-def _flag(kind):
-    """An argparse type reading kind (float or int) whose error cuts a long value."""
-
-    def read(text: str):
+    def _get_value(self, action, text):
         try:
-            return kind(text)
-        except ValueError:
-            message = f"invalid {kind.__name__} value: {echo(text)!r}"
-        raise argparse.ArgumentTypeError(message)
-
-    return read
+            return super()._get_value(action, text)
+        except argparse.ArgumentError:
+            message = f"invalid {action.type.__name__} value: {echo(text)!r}"
+        raise argparse.ArgumentError(action, message)
 
 
 @functools.cache  # building takes about 1 ms; a parser is reusable across calls
@@ -330,9 +324,9 @@ def _build_parser() -> _Parser:
     sub = commands.add_parser("sweep", help="scan the probe detuning, emit CSV")
     add_inputs(sub)
     sub.add_argument("--out", metavar="PATH", help="CSV destination (default stdout)")
-    sub.add_argument("--min", dest="delta_min", type=_flag(float), help="grid lower edge")
-    sub.add_argument("--max", dest="delta_max", type=_flag(float), help="grid upper edge")
-    sub.add_argument("--points", type=_flag(int), help="grid size")
+    sub.add_argument("--min", dest="delta_min", type=float, help="grid lower edge")
+    sub.add_argument("--max", dest="delta_max", type=float, help="grid upper edge")
+    sub.add_argument("--points", type=int, help="grid size")
 
     sub = commands.add_parser("steady", help="solve one steady state")
     add_inputs(sub)
@@ -341,8 +335,8 @@ def _build_parser() -> _Parser:
     sub = commands.add_parser("evolve", help="integrate from the ground state")
     add_inputs(sub)
     sub.add_argument("--out", metavar="PATH", help="CSV of density-matrix entries")
-    sub.add_argument("--t-final", dest="t_final", type=_flag(float), default=200.0)
-    sub.add_argument("--dt", type=_flag(float), default=1e-3)
+    sub.add_argument("--t-final", dest="t_final", type=float, default=200.0)
+    sub.add_argument("--dt", type=float, default=1e-3)
 
     sub = commands.add_parser("dressed", help="drive eigenvalues and dark states")
     add_inputs(sub)

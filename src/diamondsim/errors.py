@@ -27,9 +27,9 @@ def echo(value):
 class InputError(ValueError):
     """A constructor rejected an input value.
 
-    Scenario and SweepSpec own every range rule on their fields and raise
-    this type.  The config parser reports it with the lowest line among the
-    fields involved; the command line exits 1 for it.
+    Scenario, SweepSpec and evolve_trajectory (for samples) raise this type
+    for a value that breaks their range rules.  The config parser reports it
+    with the lowest line among the fields involved; the command line exits 1.
 
     Attributes:
         fields: names of the inputs the violated rule involves, in the

@@ -15,14 +15,13 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import numbers
 import struct
 from collections.abc import Sequence
 
 import numpy as np
 
 from .algebra import herm_eigen, matrix_inf_norm, solve_linear
-from .atom import LEVELS, Scenario, build_hamiltonian
+from .atom import LEVELS, Scenario, _check_count, build_hamiltonian
 from .errors import SimulationError, first_alone
 
 __all__ = [
@@ -340,13 +339,11 @@ def evolve_trajectory(
     or step 0, so the last sample falls on the final step.  The samples are
     checked in one check_density_matrix stack after stepping; a violation
     raises InvariantError naming the first failing step, with that
-    sample's position as `index`.  samples must be a positive integer, and
+    sample's position as `index`.  samples must be an integer in [1, 10^6],
+    the count rule of SweepSpec's points (else errors.InputError), and
     round(t_final / dt) at least 1 after evolve's checks, else ValueError.
     """
-    if not isinstance(samples, numbers.Integral):
-        raise ValueError(f"samples must be an integer, got {samples!r}")
-    if samples < 1:
-        raise ValueError(f"samples must be positive, got {samples!r}")
+    _check_count("samples", samples, 1)
     steps, states = _propagate(build_liouvillian(s), rho0, t_final, dt, samples=samples)
     if not len(steps):
         raise ValueError("t_final is too short for the requested dt")

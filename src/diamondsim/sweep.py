@@ -20,12 +20,11 @@ is not a window.  For gain it marks the samples below -1e-9.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .atom import LEVELS, ClosureError, Scenario, _check_numbers, _closure
+from .atom import LEVELS, MAX_POINTS, ClosureError, Scenario, _check_count, _check_numbers, _closure
 from .errors import InputError, SimulationError, echo
 from .lindblad import SteadyStateError, build_liouvillian, steady_state
 
@@ -56,9 +55,6 @@ CSV_COLUMNS = (
     + tuple(f"{part}_{key}" for key in _COHERENCE_KEYS for part in ("re", "im"))
 )
 
-#: Largest grid SweepSpec accepts.  At the cap, run_sweep's states take 256 MB.
-MAX_POINTS = 10**6
-
 # Grid points whose steady states are solved in one stacked elimination.
 # Larger blocks save little more time and raise peak memory: a single
 # 1001-point block took about 15 MB more.
@@ -79,7 +75,7 @@ class SweepSpec:
     every other parameter and the closure target.  Each edge must be real,
     finite and at most atom.MAX_RATE (1e76) in magnitude (errors.InputError
     naming it alone, as Scenario names a detuning), delta_min < delta_max
-    (naming both), and points an integer in [2, MAX_POINTS = 10^6] (naming it).
+    (naming both), and points an integer in [2, MAX_POINTS = 10^6], atom's count rule.
     """
 
     base: Scenario
@@ -93,11 +89,7 @@ class SweepSpec:
             grid = f"[{echo(self.delta_min)}, {echo(self.delta_max)}]"
             rule = "delta_min must be below delta_max"
             raise InputError(f"sweep range {grid} is empty: {rule}", ("delta_min", "delta_max"))
-        if not isinstance(self.points, numbers.Integral):
-            raise InputError(f"points must be an integer, got {echo(self.points)!r}", ("points",))
-        if not 2 <= self.points <= MAX_POINTS:
-            bound = "at least 2" if self.points < 2 else f"at most {MAX_POINTS}"
-            raise InputError(f"points must be {bound}, got {echo(self.points)}", ("points",))
+        _check_count("points", self.points, 2)
 
 
 def _entry(key: str) -> tuple[int, int]:

@@ -787,6 +787,8 @@ _LONG_FLAGS = {
     "points-of-4000-digits": ["sweep", "--preset", "fig5", "--points", "9" * 4000],
     "points-of-5000-digits": ["sweep", "--preset", "fig5", "--points", "9" * 5000],
     "min": ["sweep", "--preset", "fig5", "--min", "q" * 5000],
+    "max": ["sweep", "--preset", "fig5", "--max", "q" * 5000],
+    "t-final": ["evolve", "--preset", "fig5", "--t-final", "q" * 5000],
     "dt": ["evolve", "--preset", "fig5", "--dt", "q" * 5000],
     "missing-config": ["steady", "--config", "/no/such/dir/" + "p" * 3000],
     "subcommand": ["q" * 5000],
@@ -800,6 +802,22 @@ def test_main_cuts_long_values_in_flag_errors(argv, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "... (" in err and len(err.encode()) < 200, err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["sweep", "--min", "abc"], "argument --min: invalid float value: 'abc'"),
+        (["sweep", "--max", "1,5"], "argument --max: invalid float value: '1,5'"),
+        (["sweep", "--points", "1.5"], "argument --points: invalid int value: '1.5'"),
+        (["evolve", "--t-final", "abc"], "argument --t-final: invalid float value: 'abc'"),
+        (["evolve", "--dt", ""], "argument --dt: invalid float value: ''"),
+    ],
+    ids=["min", "max", "points", "t-final", "dt"],
+)
+def test_main_repeats_short_invalid_flag_values_whole(argv, message, capsys):
+    assert main([*argv, "--preset", "fig5"]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 @pytest.mark.parametrize("length", [3000, 5000])

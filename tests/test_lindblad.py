@@ -15,7 +15,7 @@ from diamondsim import algebra, lindblad
 from diamondsim.algebra import herm_eigen, solve_linear
 from diamondsim.atom import MAX_RATE, Scenario, closure_complete
 from diamondsim.cli import PRESET_NAMES, preset
-from diamondsim.errors import SimulationError
+from diamondsim.errors import InputError, SimulationError
 from diamondsim.lindblad import (
     InvariantError,
     StabilityError,
@@ -881,6 +881,33 @@ def test_one_step_with_a_million_samples_returns_one_sample():
     times, states = evolve_trajectory(Scenario(), ground_state(), 1e-3, 1e-3, samples=10**6)
     assert times.tolist() == [1e-3]
     assert states.shape == (1, 4, 4)
+
+
+def test_samples_past_the_count_cap_are_rejected_before_stepping(monkeypatch):
+    # One step would give one sample, but the count rule comes first: no
+    # sampling marks or states are allocated.
+    def no_propagate(*args, **kwargs):
+        raise AssertionError("_propagate ran")
+
+    monkeypatch.setattr(lindblad, "_propagate", no_propagate)
+    with pytest.raises(InputError, match=r"^samples must be at most 1000000, got 1000001$") as info:
+        evolve_trajectory(Scenario(), ground_state(), 1e-3, 1e-3, samples=10**6 + 1)
+    assert info.value.fields == ("samples",)
+
+
+@pytest.mark.parametrize(
+    "samples, message",
+    [
+        (0, "samples must be at least 1, got 0"),
+        (-(10**5000), "samples must be at least 1, got -1" + "0" * 31 + "... (5001 digits)"),
+    ],
+    ids=["zero", "5001-digit"],
+)
+def test_trajectory_samples_messages(samples, message):
+    with pytest.raises(InputError) as info:
+        evolve_trajectory(Scenario(), ground_state(), 1e-3, 1e-3, samples=samples)
+    assert str(info.value) == message
+    assert info.value.fields == ("samples",)
 
 
 def test_trajectory_validation():
