@@ -69,15 +69,15 @@ MAX_RATE = 1e76
 MAX_POINTS = 10**6
 
 
-def _check_numbers(obj, names) -> None:
-    """The number rule: raise errors.InputError naming obj's first number that breaks it.
+def _check_numbers(values, names) -> None:
+    """The number rule: raise errors.InputError naming the first number in values that breaks it.
 
-    names lists (name, signed) pairs in order.  A number is real, finite, at
-    most MAX_RATE in magnitude and, unless signed, non-negative.  Integers
-    and fractions compare exactly at any size, doubles and long doubles in
-    their own type, other reals as doubles (a float32 would overflow on the cap).
+    values maps names to numbers (a Scenario's or SweepSpec's vars, evolve's
+    t_final and dt); names lists (name, signed) pairs in order.  A number is
+    real, finite, at most MAX_RATE in magnitude and, unless signed, non-negative.
+    Integers and fractions compare exactly at any size, doubles and long doubles
+    in their own type, other reals as doubles (a float16 would overflow on the cap).
     """
-    values = vars(obj)
     low, high = -MAX_RATE, MAX_RATE
     for name, signed in names:
         value = values[name]
@@ -141,7 +141,7 @@ class Scenario:
     closure_target: str = "none"
 
     def __post_init__(self):
-        _check_numbers(self, _NUMBER_FIELDS)
+        _check_numbers(vars(self), _NUMBER_FIELDS)
         if self.closure_target not in CLOSURE_TARGETS:
             raise InputError(
                 f"closure_target must be one of {', '.join(CLOSURE_TARGETS)}, "

@@ -288,6 +288,10 @@ def write_csv(result: SweepResult, destination) -> None:
 class _Parser(argparse.ArgumentParser):
     # argparse's own messages repeat unrecognized arguments, an unknown subcommand
     # and a flag value its type cannot read in full; the overrides cut them by errors.echo.
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = _NUMBER_RE  # so -1e-3 is a value, not an option
+
     def error(self, message):
         raise ValueError(message)
 
@@ -350,7 +354,7 @@ def _load_inputs(args) -> tuple[Scenario, SweepSpec, OutputOptions]:
     if args.preset is not None:
         return *preset(args.preset), OutputOptions()
     try:
-        text = Path(args.config).read_text(encoding="utf-8")
+        text = Path(args.config).read_text(encoding="utf-8-sig")
     except (OSError, UnicodeDecodeError) as exc:
         # An OSError's own text repeats the path; its strerror does not.
         reason = getattr(exc, "strerror", None) or exc

@@ -25,15 +25,15 @@ def echo(value):
 
 
 class InputError(ValueError):
-    """A constructor rejected an input value.
+    """An input value broke a rule of the constructor or function it was passed to.
 
-    Scenario, SweepSpec and evolve_trajectory (for samples) raise this type
-    for a value that breaks their range rules.  The config parser reports it
-    with the lowest line among the fields involved; the command line exits 1.
+    Scenario and SweepSpec raise it for their fields, evolve for t_final and
+    dt, evolve_trajectory for those and samples.  The config parser reports
+    it with the lowest line among the fields involved; the command line exits 1.
 
     Attributes:
         fields: names of the inputs the violated rule involves, in the
-            spelling of the constructor's parameters.
+            spelling of the parameters: ("t_final", "dt") for the step cap.
     """
 
     def __init__(self, message: str, fields: tuple[str, ...]):

@@ -14,15 +14,14 @@ from __future__ import annotations
 
 import functools
 import itertools
-import math
 import struct
 from collections.abc import Sequence
 
 import numpy as np
 
 from .algebra import herm_eigen, matrix_inf_norm, solve_linear
-from .atom import LEVELS, Scenario, _check_count, build_hamiltonian
-from .errors import SimulationError, first_alone
+from .atom import LEVELS, Scenario, _check_count, _check_numbers, build_hamiltonian
+from .errors import InputError, SimulationError, first_alone
 
 __all__ = [
     "InvariantError",
@@ -261,15 +260,14 @@ def _propagate(
     # and every power of S keeps the trace to rounding.  Powers of S in the
     # plain basis drift by about 2e-17 per step instead: each squaring
     # doubles the rounding in S's unit eigenvalue.
-    if not (math.isfinite(dt) and dt > 0.0):
-        raise ValueError(f"dt must be finite and positive, got {dt!r}")
-    if not (math.isfinite(t_final) and t_final >= 0.0):
-        raise ValueError(f"t_final must be finite and non-negative, got {t_final!r}")
+    _check_numbers({"t_final": t_final, "dt": dt}, (("t_final", False), ("dt", True)))
+    t_final, dt = float(t_final), float(dt)
+    if not dt > 0.0:
+        raise InputError(f"dt must be positive, got {dt!r}", ("dt",))
     ratio = t_final / dt
     if ratio > MAX_STEPS + 0.5:
-        raise ValueError(
-            f"t_final / dt = {ratio:.3e} steps exceeds the cap of {MAX_STEPS:.0e} steps"
-        )
+        message = f"t_final / dt = {ratio:.3e} steps exceeds the cap of {MAX_STEPS:.0e} steps"
+        raise InputError(message, ("t_final", "dt"))
     n_steps = int(round(ratio))
     norm = matrix_inf_norm(liouv)
     if dt * norm >= 0.5:
@@ -313,12 +311,12 @@ def evolve(
     Classical fixed-step fourth-order Runge-Kutta on dvec(rho)/dt =
     L vec(rho), running round(t_final / dt) steps.  One step multiplies by a
     fixed matrix S, so the run is one power of S, formed by repeated
-    squaring.  dt must be finite and positive, t_final finite and
-    non-negative, and the step count at most MAX_STEPS (10^9); otherwise
-    ValueError.  The step must pass the stability guard dt * ||L||_inf < 0.5,
-    and rho0 must be one 4x4 density matrix.  The final state (rho0 as given
-    after zero steps) is checked and returned as check_density_matrix
-    symmetrizes it.  Expects a closure-completed Scenario.
+    squaring.  t_final (non-negative) and dt keep atom's number rule, and dt
+    must be positive and the step count at most MAX_STEPS (10^9), else
+    errors.InputError naming its inputs; both then run as Python floats.  dt
+    must pass the stability guard dt * ||L||_inf < 0.5, rho0 must be one 4x4
+    density matrix, and the final state (rho0 after zero steps) is returned
+    as check_density_matrix symmetrizes it.  Expects a closure-completed Scenario.
     """
     _, states = _propagate(build_liouvillian(s), rho0, t_final, dt, samples=1)
     return check_density_matrix(states[-1], context="final state")
@@ -340,13 +338,12 @@ def evolve_trajectory(
     checked in one check_density_matrix stack after stepping; a violation
     raises InvariantError naming the first failing step, with that
     sample's position as `index`.  samples must be an integer in [1, 10^6],
-    the count rule of SweepSpec's points (else errors.InputError), and
-    round(t_final / dt) at least 1 after evolve's checks, else ValueError.
+    the count rule of SweepSpec's points, and round(t_final / dt) at least 1
+    after evolve's checks, naming t_final and dt; else errors.InputError.
     """
     _check_count("samples", samples, 1)
     steps, states = _propagate(build_liouvillian(s), rho0, t_final, dt, samples=samples)
     if not len(steps):
-        raise ValueError("t_final is too short for the requested dt")
-    states = states[1:]
-    check_density_matrix(states, context=[f"state at step {step}" for step in steps])
-    return np.asarray(steps) * dt, states
+        raise InputError("t_final is too short for the requested dt", ("t_final", "dt"))
+    check_density_matrix(states[1:], context=[f"state at step {step}" for step in steps])
+    return np.asarray(steps) * dt, states[1:]

@@ -84,7 +84,7 @@ class SweepSpec:
     points: int = 1001
 
     def __post_init__(self):
-        _check_numbers(self, (("delta_min", True), ("delta_max", True)))
+        _check_numbers(vars(self), (("delta_min", True), ("delta_max", True)))
         if not self.delta_min < self.delta_max:
             grid = f"[{echo(self.delta_min)}, {echo(self.delta_max)}]"
             rule = "delta_min must be below delta_max"

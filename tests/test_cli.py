@@ -458,12 +458,17 @@ def test_main_evolve(capsys, tmp_path):
 @pytest.mark.parametrize(
     "flags,fragment",
     [
-        (["--dt", "nan"], "dt must be finite and positive"),
-        (["--dt", "inf"], "dt must be finite and positive"),
-        (["--t-final", "nan"], "t_final must be finite and non-negative"),
-        (["--t-final", "inf"], "t_final must be finite and non-negative"),
+        (["--dt", "nan"], "dt must be finite, got nan"),
+        (["--dt", "inf"], "dt must be finite, got inf"),
+        (["--t-final", "nan"], "t_final must be finite, got nan"),
+        (["--t-final", "inf"], "t_final must be finite, got inf"),
         (["--dt", "1e-300", "--t-final", "1"], "exceeds the cap"),
         (["--dt", "1e-9", "--t-final", "1000"], "exceeds the cap"),
+        # Negative values in exponent form are flag values, not options.
+        (["--dt", "-2.5e1"], "dt must be positive, got -25.0"),
+        (["--dt", "-1E-3"], "dt must be positive, got -0.001"),
+        (["--t-final", "-2.5e1"], "t_final must be non-negative, got -25.0"),
+        (["--t-final", "-1e999"], "t_final must be finite, got -inf"),
     ],
 )
 def test_main_evolve_rejects_bad_steps(flags, fragment, capsys):
@@ -486,6 +491,41 @@ def test_main_evolve_rejects_bad_steps(flags, fragment, capsys):
 def test_main_sweep_rejects_non_finite_grids(flags, message, capsys):
     assert main(["sweep", "--preset", "fig5", "--points", "3", *flags]) == 1
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "edges",
+    [["--min", "-2.5e1", "--max", "-1e-3"], ["--min", "-1e-3", "--max", "3"],
+     ["--min", "-.5E+1", "--max", "-25e-2"]],
+    ids=["both-negative", "negative-min", "point-and-signed-exponent"],
+)
+def test_main_sweep_reads_negative_edges_in_exponent_form(edges, capsysbinary):
+    # argparse alone reads -1e-3 as an option ("expected one argument");
+    # the parser takes a value in config number syntax as a value.
+    assert main(["sweep", "--preset", "fig5", "--points", "3", *edges]) == 0
+    spaced = capsysbinary.readouterr().out
+    assert len(spaced.splitlines()) == 4
+    joined = [f"{flag}={value}" for flag, value in zip(edges[::2], edges[1::2])]
+    assert main(["sweep", "--preset", "fig5", "--points", "3", *joined]) == 0
+    assert capsysbinary.readouterr().out == spaced
+    assert float(spaced.splitlines()[1].split(b",")[0]) == float(edges[1])
+
+
+@pytest.mark.parametrize(
+    "flags,message",
+    [
+        (["--min", "-2.5e1", "--max", "-3e1"], "sweep range [-25.0, -30.0] is empty"),
+        (["--min", "-1e999"], "delta_min must be finite, got -inf"),
+        (["--min", "-1e308"], "delta_min must be at most 1e+76 in magnitude, got -1e+308"),
+        (["--points", "-2.5e1"], "argument --points: invalid int value: '-2.5e1'"),
+        (["--points", "-2"], "points must be at least 2, got -2"),
+    ],
+    ids=["empty-grid", "min-overflow", "min-over-cap", "points-exponent", "points-negative"],
+)
+def test_main_sweep_reports_negative_flag_values_by_their_rule(flags, message, capsys):
+    assert main(["sweep", "--preset", "fig5", *flags]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {message}") and err.count("\n") == 1, err
 
 
 def test_main_sweep_rejects_a_grid_over_the_cap(capsys):
@@ -770,6 +810,41 @@ def test_python_dash_m_prints_only_the_error_line(tmp_path):
         assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1, done.stderr
         assert fragment in done.stderr
     assert done.stderr.startswith("error: cannot read config ")
+
+
+_BOM = "\ufeff".encode()  # the UTF-8 byte-order mark, EF BB BF
+
+
+def test_a_config_with_a_byte_order_mark_reads_as_without_it(tmp_path, capsysbinary):
+    # Editors on Windows may save UTF-8 with a leading U+FEFF; it is not part of line 1.
+    out = tmp_path / "run.csv"
+    text = FULL_DOC.replace("run.csv", str(out))
+    plain, marked = tmp_path / "plain.cfg", tmp_path / "marked.cfg"
+    plain.write_bytes(text.encode())
+    marked.write_bytes(_BOM + text.encode())
+    runs = []
+    for cfg in (plain, marked):
+        assert main(["steady", "--config", str(cfg)]) == 0
+        assert main(["sweep", "--config", str(cfg)]) == 0
+        runs.append((capsysbinary.readouterr().out, out.read_bytes()))
+    assert runs[0] == runs[1]
+    assert len(runs[0][1].splitlines()) == 52
+
+
+@pytest.mark.parametrize(
+    "data,message",
+    [
+        (_BOM + _BOM + b"[fields]\n", "line 1: expected 'key = value', got '\\ufeff[fields]'"),
+        (b"[fields]\n" + _BOM + b"gamma1 = 1\n", "line 2: unknown key '\\ufeffgamma1' in [fields]"),
+        (b"[fields]\nomega_a2 = 1" + _BOM, "line 2: malformed number for omega_a2: '1\\ufeff'"),
+    ],
+    ids=["second-mark", "line-start", "in-value"],
+)
+def test_a_byte_order_mark_past_the_first_is_text(data, message, tmp_path, capsys):
+    cfg = tmp_path / "marks.cfg"
+    cfg.write_bytes(data)
+    assert main(["steady", "--config", str(cfg)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {message}")
 
 
 @pytest.mark.parametrize(

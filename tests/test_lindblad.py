@@ -641,24 +641,56 @@ def test_step_validation():
         evolve(s, np.array([np.eye(4) / 4] * 2), t_final=1.0, dt=1e-3)
 
 
+_STEP_CAP = "exceeds the cap of 1e+09 steps"
+_OVER_CAP = "must be at most 1e+76 in magnitude, got 1" + "0" * 31 + "..."
+
+
 @pytest.mark.parametrize(
-    "t_final,dt,fragment",
+    "t_final,dt,fragment,fields",
     [
-        (1.0, math.nan, "dt must be finite and positive"),
-        (1.0, math.inf, "dt must be finite and positive"),
-        (math.nan, 1e-3, "t_final must be finite and non-negative"),
-        (math.inf, 1e-3, "t_final must be finite and non-negative"),
-        (1.0, 1e-300, "exceeds the cap"),
-        (1.0, 5e-324, "exceeds the cap"),
-        (1.000001e6, 1e-3, "exceeds the cap"),
+        (1.0, math.nan, "dt must be finite, got nan", ("dt",)),
+        (1.0, math.inf, "dt must be finite, got inf", ("dt",)),
+        (math.nan, 1e-3, "t_final must be finite, got nan", ("t_final",)),
+        (math.inf, 1e-3, "t_final must be finite, got inf", ("t_final",)),
+        (1.0, 1e-300, _STEP_CAP, ("t_final", "dt")),
+        (1.0, 5e-324, _STEP_CAP, ("t_final", "dt")),
+        (1.000001e6, 1e-3, _STEP_CAP, ("t_final", "dt")),
+        # Past the double range: compared exactly, never converted to a float.
+        (10**5000, 1e-3, f"t_final {_OVER_CAP} (5001 digits)", ("t_final",)),
+        (1.0, 10**400, f"dt {_OVER_CAP} (401 digits)", ("dt",)),
+        (1.0, 1e-3 + 0j, "dt must be a real number, got (0.001+0j)", ("dt",)),
+        (1.0, "1e-3", "dt must be a real number, got '1e-3'", ("dt",)),
+        (1.0, 0.0, "dt must be positive, got 0.0", ("dt",)),
+        (1.0, -0.0, "dt must be positive, got -0.0", ("dt",)),
+        (1.0, -1e-3, "dt must be positive, got -0.001", ("dt",)),
+    ],
+    ids=[
+        "dt-nan", "dt-inf", "t_final-nan", "t_final-inf", "cap-dt-1e-300", "cap-dt-5e-324",
+        "cap-t_final-1.000001e6", "t_final-5001-digits", "dt-401-digits", "dt-complex", "dt-str",
+        "dt-zero", "dt-negative-zero", "dt-negative",
     ],
 )
-def test_step_boundary(t_final, dt, fragment):
+def test_step_boundary(t_final, dt, fragment, fields):
     s = Scenario()
-    with pytest.raises(ValueError, match=fragment):
-        evolve(s, ground_state(), t_final=t_final, dt=dt)
-    with pytest.raises(ValueError, match=fragment):
-        evolve_trajectory(s, ground_state(), t_final=t_final, dt=dt)
+    for run in (evolve, evolve_trajectory):
+        with pytest.raises(InputError) as info:
+            run(s, ground_state(), t_final=t_final, dt=dt)
+        assert fragment in str(info.value)
+        assert info.value.fields == fields
+
+
+def test_a_float16_step_runs_as_its_double():
+    # t_final / dt in float16 would overflow to inf, with RuntimeWarnings that
+    # pytest turns into errors; both values run as Python floats instead.
+    s = closure_complete(preset("fig5")[0])
+    half, double = np.float16(1e-3), float(np.float16(1e-3))
+    final = evolve(s, ground_state(), t_final=1.0, dt=half)
+    assert final.tobytes() == evolve(s, ground_state(), t_final=1.0, dt=double).tobytes()
+    times, states = evolve_trajectory(s, ground_state(), t_final=1.0, dt=half, samples=20)
+    expected = evolve_trajectory(s, ground_state(), t_final=1.0, dt=double, samples=20)
+    assert times.dtype == np.float64
+    assert times.tobytes() == expected[0].tobytes()
+    assert states.tobytes() == expected[1].tobytes()
 
 
 def test_step_cap_itself_is_accepted():
@@ -914,8 +946,9 @@ def test_trajectory_validation():
     s = Scenario()
     with pytest.raises(ValueError):
         evolve_trajectory(s, ground_state(), t_final=1.0, dt=1e-3, samples=0)
-    with pytest.raises(ValueError, match="too short"):
+    with pytest.raises(InputError, match="too short") as info:
         evolve_trajectory(s, ground_state(), t_final=1e-6, dt=1e-3)
+    assert info.value.fields == ("t_final", "dt")
     with pytest.raises(ValueError, match=r"got shape \(2, 4, 4\)"):
         evolve_trajectory(s, np.array([np.eye(4) / 4] * 2), t_final=1.0, dt=1e-3)
 
