@@ -108,32 +108,42 @@ _SECTIONS = {
     "sweep": _GRID_KEYS + ("observables",),
     "output": ("out_path",),
 }
-#: How render_config writes a value of each kind; any other kind is written by str.
-_RENDER = {float: lambda value: repr(float(value)), tuple: ", ".join}
 
 
 class ConfigError(ValueError):
     """A configuration document could not be accepted."""
 
 
+# The number readers of config values and typed flags; argparse names them in its
+# "invalid number value" line.  A ValueError's text is a rule that _parse_value fills in.
+def number(text: str) -> float:
+    """A float in the config's number syntax: ASCII digits, no inf, nan or '_'."""
+    if not _NUMBER_RE.fullmatch(text):
+        raise ValueError("malformed number for {key}: {text!r}")
+    return float(text)
+
+
+def integer(text: str) -> int:
+    """An int in the config's integer syntax: ASCII digits after an optional sign."""
+    if not _INT_RE.fullmatch(text):
+        raise ValueError("{key} must be an integer, got {text!r}")
+    try:
+        return int(text)
+    except ValueError:  # beyond Python's integer string conversion limit
+        raise ValueError("{key} is too long to read: {length} characters") from None
+
+
+#: How parse_config reads and render_config writes each kind of value; other kinds stay text.
+_READ = {float: number, int: integer, tuple: lambda text: tuple(map(str.strip, text.split(",")))}
+_RENDER = {float: lambda value: repr(float(value)), tuple: ", ".join}
+
+
 def _parse_value(key: str, text: str, lineno: int):
-    kind = _KINDS[key]
-    if kind is float:
-        if not _NUMBER_RE.fullmatch(text):
-            raise ConfigError(f"line {lineno}: malformed number for {key}: {echo(text)!r}")
-        return float(text)
-    if kind is int:
-        if not _INT_RE.fullmatch(text):
-            raise ConfigError(f"line {lineno}: {key} must be an integer, got {echo(text)!r}")
-        try:
-            return int(text)
-        except ValueError:  # beyond Python's integer string conversion limit
-            raise ConfigError(
-                f"line {lineno}: {key} is too long to read: {len(text)} characters"
-            ) from None
-    if kind is tuple:
-        return tuple(item.strip() for item in text.split(","))
-    return text
+    try:
+        return _READ.get(_KINDS[key], str)(text)
+    except ValueError as exc:  # a number reader's rule text, to fill in
+        rule = str(exc).format(key=key, text=echo(text), length=len(text))
+        raise ConfigError(f"line {lineno}: {rule}") from None
 
 
 def parse_config(text: str) -> tuple[Scenario, SweepSpec, OutputOptions]:
@@ -285,34 +295,21 @@ def write_csv(result: SweepResult, destination) -> None:
     _write_lines([",".join(CSV_COLUMNS), *rows], destination)
 
 
+#: Longest argparse message printed whole: enough for an invalid subcommand
+#: of errors.ECHO_MAX (32) characters and the choices after it.
+_MESSAGE_MAX = 160
+
+
 class _Parser(argparse.ArgumentParser):
-    # argparse's own messages repeat unrecognized arguments, an unknown subcommand
-    # and a flag value its type cannot read in full; the overrides cut them by errors.echo.
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         self._negative_number_matcher = _NUMBER_RE  # so -1e-3 is a value, not an option
 
     def error(self, message):
+        # argparse's messages repeat what was typed whole; cut as errors.echo cuts a value.
+        if len(message) > _MESSAGE_MAX:
+            message = f"{message[:_MESSAGE_MAX]}... ({len(message)} characters)"
         raise ValueError(message)
-
-    def parse_args(self, args=None, namespace=None):
-        parsed, extra = self.parse_known_args(args, namespace)
-        if extra:
-            raise ValueError(f"unrecognized arguments: {echo(' '.join(extra))}")
-        return parsed
-
-    def _check_value(self, action, value):
-        if action.choices is not None and value not in action.choices:
-            choices = ", ".join(map(repr, action.choices))
-            message = f"invalid choice: {echo(value)!r} (choose from {choices})"
-            raise argparse.ArgumentError(action, message)
-
-    def _get_value(self, action, text):
-        try:
-            return super()._get_value(action, text)
-        except argparse.ArgumentError:
-            message = f"invalid {action.type.__name__} value: {echo(text)!r}"
-        raise argparse.ArgumentError(action, message)
 
 
 @functools.cache  # building takes about 1 ms; a parser is reusable across calls
@@ -328,9 +325,9 @@ def _build_parser() -> _Parser:
     sub = commands.add_parser("sweep", help="scan the probe detuning, emit CSV")
     add_inputs(sub)
     sub.add_argument("--out", metavar="PATH", help="CSV destination (default stdout)")
-    sub.add_argument("--min", dest="delta_min", type=float, help="grid lower edge")
-    sub.add_argument("--max", dest="delta_max", type=float, help="grid upper edge")
-    sub.add_argument("--points", type=int, help="grid size")
+    sub.add_argument("--min", dest="delta_min", type=number, help="grid lower edge")
+    sub.add_argument("--max", dest="delta_max", type=number, help="grid upper edge")
+    sub.add_argument("--points", type=integer, help="grid size")
 
     sub = commands.add_parser("steady", help="solve one steady state")
     add_inputs(sub)
@@ -339,8 +336,8 @@ def _build_parser() -> _Parser:
     sub = commands.add_parser("evolve", help="integrate from the ground state")
     add_inputs(sub)
     sub.add_argument("--out", metavar="PATH", help="CSV of density-matrix entries")
-    sub.add_argument("--t-final", dest="t_final", type=float, default=200.0)
-    sub.add_argument("--dt", type=float, default=1e-3)
+    sub.add_argument("--t-final", dest="t_final", type=number, default=200.0)
+    sub.add_argument("--dt", type=number, default=1e-3)
 
     sub = commands.add_parser("dressed", help="drive eigenvalues and dark states")
     add_inputs(sub)

@@ -332,9 +332,10 @@ def evolve_trajectory(
     """Integrate as evolve does, recording evenly spaced raw samples.
 
     Returns (times, states) with states[k] the unsymmetrized state at
-    times[k] = step * dt; the steps are round(j * n / samples), halves to
-    even, for j = 1..samples and n = round(t_final / dt), without repeats
-    or step 0, so the last sample falls on the final step.  The samples are
+    times[k] = step * float(dt), doubles whatever dt's type, as the stepping
+    reads it; the steps are round(j * n / samples), halves to even, for
+    j = 1..samples and n = round(t_final / dt), without repeats or step 0,
+    so the last sample falls on the final step.  The samples are
     checked in one check_density_matrix stack after stepping; a violation
     raises InvariantError naming the first failing step, with that
     sample's position as `index`.  samples must be an integer in [1, 10^6],
@@ -346,4 +347,4 @@ def evolve_trajectory(
     if not len(steps):
         raise InputError("t_final is too short for the requested dt", ("t_final", "dt"))
     check_density_matrix(states[1:], context=[f"state at step {step}" for step in steps])
-    return np.asarray(steps) * dt, states[1:]
+    return np.asarray(steps) * float(dt), states[1:]

@@ -13,6 +13,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import diamondsim
+from diamondsim import cli
 from diamondsim.atom import CLOSURE_TARGETS, MAX_RATE, Scenario, closure_complete
 from diamondsim.cli import (
     ConfigError,
@@ -25,7 +26,7 @@ from diamondsim.cli import (
     write_csv,
 )
 from diamondsim.dressed import dressed_spectrum
-from diamondsim.errors import InputError
+from diamondsim.errors import ECHO_MAX, InputError
 from diamondsim.lindblad import build_liouvillian, evolve, ground_state, steady_state
 from diamondsim.sweep import (
     CSV_COLUMNS,
@@ -458,10 +459,10 @@ def test_main_evolve(capsys, tmp_path):
 @pytest.mark.parametrize(
     "flags,fragment",
     [
-        (["--dt", "nan"], "dt must be finite, got nan"),
-        (["--dt", "inf"], "dt must be finite, got inf"),
-        (["--t-final", "nan"], "t_final must be finite, got nan"),
-        (["--t-final", "inf"], "t_final must be finite, got inf"),
+        (["--dt", "nan"], "argument --dt: invalid number value: 'nan'"),
+        (["--dt", "inf"], "argument --dt: invalid number value: 'inf'"),
+        (["--t-final", "nan"], "argument --t-final: invalid number value: 'nan'"),
+        (["--t-final", "inf"], "argument --t-final: invalid number value: 'inf'"),
         (["--dt", "1e-300", "--t-final", "1"], "exceeds the cap"),
         (["--dt", "1e-9", "--t-final", "1000"], "exceeds the cap"),
         # Negative values in exponent form are flag values, not options.
@@ -485,7 +486,7 @@ def test_main_evolve_rejects_bad_steps(flags, fragment, capsys):
             ["--min=-1e308", "--max=1e308"],
             "delta_min must be at most 1e+76 in magnitude, got -1e+308",
         ),
-        (["--max=inf"], "delta_max must be finite, got inf"),
+        (["--max=inf"], "argument --max: invalid number value: 'inf'"),
     ],
 )
 def test_main_sweep_rejects_non_finite_grids(flags, message, capsys):
@@ -517,7 +518,7 @@ def test_main_sweep_reads_negative_edges_in_exponent_form(edges, capsysbinary):
         (["--min", "-2.5e1", "--max", "-3e1"], "sweep range [-25.0, -30.0] is empty"),
         (["--min", "-1e999"], "delta_min must be finite, got -inf"),
         (["--min", "-1e308"], "delta_min must be at most 1e+76 in magnitude, got -1e+308"),
-        (["--points", "-2.5e1"], "argument --points: invalid int value: '-2.5e1'"),
+        (["--points", "-2.5e1"], "argument --points: invalid integer value: '-2.5e1'"),
         (["--points", "-2"], "points must be at least 2, got -2"),
     ],
     ids=["empty-grid", "min-overflow", "min-over-cap", "points-exponent", "points-negative"],
@@ -868,6 +869,8 @@ _LONG_FLAGS = {
     "missing-config": ["steady", "--config", "/no/such/dir/" + "p" * 3000],
     "subcommand": ["q" * 5000],
     "presets-argument": ["presets", "q" * 5000],
+    "ambiguous-option": ["sweep", "--preset", "fig5", "--m=" + "q" * 5000],
+    "help-argument": ["sweep", "--help=" + "q" * 5000],
 }
 
 
@@ -882,17 +885,63 @@ def test_main_cuts_long_values_in_flag_errors(argv, capsys):
 @pytest.mark.parametrize(
     "argv, message",
     [
-        (["sweep", "--min", "abc"], "argument --min: invalid float value: 'abc'"),
-        (["sweep", "--max", "1,5"], "argument --max: invalid float value: '1,5'"),
-        (["sweep", "--points", "1.5"], "argument --points: invalid int value: '1.5'"),
-        (["evolve", "--t-final", "abc"], "argument --t-final: invalid float value: 'abc'"),
-        (["evolve", "--dt", ""], "argument --dt: invalid float value: ''"),
+        (["sweep", "--min", "abc"], "argument --min: invalid number value: 'abc'"),
+        (["sweep", "--max", "1,5"], "argument --max: invalid number value: '1,5'"),
+        (["sweep", "--points", "1.5"], "argument --points: invalid integer value: '1.5'"),
+        (["evolve", "--t-final", "abc"], "argument --t-final: invalid number value: 'abc'"),
+        (["evolve", "--dt", ""], "argument --dt: invalid number value: ''"),
     ],
     ids=["min", "max", "points", "t-final", "dt"],
 )
 def test_main_repeats_short_invalid_flag_values_whole(argv, message, capsys):
     assert main([*argv, "--preset", "fig5"]) == 1
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_main_repeats_an_invalid_subcommand_of_echo_max_characters_with_its_choices(capsys):
+    name = "q" * ECHO_MAX
+    assert main([name]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "... (" not in err
+    assert all(word in err for word in (name, "sweep", "steady", "evolve", "dressed", "presets"))
+
+
+# Each typed flag, its destination, and the config key that reads the same kind.
+_FLAG_KEYS = [
+    ("sweep", "--min", "delta_min", "delta_min"),
+    ("sweep", "--max", "delta_max", "delta_min"),
+    ("sweep", "--points", "points", "points"),
+    ("evolve", "--t-final", "t_final", "delta_min"),
+    ("evolve", "--dt", "dt", "delta_min"),
+]
+
+
+@pytest.mark.parametrize(
+    "text", ["1_0", "\u0663", "inf", "nan", "-inf", "1e999", "-1e-3", ".5", "5.", "+2", "0x10",
+             "1.5", "1e2"]
+)
+@pytest.mark.parametrize("command,flag,dest,key", _FLAG_KEYS, ids=[row[1] for row in _FLAG_KEYS])
+def test_flags_read_a_number_as_the_config_does(command, flag, dest, key, text):
+    # Either side's value then meets the key's rule in SweepSpec, as a
+    # config's does; main exits 1 on any ValueError from either step.
+    grid = {"delta_max": MAX_RATE} if key == "delta_min" else {}
+
+    def from_flag():
+        args = cli._build_parser().parse_args([command, "--preset", "fig5", f"{flag}={text}"])
+        return getattr(SweepSpec(Scenario(), **grid, **{key: getattr(args, dest)}), key)
+
+    def from_config():
+        lines = [f"{name} = {value}" for name, value in {**grid, key: text}.items()]
+        return getattr(parse_config("\n".join(["[sweep]", *lines]))[1], key)
+
+    outcomes = []
+    for read in (from_flag, from_config):
+        try:
+            value = read()
+        except ValueError:
+            value = "exit 1"
+        outcomes.append((value, type(value)))
+    assert outcomes[0] == outcomes[1]
 
 
 @pytest.mark.parametrize("length", [3000, 5000])
