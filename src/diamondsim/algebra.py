@@ -6,13 +6,16 @@ sizes the cost is per-call overhead, not the O(n^3) arithmetic.
 
 herm_eigen runs LAPACK's zheevd through np.linalg.eigh, from the OpenBLAS
 that numpy ships; a hand-written Jacobi on Python scalars cost about twice
-as much per call.  Its eigenvalues only gate outputs (the positivity floor
-of every steady state and trajectory sample) or feed the dressed census,
-whose degenerate groups do not depend on the basis chosen inside them, so
-no sweep, steady or evolve output byte depends on its last bits.
-solve_linear stays hand-written: its solutions are the sweep's output bit
-for bit, it stops at the first pivot under its threshold, before dividing
-by it, and it eliminates a whole stack of systems in one pass.
+as much per call.  Its checks take one array pass on each side of LAPACK:
+both inf-norms come from one stacked abs of [A, A - A^H], and both residuals
+from one product [A; V^H] @ V.  Its eigenvalues only gate outputs (the
+positivity floor of every steady state and trajectory sample) or feed the
+dressed census, whose degenerate groups do not depend on the basis chosen
+inside them, so no sweep, steady or evolve output byte depends on its last
+bits.  solve_linear stays hand-written: its solutions are the sweep's
+output bit for bit, it stops at the first pivot under its threshold, before
+dividing by it, and it eliminates a whole stack of systems in one pass,
+swapping rows only at columns where some system's pivot moves.
 
 At these sizes both are bit-reproducible across runs and BLAS thread
 counts on one machine and numpy build.  Across machines or builds the last
@@ -69,12 +72,16 @@ def herm_eigen(a):
     mat = np.asarray(a, dtype=np.complex128)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1] or not mat.size:
         raise ValueError(f"herm_eigen requires a non-empty square matrix, got shape {mat.shape}")
-    # An inf or NaN entry, or a row sum past the double range, leaves the
-    # scale inf or NaN, which fails before the defect's inf - inf could warn.
-    with np.errstate(over="ignore"):
-        scale = matrix_inf_norm(mat)
-        defect = matrix_inf_norm(mat - mat.conj().T) if scale < np.inf else np.nan
-    if not defect < _HERMITICITY_REL_TOL * (1.0 + scale):
+    n = len(mat)
+    # ||A||_inf and ||A - A^H||_inf from one stacked abs.  An inf or NaN
+    # entry, or a row sum past the double range, leaves the scale inf or NaN
+    # (and an inf entry's defect inf - inf), so the bound fails its `< inf`.
+    pair = np.empty((2, n, n), dtype=np.complex128)
+    pair[0] = mat
+    with np.errstate(over="ignore", invalid="ignore"):
+        np.subtract(mat, mat.conj().T, out=pair[1])
+        scale, defect = np.maximum.reduce(np.add.reduce(np.abs(pair), axis=2), axis=1).tolist()
+    if not defect < _HERMITICITY_REL_TOL * (1.0 + scale) < np.inf:
         raise ValueError("herm_eigen requires a finite Hermitian matrix")
 
     try:
@@ -82,14 +89,16 @@ def herm_eigen(a):
     except np.linalg.LinAlgError as exc:
         raise SimulationError(f"eigendecomposition failed: {exc}") from exc
     values, vectors = eig
+    # [A V - V Lambda; V^H V - I] from one product, the identity taken off
+    # the lower half's diagonal in place; then each half's largest entry.
+    checks = np.concatenate((mat, vectors.conj().T)) @ vectors
+    checks[:n] -= vectors * values
+    checks.reshape(-1)[n * n :: n + 1] -= 1.0
+    residual, gram = np.maximum.reduce(np.abs(checks).reshape(2, n * n), axis=1).tolist()
     # Written as `not x < bound`, so a NaN fails too.
-    residual = np.maximum.reduce(np.abs(mat @ vectors - vectors * values), axis=None)
     if not residual < _RESIDUAL_REL_TOL * (1.0 + scale):
         raise SimulationError(f"eigendecomposition residual {residual:.3e} out of tolerance")
-    # V^H V - I, with the identity taken off the diagonal in place.
-    gram = vectors.conj().T @ vectors
-    gram.reshape(-1)[:: len(values) + 1] -= 1.0
-    if not np.maximum.reduce(np.abs(gram), axis=None) < _ORTHONORMALITY_TOL:
+    if not gram < _ORTHONORMALITY_TOL:
         raise SimulationError("eigenvector columns lost orthonormality")
     return eig
 
@@ -139,18 +148,24 @@ def _eliminate(a0: np.ndarray, rhs0: np.ndarray) -> np.ndarray:
     m, n = rhs0.shape
     threshold = _PIVOT_REL_TOL * norm_a
     # Eliminate on [a | b]: the right-hand side rides along as column n.
-    work = np.empty((m, n, n + 1), dtype=np.complex128)
+    # Column k's outer product, (m, n - k - 1, n - k), fills a prefix of the
+    # products buffer, allocated with work: a fresh temporary per column cost
+    # more time, and a second allocation more peak memory.
+    size = m * n * (n + 1)
+    scratch = np.empty(size + m * (n - 1) * n, dtype=np.complex128)
+    work, products = scratch[:size].reshape(m, n, n + 1), scratch[size:]
     work[:, :, :n] = a0
     work[:, :, n] = rhs0
     rows = np.arange(m)
     for k in range(n):
         lead = k + np.abs(work[:, k:, k]).argmax(axis=1)
-        # Swap rows k and lead of every system; where lead == k it is a no-op.
-        # Only columns k: are live; those left of k hold eliminated entries
-        # that nothing reads again.
-        upper = work[rows, lead, k:]
-        work[rows, lead, k:] = work[:, k, k:]
-        work[:, k, k:] = upper
+        # Swap rows k and lead of every system, unless no system's pivot
+        # moved (a swap where lead == k is a no-op).  Only columns k: are
+        # live; those left of k hold eliminated entries nothing reads again.
+        if (lead != k).any():
+            upper = work[rows, lead, k:]
+            work[rows, lead, k:] = work[:, k, k:]
+            work[:, k, k:] = upper
         pivot = np.abs(work[:, k, k])
         if (singular := pivot <= threshold).any():
             j = singular.argmax()
@@ -159,9 +174,11 @@ def _eliminate(a0: np.ndarray, rhs0: np.ndarray) -> np.ndarray:
                 f"(|pivot| = {pivot[j]:.3e}, threshold = {threshold[j]:.3e})"
             )
         # Multipliers as a column times the pivot row: their outer product.
-        work[:, k + 1 :, k + 1 :] -= (
-            work[:, k + 1 :, k : k + 1] / work[:, k : k + 1, k : k + 1] * work[:, k : k + 1, k + 1 :]
-        )
+        r = n - k - 1
+        product = products[: m * r * (r + 1)].reshape(m, r, r + 1)
+        multipliers = work[:, k + 1 :, k : k + 1] / work[:, k : k + 1, k : k + 1]
+        np.multiply(multipliers, work[:, k : k + 1, k + 1 :], out=product)
+        work[:, k + 1 :, k + 1 :] -= product
 
     # x as (m, n, 1) columns: each row dot below is a (1, r) @ (r, 1) matmul.
     x = np.zeros((m, n, 1), dtype=np.complex128)

@@ -257,8 +257,10 @@ def test_solve_rejects_a_nan_residual():
         ([np.nan, 1.0], np.eye(2), "eigendecomposition residual nan out of tolerance"),
         ([1.0, 1.0], 2.0 * np.eye(2), "eigenvector columns lost orthonormality"),
         ([1.0, 1.0], [[1.0, np.nan], [0.0, 1.0]], "eigendecomposition residual nan"),
+        # Both checks fail: the residual's message comes first.
+        ([0.0, 2.0], 2.0 * np.eye(2), "eigendecomposition residual 2.000e+00 out of tolerance"),
     ],
-    ids=["residual", "nan-eigenvalue", "orthonormality", "nan-vector"],
+    ids=["residual", "nan-eigenvalue", "orthonormality", "nan-vector", "residual-and-orthonormality"],
 )
 def test_eigen_checks_lapacks_result(monkeypatch, values, vectors, message):
     result = EighResult(np.array(values), np.array(vectors, dtype=complex))

@@ -4,8 +4,9 @@ Stated tolerances:
 - build_liouvillian: bit-identical to the np.kron assembly (tolerance 0),
   also through more rate sets than its cache holds and for rate sets that
   differ only in the sign of a zero;
-- solve_linear on one system: bit-identical to the elimination that keeps
-  the right-hand side apart;
+- solve_linear on one system and on stacks: each system bit-identical to
+  the elimination that keeps the right-hand side apart, in stacks where
+  every, some or no system swaps rows;
 - run_sweep: the same states, bit for bit, as a per-point loop whose
   generator and linear solve come from the references, with the
   references' Jacobi as the positivity gate, for every preset under each of
@@ -121,6 +122,30 @@ def test_one_system_solve_is_bit_identical_to_the_reference():
             a[np.arange(n), np.arange(n)] *= 1e-3  # partial pivoting must swap rows
             b = rng.standard_normal(n) + 1j * rng.standard_normal(n)
             assert solve_linear(a, b).tobytes() == ref.solve_linear(a, b).tobytes()
+
+
+def test_stacked_solve_is_bit_identical_to_the_reference():
+    # A strictly column diagonally dominant matrix stays so through
+    # elimination, so partial pivoting never swaps one of its rows; small
+    # diagonals make the others swap.  The stacked elimination swaps rows
+    # only at columns where some system's pivot moves.
+    rng = np.random.default_rng(41)
+    for n in (2, 5, 16):
+        m = 24
+        diag = np.arange(n)
+        a = rng.standard_normal((m, n, n)) + 1j * rng.standard_normal((m, n, n))
+        b = rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n))
+        swapping = a.copy()
+        swapping[:, diag, diag] *= 1e-3
+        dominant = a.copy()
+        dominant[:, diag, diag] = np.abs(a).sum(axis=1) * np.exp(1j * rng.uniform(0, 6.3, (m, n)))
+        off_diagonal = np.abs(dominant).sum(axis=1) - np.abs(dominant[:, diag, diag])
+        assert (np.abs(dominant[:, diag, diag]) > off_diagonal).all()
+        mixed = np.where((np.arange(m) % 3 == 0)[:, None, None], swapping, dominant)
+        for stack in (mixed, dominant, swapping):
+            x = solve_linear(stack, b)
+            for k in range(m):
+                assert x[k].tobytes() == ref.solve_linear(stack[k], b[k]).tobytes(), (n, k)
 
 
 @functools.cache
