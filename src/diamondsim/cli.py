@@ -29,7 +29,7 @@ carries its line number.  When closure_target is not given it defaults to
 the first inactive field in the order a1, c1, a2, c2, or "none" when all
 four fields drive.
 
-Exit status: 0 on success, 1 for usage and configuration errors (any
+Exit status: 0 on success or --help, 1 for usage and configuration errors (any
 ValueError), 2 when a computation fails (no steady state, broken closure,
 unstable step, ...).
 """
@@ -37,7 +37,6 @@ unstable step, ...).
 from __future__ import annotations
 
 import argparse
-import functools
 import re
 import sys
 from dataclasses import dataclass, fields, replace
@@ -312,7 +311,6 @@ class _Parser(argparse.ArgumentParser):
         raise ValueError(message)
 
 
-@functools.cache  # building takes about 1 ms; a parser is reusable across calls
 def _build_parser() -> _Parser:
     parser = _Parser(prog="diamondsim", description=__doc__.splitlines()[0])
     commands = parser.add_subparsers(dest="command", required=True)
@@ -347,6 +345,9 @@ def _build_parser() -> _Parser:
     return parser
 
 
+_PARSER = _build_parser()  # built once: a build takes about 1 ms, a parse reuses it
+
+
 def _load_inputs(args) -> tuple[Scenario, SweepSpec, OutputOptions]:
     if args.preset is not None:
         return *preset(args.preset), OutputOptions()
@@ -359,7 +360,7 @@ def _load_inputs(args) -> tuple[Scenario, SweepSpec, OutputOptions]:
     return parse_config(text)
 
 
-def _report_state(rho: np.ndarray, observables: tuple[str, ...], out: str | None) -> int:
+def _report_state(rho: np.ndarray, observables: tuple[str, ...], out: str | None) -> None:
     """Print the chosen observables of rho; given out, also write its entries as CSV."""
     for key in observables:
         row, col = _entry(key)
@@ -373,27 +374,10 @@ def _report_state(rho: np.ndarray, observables: tuple[str, ...], out: str | None
             for j, right in enumerate(LEVELS)
         ]
         _write_lines(["entry,re,im", *entries], out)
-    return 0
 
 
-def _run_sweep_command(args, scenario, spec, output) -> int:
-    overrides = {key: getattr(args, key) for key in _GRID_KEYS if getattr(args, key) is not None}
-    result = run_sweep(replace(spec, **overrides))
-    write_csv(result, args.out if args.out is not None else output.out_path)
-    return 0
-
-
-def _run_steady_command(args, scenario, spec, output) -> int:
-    rho = steady_state(build_liouvillian(closure_complete(scenario)))
-    return _report_state(rho, output.observables, args.out)
-
-
-def _run_evolve_command(args, scenario, spec, output) -> int:
-    rho = evolve(closure_complete(scenario), ground_state(), t_final=args.t_final, dt=args.dt)
-    return _report_state(rho, output.observables, args.out)
-
-
-def _run_dressed_command(args, scenario, spec, output) -> int:
+def _report_spectrum(scenario: Scenario, out: str | None) -> None:
+    """Print the dressed spectrum and dark census; given out, also write the spectrum as CSV."""
     spectrum = dressed_spectrum(scenario)
     report = dark_classification(spectrum)
     group_of = {k: g for g, members in enumerate(spectrum.groups) for k in members}
@@ -403,7 +387,7 @@ def _run_dressed_command(args, scenario, spec, output) -> int:
     print(f"group dark dimensions: {list(report.group_dark_dims)}")
     print(f"total dark states: {report.total_dark}")
     print(f"degenerate: {'yes' if report.degenerate else 'no'}")
-    if args.out is not None:
+    if out is not None:
         lines = ["index,eigenvalue,group,re_a,im_a,re_b,im_b,re_c,im_c,re_d,im_d"]
         for k, value in enumerate(spectrum.eigenvalues):
             vec_parts = ",".join(
@@ -411,37 +395,40 @@ def _run_dressed_command(args, scenario, spec, output) -> int:
                 for i in range(4)
             )
             lines.append(f"{k},{value:.16e},{group_of[k]},{vec_parts}")
-        _write_lines(lines, args.out)
-    return 0
-
-
-def _run_presets_command() -> int:
-    for name in PRESET_NAMES:
-        scenario, spec = preset(name)
-        gammas = ",".join(f"{getattr(scenario, key):g}" for key in _SECTIONS["decays"])
-        print(
-            f"{name:12s} omega_a1={scenario.omega_a1:g} omega_a2={scenario.omega_a2:g} "
-            f"omega_c1={scenario.omega_c1:g} omega_c2={scenario.omega_c2:g} "
-            f"gammas={gammas} closure_target={scenario.closure_target} "
-            f"sweep=[{spec.delta_min:g},{spec.delta_max:g}]x{spec.points}"
-        )
-    return 0
+        _write_lines(lines, out)
 
 
 def main(argv=None) -> int:
     """Entry point; returns the exit status instead of calling sys.exit."""
-    handlers = {
-        "sweep": _run_sweep_command,
-        "steady": _run_steady_command,
-        "evolve": _run_evolve_command,
-        "dressed": _run_dressed_command,
-    }
     try:
-        args = _build_parser().parse_args(argv)
+        args = _PARSER.parse_args(argv)
         if args.command == "presets":
-            return _run_presets_command()
+            for name in PRESET_NAMES:
+                scenario, spec = preset(name)
+                gammas = ",".join(f"{getattr(scenario, key):g}" for key in _SECTIONS["decays"])
+                print(
+                    f"{name:12s} omega_a1={scenario.omega_a1:g} omega_a2={scenario.omega_a2:g} "
+                    f"omega_c1={scenario.omega_c1:g} omega_c2={scenario.omega_c2:g} "
+                    f"gammas={gammas} closure_target={scenario.closure_target} "
+                    f"sweep=[{spec.delta_min:g},{spec.delta_max:g}]x{spec.points}"
+                )
+            return 0
         scenario, spec, output = _load_inputs(args)
-        return handlers[args.command](args, scenario, spec, output)
+        if args.command == "sweep":
+            flags = {key: getattr(args, key) for key in _GRID_KEYS}
+            spec = replace(spec, **{k: v for k, v in flags.items() if v is not None})
+            write_csv(run_sweep(spec), args.out if args.out is not None else output.out_path)
+        elif args.command == "steady":
+            rho = steady_state(build_liouvillian(closure_complete(scenario)))
+            _report_state(rho, output.observables, args.out)
+        elif args.command == "evolve":
+            rho = evolve(closure_complete(scenario), ground_state(), args.t_final, args.dt)
+            _report_state(rho, output.observables, args.out)
+        else:
+            _report_spectrum(scenario, args.out)
+        return 0
+    except SystemExit:  # only --help exits the parser, after printing the usage
+        return 0
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

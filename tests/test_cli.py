@@ -621,6 +621,19 @@ def test_main_usage_errors(argv, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [["--help"], ["sweep", "--help"]], ids=["top", "sweep"])
+def test_help_prints_the_usage_and_exits_0(argv, monkeypatch, capsys):
+    assert main(argv) == 0
+    printed = capsys.readouterr()
+    assert printed.out.startswith(" ".join(["usage: diamondsim", *argv[:-1], "[-h]"]))
+    assert printed.err == ""
+    monkeypatch.setattr(sys, "argv", ["diamondsim", *argv])
+    with pytest.raises(SystemExit) as stop:
+        cli.run()
+    assert stop.value.code == 0
+    assert capsys.readouterr() == printed
+
+
 def test_main_config_error(tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("[fields]\nomega_a1 = -3\n")
@@ -927,7 +940,7 @@ def test_flags_read_a_number_as_the_config_does(command, flag, dest, key, text):
     grid = {"delta_max": MAX_RATE} if key == "delta_min" else {}
 
     def from_flag():
-        args = cli._build_parser().parse_args([command, "--preset", "fig5", f"{flag}={text}"])
+        args = cli._PARSER.parse_args([command, "--preset", "fig5", f"{flag}={text}"])
         return getattr(SweepSpec(Scenario(), **grid, **{key: getattr(args, dest)}), key)
 
     def from_config():
@@ -1027,6 +1040,7 @@ def test_state_csv_parses_back_to_the_library_state(name, tmp_path, capsys):
         header, rows = read_complex_csv(path)
         assert header == "entry,re,im"
         assert [row[0] for row in rows] == [f"{i}{j}" for i in "abcd" for j in "abcd"]
+        assert all(f"{float(text):.16e}" == text for row in rows for text in row[1:])
         back = np.array([pairs_to_complex(row[1:]) for row in rows]).reshape(4, 4)
         assert np.array_equal(back, rho), command
     capsys.readouterr()

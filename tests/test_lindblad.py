@@ -30,6 +30,7 @@ from diamondsim.lindblad import (
 from eom import eom_rhs
 from exact import exact_steady_state
 from mirror import MIRROR_PERMUTATION, mirror_scenario
+from probe_response import POPULATIONS, PROBE_GENERATOR, probe_response_terms
 
 
 def random_density_matrix(rng):
@@ -308,11 +309,6 @@ WEAK_PROBE_BASES = st.one_of(
         st.sampled_from(["a1", "a2", "c1"]),
     ),
 )
-_PROBE = np.zeros((4, 4))
-_PROBE[2, 3] = _PROBE[3, 2] = 1.0
-#: L_p, the probe's part of L per unit omega_c2: vec of +i[B_p, rho] for
-#: B_p = |c><d| + |d><c|, built with np.kron apart from build_liouvillian.
-PROBE_GENERATOR = 1j * (np.kron(_PROBE, np.eye(4)) - np.kron(np.eye(4), _PROBE.T))
 # (rho - rho0)/w - rho1 is w rho2 + O(w^2).  Its largest entry over the
 # presets was 0.283 w (fig10-right), over 2000 uniform draws from the seeded
 # range 0.235 w, and over a corner scan of that range 1.71 w (omega_a2 =
@@ -329,21 +325,34 @@ def test_the_weak_probe_limit_is_the_linear_response(s, omega):
     probed = build_liouvillian(replace(s, omega_c2=omega))
     assert probed.tobytes() == (base + omega * PROBE_GENERATOR).tobytes()
     rho0 = steady_state(base).reshape(16)
-    # rho1 from np.linalg.solve, with the trace condition in row 0 as the
-    # population rows are linearly dependent.
-    system = base.copy()
-    system[0] = 0.0
-    system[0, [0, 5, 10, 15]] = 1.0
-    drive = -(PROBE_GENERATOR @ rho0)
-    drive[0] = 0.0
-    rho1 = np.linalg.solve(system, drive)
+    rho1 = sum(probe_response_terms(s)).reshape(16)
     # Both were below 5e-17 (relative to 1 + max|L0| for the residual).
     residual = np.max(np.abs(base @ rho1 + PROBE_GENERATOR @ rho0))
     assert residual < 1e-12 * (1.0 + np.max(np.abs(base)))
-    assert abs(rho1[[0, 5, 10, 15]].sum()) < 1e-12
+    assert abs(rho1[POPULATIONS].sum()) < 1e-12
     for w in (1e-2, 1e-3, 1e-4):
         rho = steady_state(build_liouvillian(replace(s, omega_c2=w))).reshape(16)
         assert np.max(np.abs((rho - rho0) / w - rho1)) < WEAK_PROBE_TOL * w
+
+
+def test_fig9_left_probe_gain_comes_from_coherences():
+    # With gamma2 = gamma4, d is fed only by c's decay, so pop_c = pop_d in
+    # rho0 and the populations give the probe nothing to absorb (measured at
+    # most 3.5e-19 over the 101 points); the coherences give gain everywhere,
+    # -6.8e-3 at delta = +-5 (omega_c1) to -1.4e-6 at the grid's edges.
+    base = preset("fig9-left")[0]
+    for delta in np.linspace(-25, 25, 101):
+        populations, coherences = probe_response_terms(replace(base, delta_c2=float(delta)))
+        assert abs(populations[2, 3].imag) < 1e-15, delta
+        assert coherences[2, 3].imag < 0.0, delta
+
+
+def test_a_b_d_c_ladder_probe_absorbs_through_both_terms():
+    # The sign convention: on a plain ladder (b-d driven, d-c probed) both
+    # terms absorb, 0.132 from the populations and 0.066 from the coherences.
+    populations, coherences = probe_response_terms(Scenario(omega_a2=0.3))
+    assert populations[2, 3].imag == pytest.approx(0.1316366827556, rel=1e-9)
+    assert coherences[2, 3].imag == pytest.approx(0.0658183413778, rel=1e-9)
 
 
 def test_generator_routes_agree():
