@@ -26,9 +26,11 @@ inside a group of equal eigenvalues.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-from .errors import SimulationError, first_alone
+from .errors import SimulationError
 
 __all__ = [
     "SingularMatrixError",
@@ -108,16 +110,17 @@ def solve_linear(a, b) -> np.ndarray:
 
     a is (n, n) with b of shape (n,), or a stack (m, n, n) with b of shape
     (m, n); x has the shape of b.  Gaussian elimination with partial
-    pivoting runs once over the whole stack, on the augmented [a | b].  A
-    NaN or inf entry of a or b, or an inf-norm of a past the double range,
-    raises ValueError first.  A pivot whose magnitude falls below
-    1e-14 * ||a||_inf raises SingularMatrixError naming the pivot's column,
-    before it divides anything; the solution is verified against the bound
-    ||a x - b||_inf < 1e-10 * (1 + ||a||_inf * ||x||_inf), which a NaN
-    residual fails.  A failing stack raises what its first failing system
-    raises alone (errors.first_alone).  No system's arithmetic depends on
-    the rest of the stack, so a stacked solve equals one-system solves bit
-    for bit.
+    pivoting runs once over the stack (one system is a stack of one), on the
+    augmented [a | b].  A NaN or inf entry of a or b, or an inf-norm of a
+    past the double range, raises ValueError first.  A pivot whose magnitude
+    falls below 1e-14 * ||a||_inf raises SingularMatrixError naming the
+    pivot's column, before it divides anything; the solution is verified
+    against ||a x - b||_inf < 1e-10 * (1 + ||a||_inf * ||x||_inf), which a
+    NaN residual fails.  The pass raises its first failure: the first column
+    where some system's pivot fails (with the lowest such system's figures),
+    else the lowest system whose residual fails; index stays None.  No
+    system's arithmetic depends on the rest of the stack, so a stacked solve
+    equals one-system solves bit for bit.
     """
     a0 = np.asarray(a, dtype=np.complex128)
     rhs0 = np.asarray(b, dtype=np.complex128)
@@ -129,23 +132,15 @@ def solve_linear(a, b) -> np.ndarray:
         raise ValueError(
             f"solve_linear needs a right-hand side of shape {a0.shape[:-1]}, got {rhs0.shape}"
         )
-    if a0.ndim == 2:
-        return _eliminate(a0[np.newaxis], rhs0[np.newaxis])[0]
-    try:
-        return _eliminate(a0, rhs0)
-    except SimulationError:
-        first_alone(lambda k: _eliminate(a0[k : k + 1], rhs0[k : k + 1]), range(len(a0)))
-        raise
-
-
-def _eliminate(a0: np.ndarray, rhs0: np.ndarray) -> np.ndarray:
-    # solve_linear on a stack, (m, n, n) and (m, n).  A NaN entry leaves a
-    # norm NaN, an inf one or a row sum past the double range leaves it inf.
+    shape = rhs0.shape
+    m, n = math.prod(shape[:-1]), shape[-1]
+    a0, rhs0 = a0.reshape(m, n, n), rhs0.reshape(m, n)
+    # A NaN entry leaves a norm NaN, an inf one or a row sum past the double
+    # range leaves it inf.
     with np.errstate(over="ignore"):
         norm_a = matrix_inf_norm(a0)
     if not ((norm_a < np.inf).all() and np.isfinite(rhs0).all()):
         raise ValueError("solve_linear requires finite a and b")
-    m, n = rhs0.shape
     threshold = _PIVOT_REL_TOL * norm_a
     # Eliminate on [a | b]: the right-hand side rides along as column n.
     # Column k's outer product, (m, n - k - 1, n - k), fills a prefix of the
@@ -194,4 +189,4 @@ def _eliminate(a0: np.ndarray, rhs0: np.ndarray) -> np.ndarray:
             f"linear solve residual {residual[j]:.3e} exceeds bound {bound[j]:.3e}; "
             "system is ill-conditioned"
         )
-    return x[:, :, 0]
+    return x.reshape(shape)

@@ -270,9 +270,12 @@ def preset(name: str) -> tuple[Scenario, SweepSpec]:
 def _write_lines(lines, destination) -> None:
     """Write lines ended by '\\n' as ASCII to a path, a binary stream or (None) stdout."""
     data = ("\n".join(lines) + "\n").encode("ascii")
-    if destination is None:
-        sys.stdout.buffer.write(data)
-        sys.stdout.buffer.flush()
+    if destination is None:  # a stdout redirected to an io.StringIO has no buffer
+        if (buffer := getattr(sys.stdout, "buffer", None)) is None:
+            sys.stdout.write(data.decode("ascii"))
+        else:
+            buffer.write(data)
+            buffer.flush()
     elif hasattr(destination, "write"):
         destination.write(data)
     else:

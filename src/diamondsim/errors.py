@@ -50,8 +50,8 @@ class SimulationError(Exception):
     reported separately with exit status 1.
 
     Attributes:
-        index: for a call on a stack of inputs, the position of the first
-            item that fails alone (see first_alone); None otherwise.
+        index: for a stacked call that names its failing item, the position
+            of the first item that fails alone; None otherwise (solve_linear).
     """
 
     def __init__(self, *args, index: int | None = None):
@@ -62,7 +62,8 @@ class SimulationError(Exception):
 def first_alone(run, items) -> None:
     """Run a failed stack's items alone, in order, as run(item).
 
-    The first SimulationError gets its item's position as `index` and propagates.
+    The first SimulationError gets its item's position as `index` and
+    propagates.  Its caller is steady_state; the kernels under it rerun nothing.
     """
     for k, item in enumerate(items):
         try:

@@ -178,23 +178,26 @@ def test_stacked_solve_equals_one_system_solves_bit_for_bit():
             assert x[k].tobytes() == solve_linear(a[k], b[k]).tobytes()
 
 
-def test_stacked_solve_reports_the_lowest_failing_system_without_warnings():
+def test_stacked_solve_raises_the_first_failure_of_its_one_pass_without_warnings():
+    # Systems 1 and 3 fail; the zero system 3 fails at column 0, before the
+    # rank-1 system 1 reaches its failing column 1.  The pass raises the
+    # first column's failure, not what the lowest failing system raises alone.
     rng = np.random.default_rng(31)
     a, b = systems_that_swap_rows(rng, 5, 4)
     a[1] = [[1.0, 2.0, 0.0, 0.0], [2.0, 4.0, 0.0, 0.0], [0.0, 0.0, 1.0, 0.0], [0.0, 0.0, 0.0, 1.0]]
     a[3] = 0.0
-    with pytest.raises(SingularMatrixError) as alone:
-        solve_linear(a[1], b[1])
-    assert alone.value.index is None
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # the failing pivots must not divide by zero
         with pytest.raises(SingularMatrixError) as stacked:
             solve_linear(a, b)
-    assert str(stacked.value) == str(alone.value)
-    assert stacked.value.index == 1
+    assert str(stacked.value) == (
+        "matrix is numerically singular at pivot 0 (|pivot| = 0.000e+00, threshold = 0.000e+00)"
+    )
+    assert stacked.value.index is None
     # Partial pivoting doubles the last column of Wilkinson's matrix at every
-    # step: at n = 32 every pivot is 1 and the residual fails.  The singular
-    # system after it fails a pivot first, so the stack must be run again.
+    # step: at n = 32 every pivot is 1 and the residual fails.  A singular
+    # system after it fails a pivot, which the pass reaches before any
+    # residual; without it, the residual failure is growth's own.
     n = 32
     growth = np.eye(n) - np.tril(np.ones((n, n)), -1)
     growth[:, -1] = 1.0
@@ -202,13 +205,19 @@ def test_stacked_solve_reports_the_lowest_failing_system_without_warnings():
     singular[1] = singular[0]
     a = np.array([np.eye(n), growth, singular])
     b = np.tile(np.linspace(0.1, 1.0, n), (3, 1))
-    with pytest.raises(SimulationError, match=r"^linear solve residual \S+ exceeds") as alone:
-        solve_linear(growth, b[1])
+    with pytest.raises(SingularMatrixError) as alone:
+        solve_linear(singular, b[2])
+    assert str(alone.value).startswith("matrix is numerically singular at pivot 1 ")
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(SimulationError) as stacked:
             solve_linear(a, b)
-    assert (str(stacked.value), stacked.value.index) == (str(alone.value), 1)
+    assert (str(stacked.value), stacked.value.index) == (str(alone.value), None)
+    with pytest.raises(SimulationError, match=r"^linear solve residual \S+ exceeds") as alone:
+        solve_linear(growth, b[1])
+    with pytest.raises(SimulationError) as stacked:
+        solve_linear(a[:2], b[:2])
+    assert (str(stacked.value), stacked.value.index) == (str(alone.value), None)
 
 
 def test_stacked_solve_shape_validation():

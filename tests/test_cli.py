@@ -1,10 +1,12 @@
 """Tests for config parsing, presets, CSV output, and the command line."""
 
+import contextlib
 import io
 import itertools
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -360,6 +362,16 @@ def test_main_sweep_to_stdout(capsysbinary):
     out = capsysbinary.readouterr().out
     assert out.startswith(b"delta,")
     assert len(out.splitlines()) == 6
+
+
+def test_main_sweep_to_a_stdout_without_a_binary_buffer():
+    args = ["sweep", "--preset", "fig5", "--points", "3"]
+    text = io.StringIO()
+    with contextlib.redirect_stdout(text):
+        assert main(args) == 0
+    stream = io.BytesIO()
+    write_csv(run_sweep(replace(preset("fig5")[1], points=3)), stream)
+    assert text.getvalue().encode("ascii") == stream.getvalue()
 
 
 def test_main_sweep_deterministic(tmp_path):

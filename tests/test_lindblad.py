@@ -540,7 +540,6 @@ def test_a_good_stack_makes_one_solve_and_no_retry(monkeypatch):
 
     monkeypatch.setattr(lindblad, "solve_linear", counting)
     monkeypatch.setattr(lindblad, "first_alone", retry)
-    monkeypatch.setattr(algebra, "first_alone", retry)
     steady_state(np.array([build_liouvillian(preset(name)[0]) for name in PRESET_NAMES]))
     assert calls == [(10, 16, 16)] and retries == []
 
@@ -565,6 +564,32 @@ def test_stacked_steady_state_raises_what_the_lowest_failing_generator_raises_al
     assert states.shape == (3, 4, 4)
     for rho, liouv in zip(states, good):
         assert rho.tobytes() == steady_state(liouv).tobytes()
+
+
+def test_a_failing_stack_is_eliminated_once_then_once_per_generator_to_the_failure(monkeypatch):
+    # solve_linear takes one inf-norm per elimination; steady_state's own
+    # norm goes through lindblad's binding and is not counted.
+    eliminations, norm = [], algebra.matrix_inf_norm
+
+    def counting(a):
+        eliminations.append(np.shape(a))
+        return norm(a)
+
+    monkeypatch.setattr(algebra, "matrix_inf_norm", counting)
+    dead = build_liouvillian(
+        Scenario(omega_a1=1.0, gamma1=0.0, gamma2=0.0, gamma3=0.0, gamma4=0.0)
+    )
+    good = [build_liouvillian(preset(name)[0]) for name in PRESET_NAMES[:8]]
+    with pytest.raises(SteadyStateError, match="singular at pivot 4 ") as alone:
+        steady_state(dead)
+    assert alone.value.index is None
+    assert eliminations == [(1, 16, 16)]
+    eliminations.clear()
+    with pytest.raises(SteadyStateError) as stacked:
+        steady_state(np.array(good[:5] + [dead] + good[5:]))
+    assert (str(stacked.value), stacked.value.index) == (str(alone.value), 5)
+    # The whole stack once, then generators 0 to 5 alone.
+    assert eliminations == [(9, 16, 16)] + [(1, 16, 16)] * 6
 
 
 def test_an_eigensolver_failure_is_a_steady_state_error(monkeypatch):
