@@ -52,10 +52,13 @@ class SingularMatrixError(SimulationError):
 
 
 def matrix_inf_norm(a: np.ndarray):
-    """Induced infinity norm (maximum absolute row sum); an array of them for a stack."""
-    a = np.asarray(a)
-    norms = np.maximum.reduce(np.add.reduce(np.abs(a), axis=-1), axis=-1, initial=0.0)
-    return float(norms) if a.ndim == 2 else norms
+    """Induced infinity norm (maximum absolute row sum); an array of them for a stack.
+
+    One matrix gives a numpy float64.  A NaN entry gives NaN; an inf entry or
+    a row sum past the double range gives inf, with no overflow warning.
+    """
+    with np.errstate(over="ignore"):
+        return np.maximum.reduce(np.add.reduce(np.abs(a), axis=-1), axis=-1, initial=0.0)
 
 
 def herm_eigen(a):
@@ -135,10 +138,7 @@ def solve_linear(a, b) -> np.ndarray:
     shape = rhs0.shape
     m, n = math.prod(shape[:-1]), shape[-1]
     a0, rhs0 = a0.reshape(m, n, n), rhs0.reshape(m, n)
-    # A NaN entry leaves a norm NaN, an inf one or a row sum past the double
-    # range leaves it inf.
-    with np.errstate(over="ignore"):
-        norm_a = matrix_inf_norm(a0)
+    norm_a = matrix_inf_norm(a0)
     if not ((norm_a < np.inf).all() and np.isfinite(rhs0).all()):
         raise ValueError("solve_linear requires finite a and b")
     threshold = _PIVOT_REL_TOL * norm_a

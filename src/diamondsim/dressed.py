@@ -27,7 +27,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .algebra import herm_eigen
-from .atom import Scenario, build_hamiltonian
+from .atom import LEVELS, Scenario, build_hamiltonian
 
 __all__ = [
     "DarkReport",
@@ -36,7 +36,7 @@ __all__ = [
     "dressed_spectrum",
 ]
 
-_C_INDEX = 2
+_C_INDEX = LEVELS.index("c")
 
 #: Eigenvalues closer than 1e-12 * (1 + max|eigenvalue|) share a group.
 _DEGENERACY_REL_TOL = 1e-12

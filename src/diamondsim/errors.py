@@ -1,4 +1,4 @@
-"""Shared exception types: rejected inputs and failed physics computations."""
+"""Shared exception types for rejected inputs and failed computations, and echo."""
 
 import math
 
@@ -50,24 +50,11 @@ class SimulationError(Exception):
     reported separately with exit status 1.
 
     Attributes:
-        index: for a stacked call that names its failing item, the position
-            of the first item that fails alone; None otherwise (solve_linear).
+        index: the position of the first item that fails alone, where a
+            stacked call names it (steady_state, check_density_matrix, the
+            closure of a sweep grid); None otherwise (solve_linear).
     """
 
     def __init__(self, *args, index: int | None = None):
         super().__init__(*args)
         self.index = index
-
-
-def first_alone(run, items) -> None:
-    """Run a failed stack's items alone, in order, as run(item).
-
-    The first SimulationError gets its item's position as `index` and
-    propagates.  Its caller is steady_state; the kernels under it rerun nothing.
-    """
-    for k, item in enumerate(items):
-        try:
-            run(item)
-        except SimulationError as exc:
-            exc.index = k
-            raise

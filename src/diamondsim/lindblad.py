@@ -21,7 +21,7 @@ import numpy as np
 
 from .algebra import herm_eigen, matrix_inf_norm, solve_linear
 from .atom import LEVELS, Scenario, _check_count, _check_numbers, build_hamiltonian
-from .errors import InputError, SimulationError, first_alone
+from .errors import InputError, SimulationError
 
 __all__ = [
     "InvariantError",
@@ -36,7 +36,7 @@ __all__ = [
     "steady_state",
 ]
 
-_B = 1
+_B = LEVELS.index("b")
 _HERMITICITY_TOL = 1e-9
 _TRACE_TOL = 1e-9
 _POSITIVITY_FLOOR = -1e-8
@@ -193,8 +193,9 @@ def steady_state(liouv: np.ndarray) -> np.ndarray:
     check_density_matrix unsymmetrized, which returns the result.  Any
     failure raises SteadyStateError ("non-unique or absent steady state"),
     e.g. when every decay rate vanishes.  A stack runs each step on all its
-    generators at once; if a step fails, it raises what its first failing
-    generator raises alone, with its position as `index` (errors.first_alone).
+    generators at once; if a step fails, its generators are solved again
+    alone, in order, and the first that fails raises its own error with its
+    position as `index`.  One generator reruns nothing.
     """
     liouv = np.asarray(liouv, dtype=np.complex128)
     if liouv.ndim not in (2, 3) or liouv.shape[-2:] != (16, 16):
@@ -202,8 +203,7 @@ def steady_state(liouv: np.ndarray) -> np.ndarray:
     stack = liouv.reshape(-1, 16, 16)
     # A NaN or inf entry or a row sum past the double range makes the norm
     # non-finite, and with it the residual bound, the replaced row's one guard.
-    with np.errstate(over="ignore"):
-        norm = matrix_inf_norm(stack)
+    norm = matrix_inf_norm(stack)
     if not (norm < np.inf).all():
         raise ValueError("steady_state requires a generator whose inf-norm is finite")
     modified = stack.copy()
@@ -221,7 +221,13 @@ def steady_state(liouv: np.ndarray) -> np.ndarray:
         rho = check_density_matrix(solution.reshape(-1, 4, 4), context="steady state")
     except SimulationError as exc:
         if liouv.ndim == 3:
-            first_alone(steady_state, liouv)
+            # By the module-level name, so a wrapper on steady_state sees each rerun.
+            for k, generator in enumerate(liouv):
+                try:
+                    steady_state(generator)
+                except SteadyStateError as alone:
+                    alone.index = k
+                    raise
         raise SteadyStateError(f"non-unique or absent steady state: {exc}") from exc
     return rho if liouv.ndim == 3 else rho[0]
 

@@ -193,6 +193,8 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
 
 
 def _profile(result: SweepResult, observable: str) -> np.ndarray:
+    if not observable.startswith("im_"):
+        raise ValueError(f"windows and gain are defined on im_* columns, got {observable!r}")
     y = result.column(observable)
     if not np.isfinite(y).all():
         raise ValueError(f"{observable} has a non-finite sample")
@@ -225,14 +227,13 @@ def detect_windows(
     interior dip, a sample k with y[k] <= min(y[k-1], y[k+1]), is a window.
     That drops monotone tails at the scan edges.  Windows come back ordered
     by center.  A column that never absorbs (maximum <= 0) has no windows:
-    its threshold would lie above every sample.  A NaN or inf sample is a
-    ValueError naming the observable.  A threshold_fraction outside the
-    open interval (0, 1), NaN included, is a ValueError naming it.
+    its threshold would lie above every sample.  Each a ValueError, in this
+    order: a threshold_fraction outside the open interval (0, 1), NaN
+    included, naming it; an observable that is not an im_* column, then a
+    NaN or inf sample, naming the observable; fewer than 3 grid points.
     """
     if not 0.0 < threshold_fraction < 1.0:
         raise ValueError(f"threshold_fraction must lie in (0, 1), got {threshold_fraction!r}")
-    if not observable.startswith("im_"):
-        raise ValueError(f"windows are defined on im_* columns, got {observable!r}")
     y = _profile(result, observable)
     x = result.delta
     if len(y) < 3:
@@ -268,9 +269,9 @@ def detect_windows(
 def detect_gain(result: SweepResult, observable: str) -> list[tuple[float, float]]:
     """Detuning intervals where the observable drops below -1e-9.
 
-    Intended for im_* columns, where a strictly negative value means the
-    medium amplifies the field instead of absorbing it.  A NaN or inf sample
-    is a ValueError naming the observable, as in detect_windows.
+    observable must be an im_* column, where a strictly negative value
+    means the medium amplifies the field instead of absorbing it.  Another
+    column, or a NaN or inf sample, is the ValueError detect_windows raises.
     """
     y = _profile(result, observable)
     return [

@@ -529,19 +529,15 @@ def test_steady_state_fails_closed_on_a_bad_replaced_row(value):
 
 
 def test_a_good_stack_makes_one_solve_and_no_retry(monkeypatch):
-    calls, retries = [], []
+    calls = []
 
     def counting(a, b):
         calls.append(a.shape)
         return solve_linear(a, b)
 
-    def retry(run, items):
-        retries.append(run)
-
     monkeypatch.setattr(lindblad, "solve_linear", counting)
-    monkeypatch.setattr(lindblad, "first_alone", retry)
     steady_state(np.array([build_liouvillian(preset(name)[0]) for name in PRESET_NAMES]))
-    assert calls == [(10, 16, 16)] and retries == []
+    assert calls == [(10, 16, 16)]
 
 
 def test_stacked_steady_state_raises_what_the_lowest_failing_generator_raises_alone():

@@ -30,6 +30,20 @@ def test_readme_entry_points_resolve_in_their_modules():
         assert hasattr(module, name), f"README names {module_name}.{name}"
 
 
+def test_every_exported_name_is_documented_in_the_readme():
+    # The converse of the check above: each module's __all__ is what the
+    # README documents, each name written as `module.name`.
+    text = README.read_text(encoding="utf-8")
+    documented = set(re.findall(r"`(\w+)\.(\w+)", text))
+    missing = [
+        f"{module}.{name}"
+        for module in ("algebra", "atom", "cli", "dressed", "lindblad", "sweep")
+        for name in importlib.import_module(f"diamondsim.{module}").__all__
+        if (module, name) not in documented
+    ]
+    assert missing == []
+
+
 def run_child(code, *args, **env):
     """Run code in a fresh interpreter that imports diamondsim from this tree."""
     src = Path(diamondsim.__file__).resolve().parents[1]

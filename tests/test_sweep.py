@@ -421,6 +421,11 @@ def test_gain_intervals():
     result = synthetic_result(delta, [-0.1, np.nan, -0.3, -0.2, 0.0])
     with pytest.raises(ValueError, match="^im_cd has a non-finite sample$"):
         detect_gain(result, "im_cd")
+    # Gain is read off an im_* column only, as windows are; the column
+    # check comes before the sample check.
+    for observable in ("re_cd", "rho_cc", "delta"):
+        with pytest.raises(ValueError, match=f"im_\\* columns, got '{observable}'$"):
+            detect_gain(result, observable)
 
 
 def test_gain_ignores_rounding_noise():
