@@ -267,8 +267,9 @@ def preset(name: str) -> tuple[Scenario, SweepSpec]:
     return scenario, SweepSpec(base=scenario)
 
 
-def _write_lines(lines, destination) -> None:
-    """Write lines ended by '\\n' as ASCII to a path, a binary stream or (None) stdout."""
+def _write_table(header, row_format: str, rows, destination) -> None:
+    """Write header, then rows filled into row_format, as ASCII to a path, a stream or stdout."""
+    lines = [",".join(header), *(row_format % row for row in rows)]
     data = ("\n".join(lines) + "\n").encode("ascii")
     if destination is None:  # a stdout redirected to an io.StringIO has no buffer
         if (buffer := getattr(sys.stdout, "buffer", None)) is None:
@@ -293,12 +294,12 @@ def write_csv(result: SweepResult, destination) -> None:
     row_format = ",".join(["%.16e"] * len(CSV_COLUMNS))
     # Rows go to Python floats one at a time: a whole-table tolist() is no
     # faster and holds every float object at once.
-    rows = (row_format % tuple(row.tolist()) for row in table)
-    _write_lines([",".join(CSV_COLUMNS), *rows], destination)
+    rows = (tuple(row.tolist()) for row in table)
+    _write_table(CSV_COLUMNS, row_format, rows, destination)
 
 
-#: Longest argparse message printed whole: enough for an invalid subcommand
-#: of errors.ECHO_MAX (32) characters and the choices after it.
+#: Longest argparse message printed whole, the limit _Parser.error gives errors.echo:
+#: enough for an invalid subcommand of errors.ECHO_MAX (32) characters and the choices.
 _MESSAGE_MAX = 160
 
 
@@ -308,10 +309,8 @@ class _Parser(argparse.ArgumentParser):
         self._negative_number_matcher = _NUMBER_RE  # so -1e-3 is a value, not an option
 
     def error(self, message):
-        # argparse's messages repeat what was typed whole; cut as errors.echo cuts a value.
-        if len(message) > _MESSAGE_MAX:
-            message = f"{message[:_MESSAGE_MAX]}... ({len(message)} characters)"
-        raise ValueError(message)
+        # argparse's messages repeat what was typed whole.
+        raise ValueError(echo(message, _MESSAGE_MAX))
 
 
 def _build_parser() -> _Parser:
@@ -371,12 +370,9 @@ def _report_state(rho: np.ndarray, observables: tuple[str, ...], out: str | None
         imag = "" if row == col else f" {value.imag:+.12g}i"
         print(f"{key:6s} = {value.real: .12g}{imag}")
     if out is not None:
-        entries = [
-            f"{left}{right},{rho[i, j].real:.16e},{rho[i, j].imag:.16e}"
-            for i, left in enumerate(LEVELS)
-            for j, right in enumerate(LEVELS)
-        ]
-        _write_lines(["entry,re,im", *entries], out)
+        labels = [left + right for left in LEVELS for right in LEVELS]
+        rows = zip(labels, rho.real.ravel().tolist(), rho.imag.ravel().tolist())
+        _write_table(("entry", "re", "im"), "%s,%.16e,%.16e", rows, out)
 
 
 def _report_spectrum(scenario: Scenario, out: str | None) -> None:
@@ -391,14 +387,13 @@ def _report_spectrum(scenario: Scenario, out: str | None) -> None:
     print(f"total dark states: {report.total_dark}")
     print(f"degenerate: {'yes' if report.degenerate else 'no'}")
     if out is not None:
-        lines = ["index,eigenvalue,group,re_a,im_a,re_b,im_b,re_c,im_c,re_d,im_d"]
-        for k, value in enumerate(spectrum.eigenvalues):
-            vec_parts = ",".join(
-                f"{spectrum.eigenvectors[i, k].real:.16e},{spectrum.eigenvectors[i, k].imag:.16e}"
-                for i in range(4)
-            )
-            lines.append(f"{k},{value:.16e},{group_of[k]},{vec_parts}")
-        _write_lines(lines, out)
+        parts = [f"{part}_{level}" for level in LEVELS for part in ("re", "im")]
+        vectors = spectrum.eigenvectors.T  # row k: eigenvector k in level order
+        components = np.stack((vectors.real, vectors.imag), axis=-1).reshape(len(vectors), -1)
+        values = spectrum.eigenvalues.tolist()
+        rows = [(k, values[k], group_of[k], *components[k].tolist()) for k in range(len(values))]
+        row_format = "%d,%.16e,%d" + ",%.16e" * len(parts)
+        _write_table(("index", "eigenvalue", "group", *parts), row_format, rows, out)
 
 
 def main(argv=None) -> int:

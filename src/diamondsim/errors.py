@@ -6,21 +6,21 @@ import math
 ECHO_MAX = 32
 
 
-def echo(value):
+def echo(value, limit: int = ECHO_MAX):
     """A value as an error message repeats it.
 
-    A str longer than ECHO_MAX (32) characters becomes its head and its
-    length, an int of more digits its leading digits and digit count (without
-    str(), which refuses ints past 4300 digits); anything else comes back
-    unchanged.  So a message stays short whatever the input.
+    A str longer than limit (ECHO_MAX, 32, unless given) characters becomes
+    its head and its length, an int of more digits its leading digits and
+    digit count (without str(), which refuses ints past 4300 digits); anything
+    else comes back unchanged.  So a message stays short whatever the input.
     """
-    if isinstance(value, str) and len(value) > ECHO_MAX:
-        return f"{value[:ECHO_MAX]}... ({len(value)} characters)"
-    if isinstance(value, int) and abs(value) >= 10**ECHO_MAX:
+    if isinstance(value, str) and len(value) > limit:
+        return f"{value[:limit]}... ({len(value)} characters)"
+    if isinstance(value, int) and abs(value) >= 10**limit:
         # bit_length * log10(2) gives the digit count or one more.
         digits = int(abs(value).bit_length() * math.log10(2)) + 1
         digits -= abs(value) < 10 ** (digits - 1)
-        return f"{'-' * (value < 0)}{abs(value) // 10 ** (digits - ECHO_MAX)}... ({digits} digits)"
+        return f"{'-' * (value < 0)}{abs(value) // 10 ** (digits - limit)}... ({digits} digits)"
     return value
 
 

@@ -115,7 +115,8 @@ class SweepResult:
 
     def column(self, key: str) -> np.ndarray:
         if key not in CSV_COLUMNS:
-            raise ValueError(f"unknown column {key!r}; valid columns: {', '.join(CSV_COLUMNS)}")
+            valid = ", ".join(CSV_COLUMNS)
+            raise ValueError(f"unknown column {echo(key)!r}; valid columns: {valid}")
         if key == "delta":
             return self.delta
         row, col = _entry(key)
@@ -194,7 +195,7 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
 
 def _profile(result: SweepResult, observable: str) -> np.ndarray:
     if not observable.startswith("im_"):
-        raise ValueError(f"windows and gain are defined on im_* columns, got {observable!r}")
+        raise ValueError(f"windows and gain are defined on im_* columns, got {echo(observable)!r}")
     y = result.column(observable)
     if not np.isfinite(y).all():
         raise ValueError(f"{observable} has a non-finite sample")
@@ -233,7 +234,8 @@ def detect_windows(
     NaN or inf sample, naming the observable; fewer than 3 grid points.
     """
     if not 0.0 < threshold_fraction < 1.0:
-        raise ValueError(f"threshold_fraction must lie in (0, 1), got {threshold_fraction!r}")
+        shown = (str if isinstance(threshold_fraction, int) else repr)(echo(threshold_fraction))
+        raise ValueError(f"threshold_fraction must lie in (0, 1), got {shown}")
     y = _profile(result, observable)
     x = result.delta
     if len(y) < 3:

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 import diamondsim
 from diamondsim import cli
-from diamondsim.atom import CLOSURE_TARGETS, MAX_RATE, Scenario, closure_complete
+from diamondsim.atom import CLOSURE_TARGETS, LEVELS, MAX_RATE, Scenario, closure_complete
 from diamondsim.cli import (
     ConfigError,
     OutputOptions,
@@ -1027,14 +1027,10 @@ def test_main_cuts_long_values_in_config_errors(doc, fragment, tmp_path, capsys)
     assert len(err.encode()) < 300
 
 
-def read_complex_csv(path):
-    """Header and rows of a CSV whose trailing columns are (re, im) pairs."""
-    lines = path.read_text(encoding="ascii").splitlines()
-    return lines[0], [line.split(",") for line in lines[1:]]
-
-
-def pairs_to_complex(items):
-    return [complex(float(re), float(im)) for re, im in zip(items[::2], items[1::2])]
+def csv_text(header, rows):
+    """A table as the CLI writes it, each float through format(v, ".16e")."""
+    cells = [[v if isinstance(v, (str, int)) else format(v, ".16e") for v in row] for row in rows]
+    return "\n".join(",".join(map(str, line)) for line in [header, *cells]) + "\n"
 
 
 @pytest.mark.parametrize("name", ["fig5", "fig9-left", "fig10-right"])
@@ -1049,32 +1045,34 @@ def test_state_csv_parses_back_to_the_library_state(name, tmp_path, capsys):
         path = tmp_path / f"{command}.csv"
         extra = ["--t-final", "1"] if command == "evolve" else []
         assert main([command, "--preset", name, "--out", str(path), *extra]) == 0
-        header, rows = read_complex_csv(path)
-        assert header == "entry,re,im"
-        assert [row[0] for row in rows] == [f"{i}{j}" for i in "abcd" for j in "abcd"]
-        assert all(f"{float(text):.16e}" == text for row in rows for text in row[1:])
-        back = np.array([pairs_to_complex(row[1:]) for row in rows]).reshape(4, 4)
-        assert np.array_equal(back, rho), command
+        # Every entry in level order, to 17 digits: it reads back bit for bit.
+        rows = [
+            (a + b, rho[i, j].real, rho[i, j].imag)
+            for i, a in enumerate(LEVELS)
+            for j, b in enumerate(LEVELS)
+        ]
+        text = path.read_text(encoding="ascii")
+        assert text == csv_text(["entry", "re", "im"], rows), command
+        if (name, command) == ("fig5", "steady"):  # rho_db = -0 + 0.0166...i keeps its sign
+            assert "\ndb,-0.0000000000000000e+00,1.66584" in text
     capsys.readouterr()
 
 
 @pytest.mark.parametrize("name", PRESET_NAMES)
 def test_spectrum_csv_parses_back_to_the_dressed_spectrum(name, tmp_path, capsys):
+    # fig6a, fig9 and fig10 hold degenerate groups: two rows share one group index.
     spectrum = dressed_spectrum(preset(name)[0])
     path = tmp_path / "spectrum.csv"
     assert main(["dressed", "--preset", name, "--out", str(path)]) == 0
     capsys.readouterr()
-    header, rows = read_complex_csv(path)
-    assert header == "index,eigenvalue,group,re_a,im_a,re_b,im_b,re_c,im_c,re_d,im_d"
-    assert [int(row[0]) for row in rows] == [0, 1, 2, 3]
-    assert np.array_equal([float(row[1]) for row in rows], spectrum.eigenvalues)
-    vectors = np.array([pairs_to_complex(row[3:]) for row in rows]).T
-    assert np.array_equal(vectors, spectrum.eigenvectors)
-    group_of = [int(row[2]) for row in rows]
-    groups = tuple(
-        tuple(k for k in range(4) if group_of[k] == g) for g in range(max(group_of) + 1)
-    )
-    assert groups == spectrum.groups
+    group_of = {k: g for g, members in enumerate(spectrum.groups) for k in members}
+    header = ["index", "eigenvalue", "group"]
+    header += [f"{part}_{level}" for level in LEVELS for part in ("re", "im")]
+    rows = [
+        (k, value, group_of[k], *(x for v in spectrum.eigenvectors[:, k] for x in (v.real, v.imag)))
+        for k, value in enumerate(spectrum.eigenvalues)
+    ]
+    assert path.read_text(encoding="ascii") == csv_text(header, rows)
 
 
 def test_main_dressed_splits_a_widely_split_pair(tmp_path, capsys):

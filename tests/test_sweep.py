@@ -325,6 +325,9 @@ def test_window_threshold_fraction_parameter():
     for outside in (math.nan, -0.5, 0.0, 1.0, 2.0, math.inf):
         with pytest.raises(ValueError, match="threshold_fraction must lie in"):
             detect_windows(synthetic_result(delta, y), "im_cd", threshold_fraction=outside)
+    # An integer past str()'s 4300 digits is repeated cut, as errors.echo cuts it.
+    with pytest.raises(ValueError, match=r"\(0, 1\), got 10{31}\.\.\. \(5001 digits\)$"):
+        detect_windows(synthetic_result(delta, y), "im_cd", threshold_fraction=10**5000)
 
 
 def test_edge_tail_is_not_a_window():
@@ -409,6 +412,9 @@ def test_window_validation():
     short = synthetic_result([0.0, 1.0], [1.0, 1.0])
     with pytest.raises(ValueError, match="grid points"):
         detect_windows(short, "im_cd")
+    # A long key is repeated cut to its head and its length, as errors.echo cuts it.
+    with pytest.raises(ValueError, match=r"^unknown column 'q{32}\.\.\. \(5000 characters\)'; "):
+        result.column("q" * 5000)
 
 
 def test_gain_intervals():
@@ -426,6 +432,8 @@ def test_gain_intervals():
     for observable in ("re_cd", "rho_cc", "delta"):
         with pytest.raises(ValueError, match=f"im_\\* columns, got '{observable}'$"):
             detect_gain(result, observable)
+    with pytest.raises(ValueError, match=r"im_\* columns, got 'q{32}\.\.\. \(5000 characters\)'$"):
+        detect_gain(result, "q" * 5000)
 
 
 def test_gain_ignores_rounding_noise():
