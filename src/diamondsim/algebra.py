@@ -6,9 +6,10 @@ sizes the cost is per-call overhead, not the O(n^3) arithmetic.
 
 herm_eigen runs LAPACK's zheevd through np.linalg.eigh, from the OpenBLAS
 that numpy ships; a hand-written Jacobi on Python scalars cost about twice
-as much per call.  Its checks take one array pass on each side of LAPACK:
-both inf-norms come from one stacked abs of [A, A - A^H], and both residuals
-from one product [A; V^H] @ V.  Its eigenvalues only gate outputs (the
+as much per call.  It checks its input (both inf-norms from one
+matrix_inf_norm of the stack [A, A - A^H]) and trusts LAPACK's answer:
+zheevd is backward stable, and the suite's contract test pins its residual
+and orthonormality bounds.  Its eigenvalues only gate outputs (the
 positivity floor of every steady state and trajectory sample) or feed the
 dressed census, whose degenerate groups do not depend on the basis chosen
 inside them, so no sweep, steady or evolve output byte depends on its last
@@ -44,7 +45,6 @@ _PIVOT_REL_TOL = 1e-14
 
 _HERMITICITY_REL_TOL = 1e-12
 _RESIDUAL_REL_TOL = 1e-10
-_ORTHONORMALITY_TOL = 1e-12
 
 
 class SingularMatrixError(SimulationError):
@@ -64,48 +64,33 @@ def matrix_inf_norm(a: np.ndarray):
 def herm_eigen(a):
     """Eigendecomposition of a Hermitian matrix by LAPACK's zheevd.
 
-    Returns np.linalg.eigh's own EighResult (eigenvalues, eigenvectors)
-    once it has passed the checks below: eigenvalues ascending, eigenvector
-    column k paired with eigenvalue k, and each column's phase as LAPACK
-    leaves it.  Inside a group of equal eigenvalues the columns are an
-    arbitrary orthonormal basis of the eigenspace.
+    Returns np.linalg.eigh's own EighResult (eigenvalues, eigenvectors):
+    eigenvalues ascending, eigenvector column k paired with eigenvalue k,
+    and each column's phase as LAPACK leaves it.  Inside a group of equal
+    eigenvalues the columns are an arbitrary orthonormal basis of the
+    eigenspace.
 
     Raises ValueError for empty, non-square or non-Hermitian input and for
     input that is not finite or whose inf-norm overflows, and SimulationError
-    if LAPACK fails or the decomposition fails its own residual checks.
+    if LAPACK fails.
     """
     mat = np.asarray(a, dtype=np.complex128)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1] or not mat.size:
         raise ValueError(f"herm_eigen requires a non-empty square matrix, got shape {mat.shape}")
-    n = len(mat)
-    # ||A||_inf and ||A - A^H||_inf from one stacked abs.  An inf or NaN
-    # entry, or a row sum past the double range, leaves the scale inf or NaN
-    # (and an inf entry's defect inf - inf), so the bound fails its `< inf`.
-    pair = np.empty((2, n, n), dtype=np.complex128)
+    # ||A||_inf and ||A - A^H||_inf from one stack.  An inf or NaN entry, or
+    # a row sum past the double range, leaves the scale inf or NaN (and an
+    # inf entry's defect inf - inf), so the bound fails its `< inf`.
+    pair = np.empty((2, *mat.shape), dtype=np.complex128)
     pair[0] = mat
     with np.errstate(over="ignore", invalid="ignore"):
         np.subtract(mat, mat.conj().T, out=pair[1])
-        scale, defect = np.maximum.reduce(np.add.reduce(np.abs(pair), axis=2), axis=1).tolist()
+    scale, defect = matrix_inf_norm(pair).tolist()
     if not defect < _HERMITICITY_REL_TOL * (1.0 + scale) < np.inf:
         raise ValueError("herm_eigen requires a finite Hermitian matrix")
-
     try:
-        eig = np.linalg.eigh(mat)
+        return np.linalg.eigh(mat)
     except np.linalg.LinAlgError as exc:
         raise SimulationError(f"eigendecomposition failed: {exc}") from exc
-    values, vectors = eig
-    # [A V - V Lambda; V^H V - I] from one product, the identity taken off
-    # the lower half's diagonal in place; then each half's largest entry.
-    checks = np.concatenate((mat, vectors.conj().T)) @ vectors
-    checks[:n] -= vectors * values
-    checks.reshape(-1)[n * n :: n + 1] -= 1.0
-    residual, gram = np.maximum.reduce(np.abs(checks).reshape(2, n * n), axis=1).tolist()
-    # Written as `not x < bound`, so a NaN fails too.
-    if not residual < _RESIDUAL_REL_TOL * (1.0 + scale):
-        raise SimulationError(f"eigendecomposition residual {residual:.3e} out of tolerance")
-    if not gram < _ORTHONORMALITY_TOL:
-        raise SimulationError("eigenvector columns lost orthonormality")
-    return eig
 
 
 def solve_linear(a, b) -> np.ndarray:

@@ -564,11 +564,13 @@ def test_stacked_steady_state_raises_what_the_lowest_failing_generator_raises_al
 
 def test_a_failing_stack_is_eliminated_once_then_once_per_generator_to_the_failure(monkeypatch):
     # solve_linear takes one inf-norm per elimination; steady_state's own
-    # norm goes through lindblad's binding and is not counted.
+    # norm goes through lindblad's binding and is not counted, and
+    # herm_eigen's, of a 4x4 matrix and its defect, is left out.
     eliminations, norm = [], algebra.matrix_inf_norm
 
     def counting(a):
-        eliminations.append(np.shape(a))
+        if np.shape(a)[-1] == 16:
+            eliminations.append(np.shape(a))
         return norm(a)
 
     monkeypatch.setattr(algebra, "matrix_inf_norm", counting)
@@ -602,6 +604,29 @@ def test_an_eigensolver_failure_is_a_steady_state_error(monkeypatch):
         with pytest.raises(SteadyStateError, match=f"^{message}") as info:
             steady_state(liouv)
         assert info.value.index == index
+
+
+def test_a_nan_eigenvalue_fails_the_positivity_gate(monkeypatch):
+    # herm_eigen returns LAPACK's answer unchecked; the positivity floor,
+    # which a NaN lowest eigenvalue fails, is the run-time guard left
+    # against a broken eigensolver.
+    eigh = np.linalg.eigh
+
+    def nan_lowest(matrix):
+        eig = eigh(matrix)
+        eig.eigenvalues[0] = np.nan
+        return eig
+
+    monkeypatch.setattr(np.linalg, "eigh", nan_lowest)
+    message = "density matrix: minimum eigenvalue nan < -1e-8"
+    with pytest.raises(InvariantError, match=f"^{message}$") as info:
+        check_density_matrix(np.array([ground_state(), ground_state()]))
+    assert info.value.index == 0
+    fig5 = build_liouvillian(preset("fig5")[0])
+    message = "non-unique or absent steady state: steady state: minimum eigenvalue nan < -1e-8"
+    with pytest.raises(SteadyStateError, match=f"^{message}$") as info:
+        steady_state(np.array([fig5, fig5]))
+    assert info.value.index == 0
 
 
 def test_random_stacks_raise_what_their_first_failing_generator_raises_alone():

@@ -12,8 +12,8 @@ Stated tolerances:
   references' Jacobi as the positivity gate, for every preset under each of
   the five closure targets;
 - herm_eigen: eigenvalues within 1e-13 * (1 + ||A||_inf) of the numpy-slice
-  Jacobi, and the eigenvector residual inside herm_eigen's own bound,
-  1e-10 * (1 + ||A||_inf), on the Hermitian cases below and on 500 drive
+  Jacobi, and the eigenvector residual inside the eigensolver contract's
+  bound, 1e-10 * (1 + ||A||_inf), on the Hermitian cases below and on 500 drive
   matrices with a fifth of their Rabi frequencies zero;
 - herm_eigen: np.linalg.eigh's eigenvalues and eigenvectors bit for bit,
   on the same matrices;
