@@ -281,15 +281,46 @@ def eigen_contract_cases():
                 yield scale / matrix_inf_norm(mat) * mat
 
 
+def eigen_contract_breaches(mat, values, vectors):
+    """The bounds an eigensystem of mat breaks: "residual", "orthonormality".
+
+    zheevd is backward stable, so on a working build A V - V Lambda stays
+    within 1e-10 (1 + ||A||_inf) and V^H V within 1e-12 of the identity (the
+    worst seen are about 1e-15 of each).  Written as `x < bound`, so a NaN
+    breaks the bound too.
+    """
+    residual = np.max(np.abs(mat @ vectors - vectors * values))
+    gram = np.max(np.abs(vectors.conj().T @ vectors - np.eye(len(mat))))
+    breaches = []
+    if not residual < 1e-10 * (1.0 + matrix_inf_norm(mat)):
+        breaches.append("residual")
+    if not gram < 1e-12:
+        breaches.append("orthonormality")
+    return breaches
+
+
 def test_lapack_eigensystems_meet_the_contract():
-    # herm_eigen returns LAPACK's answer unchecked.  zheevd is backward
-    # stable, so on a working build A V - V Lambda stays within
-    # 1e-10 (1 + ||A||_inf) and V^H V within 1e-12 of the identity (the worst
-    # seen are about 1e-15 of each); a broken build fails here, not at run
-    # time.  Written as `x < bound`, so a NaN fails too.
+    # herm_eigen returns LAPACK's answer unchecked; a broken build fails
+    # here, not at run time.
     for mat in eigen_contract_cases():
-        values, vectors = herm_eigen(mat)
-        residual = np.max(np.abs(mat @ vectors - vectors * values))
-        gram = np.max(np.abs(vectors.conj().T @ vectors - np.eye(len(mat))))
-        assert residual < 1e-10 * (1.0 + matrix_inf_norm(mat)), (residual, mat)
-        assert gram < 1e-12, (gram, mat)
+        assert eigen_contract_breaches(mat, *herm_eigen(mat)) == [], mat
+
+
+@pytest.mark.parametrize(
+    "values,vectors,breaches",
+    [
+        ([0.0, 2.0], np.eye(2), ["residual"]),
+        ([np.nan, 1.0], np.eye(2), ["residual"]),
+        ([1.0, 1.0], 2.0 * np.eye(2), ["orthonormality"]),
+        ([1.0, 1.0], [[1.0, np.nan], [0.0, 1.0]], ["residual", "orthonormality"]),
+        ([0.0, 2.0], 2.0 * np.eye(2), ["residual", "orthonormality"]),
+    ],
+    ids=["residual", "nan-eigenvalue", "orthonormality", "nan-vector", "residual-and-orthonormality"],
+)
+def test_eigen_checks_lapacks_result(monkeypatch, values, vectors, breaches):
+    # A broken LAPACK answer passes through herm_eigen as it is, and the
+    # contract check above names each bound it breaks.
+    result = EighResult(np.array(values), np.array(vectors, dtype=complex))
+    monkeypatch.setattr(np.linalg, "eigh", lambda mat: result)
+    assert herm_eigen(np.eye(2)) is result
+    assert eigen_contract_breaches(np.eye(2), *result) == breaches
