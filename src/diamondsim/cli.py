@@ -1,20 +1,18 @@
 """Command-line surface: config files, presets, CSV output, subcommands.
 
-Configuration files are flat INI-style text with four sections:
+Configuration files are flat INI-style text with three sections:
 
     [fields]   omega_a1 omega_a2 omega_c1 omega_c2
                delta_a1 delta_a2 delta_c1 delta_c2 closure_target
     [decays]   gamma1 gamma2 gamma3 gamma4
     [sweep]    delta_min delta_max points observables
-    [output]   out_path
 
 The keys come from the dataclasses: [fields] and [decays] are Scenario's
-fields (the gamma* rates in [decays]), [sweep] is SweepSpec's grid plus
-OutputOptions.observables, and [output] is OutputOptions.out_path.  A key
-whose dataclass default is a float reads a number, an int an integer, a
-tuple a comma list of observable names, and None (out_path) text.
-Only sweep reads out_path; steady, evolve and dressed write a file only
-with --out.
+fields (the gamma* rates in [decays]), and [sweep] is SweepSpec's grid plus
+OutputOptions.observables.  A key whose dataclass default is a float reads
+a number, an int an integer, a tuple a comma list of observable names, and
+a str (closure_target) text.  A config names no output file: every
+subcommand writes one only with --out.
 
 '#' and ';' start a comment.  Keys default as in Scenario (decay rates 1,
 all else 0) and SweepSpec (the grid [-25, 25] with 1001 points).  The
@@ -22,12 +20,11 @@ parser checks the text only: sections, keys, duplicates, empty values,
 number and integer syntax, and integers too long to read; a number that
 overflows reads as inf.  Range rules (finiteness, signs, atom.MAX_RATE,
 sweep.MAX_POINTS, the closure targets, the grid order) belong to Scenario
-and SweepSpec, and the observable names and out_path's text to
-OutputOptions; the parser reports the errors.InputError they raise with
-the lowest line among the keys the rule involves, so every rejected value
-carries its line number.  When closure_target is not given it defaults to
-the first inactive field in the order a1, c1, a2, c2, or "none" when all
-four fields drive.
+and SweepSpec, and the observable names to OutputOptions; the parser
+reports the errors.InputError they raise with the lowest line among the
+keys the rule involves, so every rejected value carries its line number.
+When closure_target is not given it defaults to the first inactive field
+in the order a1, c1, a2, c2, or "none" when all four fields drive.
 
 Exit status: 0 on success or --help, 1 for usage and configuration errors (any
 ValueError), 2 when a computation fails (no steady state, broken closure,
@@ -72,12 +69,10 @@ class OutputOptions:
     """Output-related settings from a config document.
 
     observables must be a tuple of keys of sweep.OBSERVABLE_KEYS, at least
-    one, and out_path, if set, text that a config line carries unchanged;
-    otherwise errors.InputError naming the field.
+    one; otherwise errors.InputError naming the field.
     """
 
     observables: tuple[str, ...] = OBSERVABLE_KEYS
-    out_path: str | None = None
 
     def __post_init__(self):
         if not isinstance(self.observables, tuple):
@@ -87,14 +82,6 @@ class OutputOptions:
         if unknown or not self.observables:
             shown = f"unknown observable {echo(unknown[0])!r}" if unknown else "no observables"
             raise InputError(f"{shown}; valid keys: {', '.join(OBSERVABLE_KEYS)}", ("observables",))
-        path = self.out_path
-        # splitlines() is what parse_config splits a document with; "" gives no line.
-        if path is not None and (
-            not isinstance(path, str) or path != path.strip() or _COMMENT_RE.search(path)
-            or len(path.splitlines()) != 1
-        ):
-            rule = "non-empty text without '#', ';', a line break or surrounding blanks"
-            raise InputError(f"out_path must be {rule}, got {echo(path)!r}", ("out_path",))
 
 
 _GRID_FIELDS = tuple(f for f in fields(SweepSpec) if f.name != "base")
@@ -105,7 +92,6 @@ _SECTIONS = {
     "fields": tuple(f.name for f in fields(Scenario) if not f.name.startswith("gamma")),
     "decays": tuple(f.name for f in fields(Scenario) if f.name.startswith("gamma")),
     "sweep": _GRID_KEYS + ("observables",),
-    "output": ("out_path",),
 }
 
 
@@ -218,8 +204,7 @@ def render_config(
 ) -> str:
     """Canonical config document; parse_config(render_config(s)) round-trips.
 
-    A section appears when one of its values is given: [sweep] with spec or
-    output, [output] with output.out_path.
+    A section appears when one of its values is given: [sweep] with spec or output.
     """
     values = {}
     for source in (scenario, spec, output):
@@ -227,7 +212,7 @@ def render_config(
     blocks = []
     for name, keys in _SECTIONS.items():
         lines = [f"{key} = {_RENDER.get(_KINDS[key], str)(values[key])}"
-                 for key in keys if values.get(key) is not None]
+                 for key in keys if key in values]
         if lines:
             blocks.append("\n".join([f"[{name}]", *lines]))
     return "\n\n".join(blocks) + "\n"
@@ -415,7 +400,7 @@ def main(argv=None) -> int:
         if args.command == "sweep":
             flags = {key: getattr(args, key) for key in _GRID_KEYS}
             spec = replace(spec, **{k: v for k, v in flags.items() if v is not None})
-            write_csv(run_sweep(spec), args.out if args.out is not None else output.out_path)
+            write_csv(run_sweep(spec), args.out)
         elif args.command == "steady":
             rho = steady_state(build_liouvillian(closure_complete(scenario)))
             _report_state(rho, output.observables, args.out)

@@ -76,15 +76,15 @@ def check_density_matrix(
     symmetrized state 0.5 (rho + rho^H) in rho's shape.  Raises
     InvariantError when rho's own Hermiticity defect or trace error is not
     below 1e-9 (so a NaN entry fails), or the smallest eigenvalue of the
-    symmetrized matrix drops below -1e-8 or its eigensolve fails (with
-    herm_eigen's text).  The message starts with context; for a stack,
-    context may also be one label per matrix.  The matrices are checked in
-    order, each for Hermiticity, then trace, then positivity, so a stack
-    raises what its first failing matrix raises alone, with its position as
-    `index`; matrices after it are not eigensolved.  Each distinct matrix is
-    eigensolved once: one whose bytes repeat an earlier one's (as a
-    trajectory's samples do once the state settles) passes as that one
-    did, since a failure would have raised there.
+    symmetrized matrix drops below -1e-8 or its eigensolve fails or refuses
+    it (with herm_eigen's text).  The message starts with context; for a
+    stack, context may also be one label per matrix.  The matrices are
+    checked in order, each for Hermiticity, then trace, then positivity, so
+    a stack raises what its first failing matrix raises alone, with its
+    position as `index`; matrices after it are not eigensolved.  Each
+    distinct matrix is eigensolved once: one whose bytes repeat an earlier
+    one's (as a trajectory's samples do once the state settles) passes as
+    that one did, since a failure would have raised there.
     """
     rho = np.asarray(rho)
     if rho.ndim not in (2, 3) or rho.shape[-2:] != (4, 4):
@@ -111,7 +111,7 @@ def check_density_matrix(
         else:
             try:
                 lowest = float(herm_eigen(symmetric[k]).eigenvalues[0])
-            except SimulationError as exc:
+            except (SimulationError, ValueError) as exc:
                 raise InvariantError(f"{labels[k]}: {exc}", index=index) from exc
             if lowest >= _POSITIVITY_FLOOR:
                 passed.add(key)

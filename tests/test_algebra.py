@@ -59,10 +59,6 @@ def test_random_hermitian_matches_numpy():
             eig = herm_eigen(mat)
             assert np.all(np.diff(eig.eigenvalues) >= 0.0)
             assert np.allclose(eig.eigenvalues, np.linalg.eigvalsh(mat), atol=1e-10)
-            residual = mat @ eig.eigenvectors - eig.eigenvectors * eig.eigenvalues
-            assert np.max(np.abs(residual)) < 1e-9
-            gram = eig.eigenvectors.conj().T @ eig.eigenvectors
-            assert np.max(np.abs(gram - np.eye(n))) < 1e-11
 
 
 def test_degenerate_spectrum_recovered():
@@ -266,15 +262,15 @@ def eigen_contract_cases():
     """The inputs on which LAPACK's eigensystems are held to the contract.
 
     The 21-point steady states and the drive coupling of every preset, and
-    50 seeded Hermitian matrices per size 2, 3, 4 and 16 and inf-norm 1e-300,
-    1, 1e150, 1e300 and 1e307.
+    50 seeded Hermitian matrices per size 2, 3, 4, 6 and 16 and inf-norm
+    1e-300, 1, 1e150, 1e300 and 1e307.
     """
     for name in PRESET_NAMES:
         s = preset(name)[0]
         yield from run_sweep(SweepSpec(base=s, points=21)).states
         yield build_hamiltonian(replace(s, omega_c2=0.0))
     rng = np.random.default_rng(2026)
-    for n in (2, 3, 4, 16):
+    for n in (2, 3, 4, 6, 16):
         for scale in (1e-300, 1.0, 1e150, 1e300, 1e307):
             for _ in range(50):
                 mat = random_hermitian(rng, n)

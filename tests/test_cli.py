@@ -57,9 +57,6 @@ delta_min = -10
 delta_max = 10
 points = 51
 observables = pop_b, cd
-
-[output]
-out_path = run.csv
 """
 
 
@@ -74,7 +71,6 @@ def test_parse_full_document():
     assert scenario.closure_target == "a1"  # first inactive field
     assert (spec.delta_min, spec.delta_max, spec.points) == (-10.0, 10.0, 51)
     assert output.observables == ("pop_b", "cd")
-    assert output.out_path == "run.csv"
 
 
 def test_defaults_from_empty_sections():
@@ -88,6 +84,10 @@ def test_defaults_from_empty_sections():
     "doc,fragment",
     [
         ("[nope]\n", "line 1: unknown section"),
+        (
+            "[fields]\nomega_a1 = 1\n[output]\nout_path = run.csv\n",
+            "line 3: unknown section [output]; valid sections: fields, decays, sweep",
+        ),
         ("[fields\n", "line 1: unterminated section header"),
         ("omega_a1 = 1\n", "line 1: key 'omega_a1' appears before any section"),
         ("[fields]\nfoo = 1\n", "line 2: unknown key 'foo'"),
@@ -145,7 +145,7 @@ def test_readme_config_example_parses(tmp_path, capsys):
     scenario, spec, output = parse_config(text)
     assert scenario == preset("fig5")[0]
     assert (spec.delta_min, spec.delta_max, spec.points) == (-25.0, 25.0, 1001)
-    assert output == OutputOptions(observables=("cd", "ca", "db"), out_path="spectrum.csv")
+    assert output == OutputOptions(observables=("cd", "ca", "db"))
     cfg = tmp_path / "readme.cfg"
     cfg.write_text(text)
     assert main(["steady", "--config", str(cfg)]) == 0
@@ -172,9 +172,9 @@ def test_explicit_closure_target_wins():
 @pytest.mark.parametrize(
     "output",
     [
-        OutputOptions(observables=("pop_a", "cd"), out_path="x.csv"),
+        OutputOptions(observables=("pop_a", "cd")),
         OutputOptions(observables=("db",)),
-        OutputOptions(out_path="out dir/run=1 [a].csv"),
+        OutputOptions(),
     ],
 )
 @pytest.mark.parametrize("with_spec", [True, False])
@@ -199,14 +199,6 @@ def test_render_round_trip(output, with_spec):
         # A list would not round-trip through a config; a str is not read as its letters.
         (dict(observables=["cd"]), "observables must be a tuple, got list"),
         (dict(observables="cd"), "observables must be a tuple, got str"),
-        (dict(out_path="run#1.csv"), "out_path must be non-empty text"),
-        (dict(out_path="run;1.csv"), "out_path must be non-empty text"),
-        (dict(out_path=" x.csv"), "out_path must be non-empty text"),
-        (dict(out_path="x.csv\t"), "out_path must be non-empty text"),
-        (dict(out_path="a\nb"), "out_path must be non-empty text"),
-        (dict(out_path="a\u2028b"), "out_path must be non-empty text"),
-        (dict(out_path=""), "out_path must be non-empty text"),
-        (dict(out_path=Path("x.csv")), "out_path must be non-empty text"),
     ],
 )
 def test_output_options_reject_what_a_config_cannot_carry(options, fragment):
@@ -382,19 +374,62 @@ def test_main_sweep_deterministic(tmp_path):
     assert first.read_bytes() == second.read_bytes()
 
 
-def test_main_config_out_path(tmp_path):
+SMALL_DOC = "[fields]\nomega_a2 = 1.0\n[sweep]\ndelta_min = -1\ndelta_max = 1\npoints = 3\n"
+
+
+def test_main_config_out_path(tmp_path, capsys):
+    # A config names no file: one with an [output] section is refused before
+    # anything runs, by every subcommand, and --out names the file instead.
     out = tmp_path / "auto.csv"
     cfg = tmp_path / "run.cfg"
-    cfg.write_text(
-        "[fields]\nomega_a2 = 1.0\n"
-        "[sweep]\ndelta_min = -1\ndelta_max = 1\npoints = 3\n"
-        f"[output]\nout_path = {out}\n"
-    )
-    assert main(["sweep", "--config", str(cfg)]) == 0
-    assert out.exists()
-    override = tmp_path / "explicit.csv"
-    assert main(["sweep", "--config", str(cfg), "--out", str(override)]) == 0
-    assert override.exists()
+    cfg.write_text(SMALL_DOC + f"[output]\nout_path = {out}\n")
+    message = "error: line 7: unknown section [output]; valid sections: fields, decays, sweep\n"
+    for command in ("sweep", "steady", "evolve", "dressed"):
+        assert main([command, "--config", str(cfg)]) == 1
+        assert capsys.readouterr() == ("", message)
+    assert not out.exists()
+    cfg.write_text(SMALL_DOC)
+    assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 0
+    assert out.read_bytes().startswith(b"delta,")
+
+
+@pytest.mark.parametrize(
+    "command,flags,header",
+    [
+        ("sweep", [], b"delta,"),
+        ("steady", [], b"entry,re,im\n"),
+        ("evolve", ["--t-final", "1"], b"entry,re,im\n"),
+        ("dressed", [], b"index,eigenvalue,group,"),
+    ],
+)
+def test_every_subcommand_writes_a_file_only_with_out(
+    command, flags, header, tmp_path, monkeypatch, capsysbinary
+):
+    monkeypatch.chdir(tmp_path)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(SMALL_DOC)
+    argv = [command, "--config", str(cfg), *flags]
+    assert main(argv) == 0
+    printed = capsysbinary.readouterr().out
+    assert [p.name for p in tmp_path.iterdir()] == ["run.cfg"]
+    out = tmp_path / "table.csv"
+    assert main([*argv, "--out", str(out)]) == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["run.cfg", "table.csv"]
+    again = capsysbinary.readouterr().out
+    if command == "sweep":  # the table moves from stdout to the file
+        assert (again, out.read_bytes()) == (b"", printed)
+    else:  # the report stays on stdout and the file holds the table
+        assert again == printed
+        assert out.read_bytes().startswith(header)
+
+
+@pytest.mark.parametrize("name", ["run#1.csv", "run;1.csv", " x.csv", "x.csv\t", "run=1 [a].csv"])
+def test_out_takes_a_file_name_a_config_line_could_not_carry(name, tmp_path):
+    # Comment marks and surrounding blanks end a config value, but --out is no config value.
+    reference, out = tmp_path / "reference.csv", tmp_path / name
+    assert main(sweep_args("--out", str(reference))) == 0
+    assert main(sweep_args("--out", str(out))) == 0
+    assert out.read_bytes() == reference.read_bytes()
 
 
 def test_main_steady(capsys, tmp_path):
@@ -844,14 +879,13 @@ _BOM = "\ufeff".encode()  # the UTF-8 byte-order mark, EF BB BF
 def test_a_config_with_a_byte_order_mark_reads_as_without_it(tmp_path, capsysbinary):
     # Editors on Windows may save UTF-8 with a leading U+FEFF; it is not part of line 1.
     out = tmp_path / "run.csv"
-    text = FULL_DOC.replace("run.csv", str(out))
     plain, marked = tmp_path / "plain.cfg", tmp_path / "marked.cfg"
-    plain.write_bytes(text.encode())
-    marked.write_bytes(_BOM + text.encode())
+    plain.write_bytes(FULL_DOC.encode())
+    marked.write_bytes(_BOM + FULL_DOC.encode())
     runs = []
     for cfg in (plain, marked):
         assert main(["steady", "--config", str(cfg)]) == 0
-        assert main(["sweep", "--config", str(cfg)]) == 0
+        assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 0
         runs.append((capsysbinary.readouterr().out, out.read_bytes()))
     assert runs[0] == runs[1]
     assert len(runs[0][1].splitlines()) == 52

@@ -242,6 +242,22 @@ def test_an_eigensolver_failure_names_the_matrix(monkeypatch):
     assert info.value.index == 2
 
 
+def test_a_state_whose_symmetrization_overflows_is_an_invariant_error():
+    # Hermitian with unit trace, so it passes the first two checks; its
+    # symmetrization 0.5 (rho + rho^H) overflows to inf, which herm_eigen refuses.
+    rho = ground_state()
+    rho[0, 1] = rho[1, 0] = 1e308
+    message = "herm_eigen requires a finite Hermitian matrix"
+    with pytest.raises(InvariantError, match=f"^density matrix: {message}$") as info:
+        check_density_matrix(rho)
+    assert info.value.index is None
+    with pytest.raises(InvariantError, match=f"^density matrix: {message}$") as info:
+        check_density_matrix(np.array([ground_state(), rho]))
+    assert info.value.index == 1
+    with pytest.raises(InvariantError, match=f"^initial state: {message}$"):
+        evolve(closure_complete(preset("fig5")[0]), rho, t_final=1.0)
+
+
 def test_liouvillian_shape_and_trace_preservation():
     s = Scenario(omega_a1=1.0, omega_a2=2.0, omega_c1=3.0, omega_c2=4.0, delta_a1=0.5)
     liouv = build_liouvillian(s)
@@ -563,17 +579,14 @@ def test_stacked_steady_state_raises_what_the_lowest_failing_generator_raises_al
 
 
 def test_a_failing_stack_is_eliminated_once_then_once_per_generator_to_the_failure(monkeypatch):
-    # solve_linear takes one inf-norm per elimination; steady_state's own
-    # norm goes through lindblad's binding and is not counted, and
-    # herm_eigen's, of a 4x4 matrix and its defect, is left out.
-    eliminations, norm = [], algebra.matrix_inf_norm
+    # Each solve_linear call eliminates its stack once.
+    eliminations = []
 
-    def counting(a):
-        if np.shape(a)[-1] == 16:
-            eliminations.append(np.shape(a))
-        return norm(a)
+    def counting(a, b):
+        eliminations.append(np.shape(a))
+        return solve_linear(a, b)
 
-    monkeypatch.setattr(algebra, "matrix_inf_norm", counting)
+    monkeypatch.setattr(lindblad, "solve_linear", counting)
     dead = build_liouvillian(
         Scenario(omega_a1=1.0, gamma1=0.0, gamma2=0.0, gamma3=0.0, gamma4=0.0)
     )
